@@ -22,14 +22,10 @@ from .engine import (
 )
 from .geom import (
     FEASIBILITY_TOL,
-    Disc,
     Point2,
     Polygon,
-    Segment,
-    clamp_along_segment,
     distance,
     in_lune,
-    segment_intersects_polygon,
 )
 from .graphs import (
     Graph,
@@ -41,12 +37,9 @@ from .graphs import (
     visibility_graph,
 )
 from .motion import (
-    AllowableRegion,
     BehaviorSpec,
-    allowable_disc,
     apply_motion_law,
     desired_target,
-    effective_allowable_region,
     separation_cap,
 )
 from .reporting import write_metrics, write_svg_frame
@@ -55,10 +48,8 @@ from .scenario import ScenarioError, load_scenario, save_scenario
 __version__ = "0.1.0"
 
 __all__ = [
-    "AllowableRegion",
     "BehaviorSpec",
     "ConnectivityError",
-    "Disc",
     "FEASIBILITY_TOL",
     "Graph",
     "GraphMetrics",
@@ -67,15 +58,11 @@ __all__ = [
     "Polygon",
     "RoundReport",
     "ScenarioError",
-    "Segment",
     "SwarmState",
     "WorldConfig",
-    "allowable_disc",
     "apply_motion_law",
-    "clamp_along_segment",
     "desired_target",
     "distance",
-    "effective_allowable_region",
     "effective_graph",
     "graph_metrics",
     "in_lune",
@@ -85,7 +72,6 @@ __all__ = [
     "lune_count",
     "run",
     "save_scenario",
-    "segment_intersects_polygon",
     "separation_cap",
     "step",
     "visibility_graph",

@@ -12,6 +12,7 @@ edge inside the next visibility graph and hence the swarm connected.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, field, replace
 from typing import Callable
@@ -26,10 +27,12 @@ from .graphs import (
     effective_graph,
     graph_metrics,
     is_connected,
-    pairwise_distances,
+    pair_distance_range,
     visibility_graph,
 )
 from .motion import BehaviorSpec, apply_motion_law
+
+log = logging.getLogger(__name__)
 
 _MAX_INIT_ATTEMPTS = 10_000
 _QUIESCENT_ROUNDS = 10
@@ -54,14 +57,14 @@ class InitSpec:
             pts = tuple((float(x), float(y)) for x, y in self.positions)
             for x, y in pts:
                 if not (math.isfinite(x) and math.isfinite(y)):
-                    raise ValueError(f"initial positions must be finite, got ({x!r}, {y!r})")
+                    raise ValueError(f"positions must be finite, got ({x!r}, {y!r})")
             object.__setattr__(self, "positions", pts)
         else:
             xmin, ymin, xmax, ymax = (float(v) for v in self.box)
             if not all(map(math.isfinite, (xmin, ymin, xmax, ymax))):
-                raise ValueError("init box bounds must be finite")
+                raise ValueError("box bounds must be finite")
             if not (xmin < xmax and ymin < ymax):
-                raise ValueError(f"init box must satisfy xmin < xmax and ymin < ymax, got {self.box}")
+                raise ValueError(f"box must satisfy xmin < xmax and ymin < ymax, got {self.box}")
             object.__setattr__(self, "box", (xmin, ymin, xmax, ymax))
 
 
@@ -85,11 +88,11 @@ class WorldConfig:
         if not (math.isfinite(self.vis_range) and self.vis_range > 0.0):
             raise ValueError(f"vis_range must be positive and finite, got {self.vis_range!r}")
         if not (isinstance(self.rng_plus, int) and self.rng_plus >= 0):
-            raise ValueError(f"rng_plus must be an integer >= 0, got {self.rng_plus!r}")
+            raise ValueError(f"rng_plus must be >= 0 and an integer, got {self.rng_plus!r}")
         sep = self.vis_range / 10.0 if self.min_separation is None else float(self.min_separation)
         if not (0.0 <= sep < self.vis_range):
             raise ValueError(
-                f"min_separation must satisfy 0 <= sep < vis_range, got {sep!r} with vis_range {self.vis_range!r}"
+                f"min_separation must satisfy 0 <= sep < V, got sep={sep!r} with V={self.vis_range!r}"
             )
         object.__setattr__(self, "min_separation", sep)
         if self.max_rounds < 0:
@@ -97,28 +100,36 @@ class WorldConfig:
         object.__setattr__(self, "obstacles", tuple(self.obstacles))
         spec = self.behavior
         if spec.kind == "leader_follow" and not (0 <= spec.leader_index < self.n):
-            raise ValueError(f"leader_index {spec.leader_index} out of range for n={self.n}")
+            raise ValueError(f"leader_index must lie in [0, n) for n={self.n}, got {spec.leader_index}")
         if sep > 0.0:
             if spec.desired_spacing < sep:
                 raise ValueError(
-                    f"desired_spacing {spec.desired_spacing!r} must be >= the separation floor {sep!r}"
+                    f"desired_spacing must be >= min_separation ({sep!r}) so the target spacing "
+                    f"is reachable, got {spec.desired_spacing!r}"
                 )
             # beyond-range pairs can close by 2 * max_step in one round; keep
             # that below the (vis_range - sep) slack so the floor is provable
             limit = 0.5 * (self.vis_range - sep)
             if spec.max_step > limit + 1e-12:
                 raise ValueError(
-                    f"max_step {spec.max_step!r} too large for the separation floor: "
-                    f"needs max_step <= (vis_range - sep) / 2 = {limit!r}"
+                    f"max_step must be <= (V - sep) / 2 = {limit!r} to keep the separation floor, "
+                    f"got {spec.max_step!r}"
                 )
         if self.init.positions is not None:
-            if len(self.init.positions) != self.n:
+            count = len(self.init.positions)
+            if count != self.n:
                 raise ValueError(
-                    f"init gives {len(self.init.positions)} positions but n={self.n}"
+                    f"init.positions must list n={self.n} points, got {count} positions but n={self.n}"
                 )
             xy = np.asarray(self.init.positions, dtype=float)
+            closest = pair_distance_range(xy)[0]
+            if closest < sep:
+                raise ValueError(
+                    f"init.positions must keep every pair at least min_separation ({sep!r}) apart, "
+                    f"got a pair at {closest!r}"
+                )
             if not is_connected(visibility_graph(xy, self.vis_range)):
-                raise ValueError("initial visibility graph is disconnected")
+                raise ValueError("init.positions give a disconnected initial visibility graph")
 
 
 @dataclass(frozen=True, eq=False)
@@ -157,7 +168,8 @@ def initial_state(world: WorldConfig) -> SwarmState:
         return SwarmState(round=0, positions=np.asarray(world.init.positions, dtype=float))
     rng = np.random.default_rng(world.seed)
     # box sampling additionally rejects starts entangled with obstacles; explicit
-    # positions are taken verbatim (the scenario author owns them)
+    # positions are taken verbatim once WorldConfig has checked them (the
+    # scenario author owns their placement around walls)
     xmin, ymin, xmax, ymax = world.init.box
     for _ in range(_MAX_INIT_ATTEMPTS):
         xy = rng.uniform((xmin, ymin), (xmax, ymax), size=(world.n, 2))
@@ -170,11 +182,8 @@ def initial_state(world: WorldConfig) -> SwarmState:
 
 
 def _acceptable_init(xy: np.ndarray, world: WorldConfig) -> bool:
-    if world.n >= 2 and world.min_separation > 0.0:
-        dist = pairwise_distances(xy)
-        iu, ju = np.triu_indices(world.n, k=1)
-        if float(dist[iu, ju].min()) < world.min_separation:
-            return False
+    if world.min_separation > 0.0 and pair_distance_range(xy)[0] < world.min_separation:
+        return False
     if world.obstacles:
         for x, y in xy:
             if any(poly.contains_xy(float(x), float(y)) for poly in world.obstacles):
@@ -307,21 +316,24 @@ def run(
     in a row; a leader must additionally have exhausted its waypoints).
     Identical configs produce identical reports. `observer`, when given, is
     called with the initial state (report None) and after every commit.
+    Rounds that end with coincident agents are logged once, as a count.
     """
     state = initial_state(world)
+    # connected by construction: WorldConfig checks explicit positions and
+    # initial_state resamples the box until the visibility graph is connected
     g, eff = _build_graphs(state.positions, world)
-    if not is_connected(g):
-        raise ConnectivityError("initial visibility graph is disconnected")
     if observer is not None:
         observer(state, None)
     spec = world.behavior
     threshold = _QUIESCENT_FRACTION * world.vis_range
     reports: list[RoundReport] = []
     quiescent = 0
+    coincident = 0
     for _ in range(world.max_rounds):
         prev = state.positions
         state, report, g, eff = _step_core(state, world, g, eff)
         reports.append(report)
+        coincident += report.metrics.min_pair_distance == 0.0
         if observer is not None:
             observer(state, report)
         moved = state.positions - prev
@@ -330,4 +342,8 @@ def run(
         if quiescent >= _QUIESCENT_ROUNDS:
             if spec.kind != "leader_follow" or state.waypoint_index >= len(spec.waypoints):
                 break
+    if coincident:
+        log.warning(
+            "coincident agents (a pair at zero distance) in %d of %d rounds", coincident, len(reports)
+        )
     return reports

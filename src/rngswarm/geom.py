@@ -32,30 +32,6 @@ class Point2:
         if not (math.isfinite(self.x) and math.isfinite(self.y)):
             raise ValueError(f"coordinates must be finite, got ({self.x!r}, {self.y!r})")
 
-    def as_tuple(self) -> tuple[float, float]:
-        return (self.x, self.y)
-
-
-@dataclass(frozen=True)
-class Disc:
-    """Closed disc; the motion law uses discs of radius V/2 at pair midpoints."""
-
-    center: Point2
-    radius: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.radius) and self.radius >= 0.0):
-            raise ValueError(f"disc radius must be finite and non-negative, got {self.radius!r}")
-
-    def contains(self, p: Point2, tol: float = FEASIBILITY_TOL) -> bool:
-        return distance(self.center, p) <= self.radius + tol
-
-
-@dataclass(frozen=True)
-class Segment:
-    a: Point2
-    b: Point2
-
 
 def distance(a: Point2, b: Point2) -> float:
     """Euclidean distance between two points.
@@ -124,7 +100,13 @@ def clamp_fraction(cur_xy, tgt_xy, centers, radii, tol: float = FEASIBILITY_TOL)
 
 
 def clamp_point_xy(cur_xy, tgt_xy, centers, radii, tol: float = FEASIBILITY_TOL) -> np.ndarray:
-    """Array version of clamp_along_segment; returns the clamped point."""
+    """Move from cur toward tgt as far as every disc allows.
+
+    Returns cur + s * (tgt - cur) with the largest feasible s in [0, 1]; if
+    the target satisfies all discs it is returned as is. The current point
+    must lie inside every disc within the feasibility tolerance (it is the
+    mover's own allowable region), else ValueError.
+    """
     cur = np.asarray(cur_xy, dtype=float)
     tgt = np.asarray(tgt_xy, dtype=float)
     ctr = np.asarray(centers, dtype=float).reshape(-1, 2)
@@ -144,22 +126,6 @@ def clamp_point_xy(cur_xy, tgt_xy, centers, radii, tol: float = FEASIBILITY_TOL)
         s = max(0.0, s - 1e-12)
         q = cur + s * (tgt - cur)
     return q
-
-
-def clamp_along_segment(current: Point2, target: Point2, constraints: Sequence[Disc]) -> Point2:
-    """Move from current toward target as far as every disc allows.
-
-    Returns current + s * (target - current) with the largest feasible
-    s in [0, 1]; if the target satisfies all discs it is returned as is.
-    The current point must lie inside every disc within the feasibility
-    tolerance (it is the mover's own allowable region), else ValueError.
-    """
-    if not constraints:
-        return target
-    centers = [(d.center.x, d.center.y) for d in constraints]
-    radii = [d.radius for d in constraints]
-    q = clamp_point_xy(current.as_tuple(), target.as_tuple(), centers, radii)
-    return Point2(float(q[0]), float(q[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -294,8 +260,3 @@ class Polygon:
                 return True
         # no edge contact: the segment is either fully inside or fully outside
         return self.contains_xy(x1, y1)
-
-
-def segment_intersects_polygon(seg: Segment, poly: Polygon) -> bool:
-    """Conservative contact test: crossing, touching, or containment all count."""
-    return poly.blocks_segment_xy(seg.a.x, seg.a.y, seg.b.x, seg.b.y)

@@ -8,21 +8,13 @@ is a pure function of a position snapshot.
 
 from __future__ import annotations
 
-import logging
 import math
 from collections import deque
 from dataclasses import InitVar, dataclass, field
-from typing import Iterable, Sequence
 
 import numpy as np
 
 from .geom import Point2
-
-log = logging.getLogger(__name__)
-
-# above this many agents the all-pairs occupancy tensor gets large; fall back
-# to per-edge row scans
-_TENSOR_MAX_N = 180
 
 
 def coords(positions) -> np.ndarray:
@@ -97,6 +89,16 @@ def pairwise_distances(xy: np.ndarray) -> np.ndarray:
     return np.sqrt((diff * diff).sum(axis=2))
 
 
+def pair_distance_range(xy: np.ndarray) -> tuple[float, float]:
+    """Smallest and largest distance between two agents, in pairwise_distances
+    arithmetic; (inf, 0) with fewer than two agents."""
+    if len(xy) < 2:
+        return math.inf, 0.0
+    iu, ju = np.triu_indices(len(xy), k=1)
+    vals = pairwise_distances(xy)[iu, ju]
+    return float(vals.min()), float(vals.max())
+
+
 def visibility_graph(positions, vis_range: float) -> Graph:
     """Edge between every pair of agents at distance <= vis_range (inclusive)."""
     if not (math.isfinite(vis_range) and vis_range > 0.0):
@@ -154,23 +156,12 @@ def effective_graph(graph: Graph, positions, max_lune_occupants: int = 0) -> Gra
     if not graph.edges or n <= 2:
         return Graph(n, graph.edges, validate=False)
     dist = pairwise_distances(xy)
-    if n <= _TENSOR_MAX_N:
-        dij = dist[:, :, None]
-        occupied = np.count_nonzero(
-            (dist[:, None, :] < dij) & (dist[None, :, :] < dij), axis=2
-        )
-        kept = frozenset(e for e in graph.edges if occupied[e] <= max_lune_occupants)
-    else:
-        kept_edges = []
-        for i, j in graph.edges:
-            d = dist[i, j]
-            if d == 0.0:
-                kept_edges.append((i, j))
-                continue
-            occ = int(np.count_nonzero((dist[i] < d) & (dist[j] < d)))
-            if occ <= max_lune_occupants:
-                kept_edges.append((i, j))
-        kept = frozenset(kept_edges)
+    pairs = np.array(sorted(graph.edges), dtype=np.intp)
+    rows_i, rows_j = pairs[:, 0], pairs[:, 1]
+    d = dist[rows_i, rows_j][:, None]
+    occupied = np.count_nonzero((dist[rows_i] < d) & (dist[rows_j] < d), axis=1)
+    keep = occupied <= max_lune_occupants
+    kept = frozenset(zip(rows_i[keep].tolist(), rows_j[keep].tolist()))
     return Graph(n, kept, validate=False)
 
 
@@ -225,29 +216,13 @@ def graph_metrics(graph: Graph, effective: Graph, positions) -> GraphMetrics:
     n = graph.n
     if n != len(xy):
         raise ValueError(f"graph has {graph.n} vertices but {len(xy)} positions given")
-    if n >= 2:
-        dist = pairwise_distances(xy)
-        iu, ju = np.triu_indices(n, k=1)
-        vals = dist[iu, ju]
-        dmin = float(vals.min())
-        dmax = float(vals.max())
-        if dmin == 0.0:
-            log.warning("coincident agents present (a pair at zero distance)")
-    else:
-        dmin = math.inf
-        dmax = 0.0
-    connected = is_connected(graph)
-    if n <= 1:
-        diameter = 0
-    elif connected:
-        diameter = _hop_diameter(graph)
-    else:
-        diameter = -1
+    dmin, dmax = pair_distance_range(xy)
+    diameter = _hop_diameter(graph)
     max_degree = max((effective.degree(i) for i in range(n)), default=0)
     return GraphMetrics(
         edge_count=len(graph.edges),
         effective_edge_count=len(effective.edges),
-        connected=connected,
+        connected=diameter >= 0,
         diameter_hops=diameter,
         min_pair_distance=dmin,
         max_pair_distance=dmax,

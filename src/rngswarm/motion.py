@@ -1,4 +1,4 @@
-"""Per-agent motion: allowable discs, behaviour targets, and the constrained step.
+"""Per-agent motion: behaviour targets and the step constrained to the allowable discs.
 
 Every step is planned against the round-start snapshot only. The proposal
 pipeline is: behaviour target, pre-cap at max_step, separation cap, clamp
@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .geom import FEASIBILITY_TOL, Disc, Point2, clamp_point_xy, distance
+from .geom import FEASIBILITY_TOL, Point2, clamp_point_xy
 from .graphs import Graph, coords
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -43,7 +43,7 @@ class BehaviorSpec:
 
     def __post_init__(self) -> None:
         if self.kind not in BEHAVIOR_KINDS:
-            raise ValueError(f"unknown behavior kind {self.kind!r}, expected one of {BEHAVIOR_KINDS}")
+            raise ValueError(f"kind must be one of {BEHAVIOR_KINDS}, got unknown behavior kind {self.kind!r}")
         if not (math.isfinite(self.max_step) and self.max_step > 0.0):
             raise ValueError(f"max_step must be positive, got {self.max_step!r}")
         if not (math.isfinite(self.desired_spacing) and self.desired_spacing >= 0.0):
@@ -57,7 +57,7 @@ class BehaviorSpec:
         wps = tuple((float(x), float(y)) for x, y in self.waypoints)
         for x, y in wps:
             if not (math.isfinite(x) and math.isfinite(y)):
-                raise ValueError(f"waypoint coordinates must be finite, got ({x!r}, {y!r})")
+                raise ValueError(f"waypoints: waypoint coordinates must be finite, got ({x!r}, {y!r})")
         object.__setattr__(self, "waypoints", wps)
 
     @classmethod
@@ -75,6 +75,9 @@ class BehaviorSpec:
     ) -> "BehaviorSpec":
         """Defaults scale with the visibility range: spacing is a tenth of it,
         waypoint tolerance a twentieth, and the step budget a fifth."""
+        if not (math.isfinite(vis_range) and vis_range > 0.0):
+            # checked here too, so a bad range is not reported as a bad default
+            raise ValueError(f"vis_range must be positive and finite, got {vis_range!r}")
         return cls(
             kind=kind,
             max_step=0.2 * vis_range if max_step is None else max_step,
@@ -84,44 +87,6 @@ class BehaviorSpec:
             waypoints=tuple(tuple(w) for w in waypoints),
             waypoint_tolerance=0.05 * vis_range if waypoint_tolerance is None else waypoint_tolerance,
         )
-
-
-@dataclass(frozen=True)
-class AllowableRegion:
-    """One disc per effective neighbour; the owner must stay inside all of them."""
-
-    discs: tuple[Disc, ...]
-
-    def contains(self, p: Point2, tol: float = FEASIBILITY_TOL) -> bool:
-        return all(d.contains(p, tol) for d in self.discs)
-
-
-def allowable_disc(p_i: Point2, p_j: Point2, vis_range: float) -> Disc:
-    """Disc of radius vis_range / 2 at the pair midpoint.
-
-    Any two points inside it are at most vis_range apart, so a pair that
-    moves into its shared disc keeps its visibility edge. Calling this for a
-    pair already out of range is a caller bug and raises.
-    """
-    d = distance(p_i, p_j)
-    if d > vis_range + FEASIBILITY_TOL:
-        raise ValueError(f"pair at distance {d:.6g} exceeds visibility range {vis_range:.6g}")
-    return Disc(Point2(0.5 * (p_i.x + p_j.x), 0.5 * (p_i.y + p_j.y)), 0.5 * vis_range)
-
-
-def effective_allowable_region(i: int, positions, effective: Graph, vis_range: float) -> AllowableRegion:
-    """Allowable discs of agent i toward each of its effective neighbours.
-
-    Only effective neighbours constrain the move; a vertex isolated in the
-    trimmed graph gets an unconstrained (empty) region.
-    """
-    xy = coords(positions)
-    p = Point2(float(xy[i, 0]), float(xy[i, 1]))
-    discs = tuple(
-        allowable_disc(p, Point2(float(xy[j, 0]), float(xy[j, 1])), vis_range)
-        for j in effective.neighbors(i)
-    )
-    return AllowableRegion(discs)
 
 
 def desired_target(i: int, state: "SwarmState", effective: Graph, spec: BehaviorSpec) -> Point2:
@@ -255,6 +220,9 @@ def apply_motion_law(
         if norm > cap:
             t = p + off * (cap / norm) if cap > 0.0 else p.copy()
     if len(nbrs):
+        # allowable disc of a pair: radius V/2 at its midpoint; any two points
+        # inside it are at most V apart, so a pair that moves into its shared
+        # disc keeps its visibility edge
         centers = 0.5 * (nbr_xy + p)
         q = clamp_point_xy(p, t, centers, 0.5 * world.vis_range)
     else:

@@ -19,7 +19,7 @@ from .graphs import (
     effective_graph,
     is_connected,
     lune_count,
-    pairwise_distances,
+    pair_distance_range,
     visibility_graph,
 )
 from .motion import BehaviorSpec
@@ -53,11 +53,8 @@ def sample_connected_positions(
     side = max(1.0, box_scale * math.sqrt(n)) * vis_range
     for _ in range(attempts):
         xy = rng.uniform(0.0, side, size=(n, 2))
-        if n >= 2 and min_sep > 0.0:
-            dist = pairwise_distances(xy)
-            iu, ju = np.triu_indices(n, k=1)
-            if float(dist[iu, ju].min()) < min_sep:
-                continue
+        if min_sep > 0.0 and pair_distance_range(xy)[0] < min_sep:
+            continue
         if is_connected(visibility_graph(xy, vis_range)):
             return xy
     raise RuntimeError(f"no connected sample found for n={n} in {attempts} attempts")
@@ -149,13 +146,10 @@ def check_separation_floor(cases: int, seed: int) -> SuiteResult:
             seed=int(rng.integers(0, 2**31)),
         )
         new_state, _ = step(SwarmState(round=0, positions=xy), world)
-        if n >= 2:
-            dist = pairwise_distances(new_state.positions)
-            iu, ju = np.triu_indices(n, k=1)
-            dmin = float(dist[iu, ju].min())
-            if dmin < sep - SEPARATION_TOL:
-                failures += 1
-                detail = f"case {case}: min pair {dmin}"
+        dmin = pair_distance_range(new_state.positions)[0]
+        if dmin < sep - SEPARATION_TOL:
+            failures += 1
+            detail = f"case {case}: min pair {dmin}"
     return SuiteResult("separation-floor", cases, failures, detail)
 
 

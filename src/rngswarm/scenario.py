@@ -3,25 +3,22 @@
 Top-level keys: n, V, m, sep, seed, max_rounds, behavior, obstacles, init.
 The behavior block takes kind, spacing, gain, leader_index, waypoints,
 waypoint_tolerance, max_step. init takes exactly one of positions or box.
-Validation errors always name the offending key.
+Loading checks the shape of the file (known keys, value types) and leaves
+every range and cross-field rule to the dataclasses; their errors are
+re-raised with field names replaced by YAML keys, so a message always names
+the offending key.
 """
 
 from __future__ import annotations
 
-import math
+import re
 from pathlib import Path
 
-import numpy as np
 import yaml
 
 from .engine import InitSpec, WorldConfig
-from .geom import Point2, Polygon
-from .graphs import is_connected, visibility_graph
-from .motion import BEHAVIOR_KINDS, BehaviorSpec
-
-_TOP_KEYS = {"n", "V", "m", "sep", "seed", "max_rounds", "behavior", "obstacles", "init"}
-_BEHAVIOR_KEYS = {"kind", "spacing", "gain", "leader_index", "waypoints", "waypoint_tolerance", "max_step"}
-_INIT_KEYS = {"positions", "box"}
+from .geom import Polygon
+from .motion import BehaviorSpec
 
 
 class ScenarioError(ValueError):
@@ -43,13 +40,10 @@ def _as_int(value, key: str) -> int:
 def _as_number(value, key: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ScenarioError(f"'{key}' must be a number, got {value!r}")
-    v = float(value)
-    if not math.isfinite(v):
-        raise ScenarioError(f"'{key}' must be finite, got {value!r}")
-    return v
+    return float(value)
 
 
-def _as_pairs(value, key: str) -> list[tuple[float, float]]:
+def _as_pairs(value, key: str) -> tuple[tuple[float, float], ...]:
     if not isinstance(value, (list, tuple)):
         raise ScenarioError(f"'{key}' must be a list of [x, y] pairs")
     out = []
@@ -57,13 +51,67 @@ def _as_pairs(value, key: str) -> list[tuple[float, float]]:
         if not isinstance(item, (list, tuple)) or len(item) != 2:
             raise ScenarioError(f"'{key}[{idx}]' must be an [x, y] pair, got {item!r}")
         out.append((_as_number(item[0], f"{key}[{idx}][0]"), _as_number(item[1], f"{key}[{idx}][1]")))
-    return out
+    return tuple(out)
 
 
-def _check_keys(mapping: dict, allowed: set[str], context: str) -> None:
+# YAML key -> (dataclass field, type check) for the scalar settings
+_TOP_FIELDS = {
+    "n": ("n", _as_int),
+    "V": ("vis_range", _as_number),
+    "m": ("rng_plus", _as_int),
+    "sep": ("min_separation", _as_number),
+    "seed": ("seed", _as_int),
+    "max_rounds": ("max_rounds", _as_int),
+}
+_BEHAVIOR_FIELDS = {
+    "spacing": ("desired_spacing", _as_number),
+    "gain": ("spring_gain", _as_number),
+    "leader_index": ("leader_index", _as_int),
+    "waypoints": ("waypoints", _as_pairs),
+    "waypoint_tolerance": ("waypoint_tolerance", _as_number),
+    "max_step": ("max_step", _as_number),
+}
+_TOP_KEYS = set(_TOP_FIELDS) | {"behavior", "obstacles", "init"}
+_INIT_KEYS = {"positions", "box"}
+
+# dataclass field -> YAML key, for error messages
+_YAML_KEYS = {
+    **{field: key for key, (field, _) in _TOP_FIELDS.items()},
+    **{field: f"behavior.{key}" for key, (field, _) in _BEHAVIOR_FIELDS.items()},
+    "kind": "behavior.kind",
+    "init": "init",
+    "positions": "init.positions",
+    "init.positions": "init.positions",
+    "box": "init.box",
+}
+# a dataclass message leads with the offending field; unquoted snake_case
+# words later in it name the other fields of a cross-field rule (quoted ones
+# are values, such as a behaviour kind)
+_FIELD_NAME = re.compile(r"^[\w.]+|(?<!')\b[a-z]+(?:_[a-z]+)+\b(?!')")
+
+
+def _yaml_message(message: str) -> str:
+    return _FIELD_NAME.sub(
+        lambda m: f"'{_YAML_KEYS[m[0]]}'" if m[0] in _YAML_KEYS else m[0], message
+    )
+
+
+def _check_keys(mapping: dict, allowed, context: str) -> None:
     for key in mapping:
         if key not in allowed:
             raise ScenarioError(f"unknown key '{context}{key}' (allowed: {sorted(allowed)})")
+
+
+def _mapping(raw: dict, key: str, allowed) -> dict:
+    value = _require(raw, key, "")
+    if not isinstance(value, dict):
+        raise ScenarioError(f"'{key}' must be a mapping")
+    _check_keys(value, allowed, f"{key}.")
+    return value
+
+
+def _fields(raw: dict, table: dict, context: str) -> dict:
+    return {field: check(raw[key], f"{context}{key}") for key, (field, check) in table.items() if key in raw}
 
 
 def load_scenario(path) -> WorldConfig:
@@ -78,55 +126,13 @@ def load_scenario(path) -> WorldConfig:
     if not isinstance(raw, dict):
         raise ScenarioError(f"{path}: scenario file must be a mapping at the top level")
     _check_keys(raw, _TOP_KEYS, "")
+    for key in ("n", "V"):
+        _require(raw, key, "")
+    top = _fields(raw, _TOP_FIELDS, "")
 
-    n = _as_int(_require(raw, "n", ""), "n")
-    if n < 1:
-        raise ScenarioError(f"'n' must be >= 1, got {n}")
-    vis_range = _as_number(_require(raw, "V", ""), "V")
-    if vis_range <= 0:
-        raise ScenarioError(f"'V' must be positive, got {vis_range}")
-    rng_plus = _as_int(raw.get("m", 0), "m")
-    if rng_plus < 0:
-        raise ScenarioError(f"'m' must be >= 0, got {rng_plus}")
-    sep = _as_number(raw.get("sep", vis_range / 10.0), "sep")
-    if not (0.0 <= sep < vis_range):
-        raise ScenarioError(f"'sep' must satisfy 0 <= sep < V, got sep={sep}, V={vis_range}")
-    seed = _as_int(raw.get("seed", 0), "seed")
-    max_rounds = _as_int(raw.get("max_rounds", 1000), "max_rounds")
-    if max_rounds < 0:
-        raise ScenarioError(f"'max_rounds' must be >= 0, got {max_rounds}")
-
-    braw = _require(raw, "behavior", "")
-    if not isinstance(braw, dict):
-        raise ScenarioError("'behavior' must be a mapping")
-    _check_keys(braw, _BEHAVIOR_KEYS, "behavior.")
+    braw = _mapping(raw, "behavior", _BEHAVIOR_FIELDS.keys() | {"kind"})
     kind = _require(braw, "kind", "behavior.")
-    if kind not in BEHAVIOR_KINDS:
-        raise ScenarioError(f"'behavior.kind' must be one of {list(BEHAVIOR_KINDS)}, got {kind!r}")
-    spacing = _as_number(braw.get("spacing", vis_range / 10.0), "behavior.spacing")
-    gain = _as_number(braw.get("gain", 0.5), "behavior.gain")
-    if not (0.0 < gain <= 1.0):
-        raise ScenarioError(f"'behavior.gain' must lie in (0, 1], got {gain}")
-    leader_index = _as_int(braw.get("leader_index", 0), "behavior.leader_index")
-    if kind == "leader_follow" and not (0 <= leader_index < n):
-        raise ScenarioError(f"'behavior.leader_index' must lie in [0, {n}), got {leader_index}")
-    waypoints = _as_pairs(braw.get("waypoints", []), "behavior.waypoints")
-    tol = _as_number(braw.get("waypoint_tolerance", 0.05 * vis_range), "behavior.waypoint_tolerance")
-    if tol < 0:
-        raise ScenarioError(f"'behavior.waypoint_tolerance' must be >= 0, got {tol}")
-    max_step = _as_number(braw.get("max_step", 0.2 * vis_range), "behavior.max_step")
-    if max_step <= 0:
-        raise ScenarioError(f"'behavior.max_step' must be positive, got {max_step}")
-    if sep > 0.0:
-        if spacing < sep:
-            raise ScenarioError(
-                f"'behavior.spacing' must be >= 'sep' ({sep}) so the target spacing is reachable, got {spacing}"
-            )
-        limit = 0.5 * (vis_range - sep)
-        if max_step > limit + 1e-12:
-            raise ScenarioError(
-                f"'behavior.max_step' must be <= (V - sep) / 2 = {limit} to keep the separation floor, got {max_step}"
-            )
+    behavior = _fields(braw, _BEHAVIOR_FIELDS, "behavior.")
 
     obstacles = []
     oraw = raw.get("obstacles", [])
@@ -137,56 +143,29 @@ def load_scenario(path) -> WorldConfig:
     for idx, verts in enumerate(oraw):
         pairs = _as_pairs(verts, f"obstacles[{idx}]")
         try:
-            obstacles.append(Polygon(tuple(Point2(x, y) for x, y in pairs)))
+            obstacles.append(Polygon(pairs))
         except ValueError as exc:
             raise ScenarioError(f"'obstacles[{idx}]': {exc}") from exc
 
-    iraw = _require(raw, "init", "")
-    if not isinstance(iraw, dict):
-        raise ScenarioError("'init' must be a mapping")
-    _check_keys(iraw, _INIT_KEYS, "init.")
-    if ("positions" in iraw) == ("box" in iraw):
-        raise ScenarioError("'init' must give exactly one of 'positions' or 'box'")
+    iraw = _mapping(raw, "init", _INIT_KEYS)
+    init = {}
     if "positions" in iraw:
-        positions = _as_pairs(iraw["positions"], "init.positions")
-        if len(positions) != n:
-            raise ScenarioError(f"'init.positions' must list n={n} points, got {len(positions)}")
-        xy = np.asarray(positions, dtype=float)
-        if not is_connected(visibility_graph(xy, vis_range)):
-            raise ScenarioError("'init.positions': initial visibility graph is disconnected")
-        init = InitSpec(positions=tuple(positions))
-    else:
+        init["positions"] = _as_pairs(iraw["positions"], "init.positions")
+    if "box" in iraw:
         box = iraw["box"]
         if not isinstance(box, (list, tuple)) or len(box) != 4:
             raise ScenarioError("'init.box' must be [xmin, ymin, xmax, ymax]")
-        xmin, ymin, xmax, ymax = (_as_number(v, f"init.box[{k}]") for k, v in enumerate(box))
-        if not (xmin < xmax and ymin < ymax):
-            raise ScenarioError(f"'init.box' must satisfy xmin < xmax and ymin < ymax, got {box}")
-        init = InitSpec(box=(xmin, ymin, xmax, ymax))
+        init["box"] = tuple(_as_number(v, f"init.box[{k}]") for k, v in enumerate(box))
 
-    behavior = BehaviorSpec(
-        kind=kind,
-        max_step=max_step,
-        desired_spacing=spacing,
-        spring_gain=gain,
-        leader_index=leader_index,
-        waypoints=tuple(waypoints),
-        waypoint_tolerance=tol,
-    )
     try:
         return WorldConfig(
-            n=n,
-            vis_range=vis_range,
-            behavior=behavior,
-            init=init,
-            rng_plus=rng_plus,
-            min_separation=sep,
+            behavior=BehaviorSpec.for_range(kind, top["vis_range"], **behavior),
+            init=InitSpec(**init),
             obstacles=tuple(obstacles),
-            max_rounds=max_rounds,
-            seed=seed,
+            **top,
         )
     except ValueError as exc:
-        raise ScenarioError(str(exc)) from exc
+        raise ScenarioError(_yaml_message(str(exc))) from exc
 
 
 def save_scenario(world: WorldConfig, path) -> None:

@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -121,6 +122,11 @@ class TestWorldConfig:
     def test_explicit_init_must_be_connected(self):
         with pytest.raises(ValueError, match="disconnected"):
             make_world([(0.0, 0.0), (5.0, 0.0)])
+
+    def test_explicit_init_must_clear_the_floor(self):
+        with pytest.raises(ValueError, match="init.positions must keep every pair"):
+            make_world([(0.0, 0.0), (0.05, 0.0)], min_separation=0.1)
+        make_world([(0.0, 0.0), (0.1, 0.0)], min_separation=0.1)  # exactly at the floor is fine
 
 
 class TestInitialState:
@@ -378,6 +384,18 @@ class TestRun:
         reports2 = run(world(), observer=lambda s, r: track2.append(s.positions.tobytes()))
         assert reports1 == reports2
         assert track1 == track2
+
+    def test_coincident_agents_warn_once_per_run(self, caplog):
+        w = make_world(
+            [(0.0, 0.0), (0.0, 0.0)], BehaviorSpec(kind="idle", max_step=0.1), min_separation=0.0
+        )
+        with caplog.at_level(logging.WARNING, logger="rngswarm.engine"):
+            reports = run(w)
+        assert all(r.metrics.min_pair_distance == 0.0 for r in reports)
+        assert len(caplog.records) == 1
+        assert f"coincident agents (a pair at zero distance) in {len(reports)} of {len(reports)} rounds" in (
+            caplog.records[0].message
+        )
 
     def test_obstacle_world_stays_connected(self):
         wall = Polygon(((0.9, 0.5), (1.1, 0.5), (1.1, 1.5), (0.9, 1.5)))

@@ -6,16 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rngswarm.geom import (
-    Disc,
     Point2,
     Polygon,
-    Segment,
-    clamp_along_segment,
     clamp_fraction,
     clamp_point_xy,
     distance,
     in_lune,
-    segment_intersects_polygon,
     segments_intersect_xy,
 )
 from rngswarm.properties import bisect_clamp_fraction, random_clamp_instance
@@ -34,14 +30,11 @@ class TestPoints:
         with pytest.raises(ValueError):
             Point2(0.0, math.inf)
 
-    def test_disc_rejects_negative_radius(self):
-        with pytest.raises(ValueError):
-            Disc(Point2(0, 0), -0.1)
-
     def test_disc_contains_is_closed(self):
-        d = Disc(Point2(0, 0), 1.0)
-        assert d.contains(Point2(1.0, 0.0))
-        assert not d.contains(Point2(1.0 + 1e-6, 0.0))
+        # a clamp disc includes its rim: a target on it is reached, one just
+        # beyond it is cut back to the rim
+        assert clamp_fraction((0, 0), (1.0, 0.0), [(0.0, 0.0)], [1.0]) == 1.0
+        assert clamp_fraction((0, 0), (1.0 + 1e-6, 0.0), [(0.0, 0.0)], [1.0]) < 1.0
 
 
 class TestLune:
@@ -105,16 +98,6 @@ class TestClampFraction:
     def test_start_on_boundary_gives_zero_forward_motion(self):
         s = clamp_fraction((1.0, 0.0), (2.0, 0.0), [(0.0, 0.0)], [1.0])
         assert s == pytest.approx(0.0, abs=1e-9)
-
-    def test_point2_wrapper_matches_array_form(self):
-        got = clamp_along_segment(
-            Point2(0, 0), Point2(3, 0), [Disc(Point2(0.5, 0.0), 1.0)]
-        )
-        assert (got.x, got.y) == pytest.approx((1.5, 0.0), abs=1e-9)
-
-    def test_wrapper_without_constraints_returns_target(self):
-        tgt = Point2(9.0, -2.0)
-        assert clamp_along_segment(Point2(0, 0), tgt, []) is tgt
 
     def test_agrees_with_bisection_oracle(self, rng):
         for _ in range(1000):
@@ -230,12 +213,6 @@ class TestPolygon:
     def test_does_not_block_clear_segment(self):
         assert not SQUARE.blocks_segment_xy(-1.0, 3.0, 3.0, 3.0)
         assert not SQUARE.blocks_segment_xy(2.1, 0.0, 2.1, 2.0)
-
-    def test_segment_wrapper(self):
-        seg = Segment(Point2(-1, 1), Point2(3, 1))
-        assert segment_intersects_polygon(seg, SQUARE)
-        clear = Segment(Point2(-1, 5), Point2(3, 5))
-        assert not segment_intersects_polygon(clear, SQUARE)
 
     @given(st.floats(min_value=-3, max_value=5), st.floats(min_value=-3, max_value=5))
     @settings(max_examples=200)

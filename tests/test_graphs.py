@@ -185,15 +185,14 @@ class TestEffectiveGraph:
         with pytest.raises(ValueError, match="positions"):
             effective_graph(g, UNIT_SQUARE[:3], 0)
 
-    def test_row_fallback_agrees_with_tensor_path(self, rng, monkeypatch):
-        import rngswarm.graphs as graphs_mod
-
-        pts = rng.uniform(0.0, 3.0, size=(40, 2))
-        g = visibility_graph(pts, 1.0)
-        fast = effective_graph(g, pts, 1)
-        monkeypatch.setattr(graphs_mod, "_TENSOR_MAX_N", 0)
-        slow = effective_graph(g, pts, 1)
-        assert fast.edges == slow.edges
+    def test_matches_naive_enumeration_at_larger_n(self, rng):
+        # the same density of about 14 visible neighbours at both sizes
+        for n, side in ((40, 3.0), (200, 6.7)):
+            pts = rng.uniform(0.0, side, size=(n, 2))
+            g = visibility_graph(pts, 1.0)
+            for limit in (0, 1):
+                eff = effective_graph(g, pts, limit)
+                assert eff.edges == naive_effective_edges(pts.tolist(), 1.0, limit)
 
     @given(positions_strategy(max_n=16), st.integers(min_value=0, max_value=3))
     def test_matches_naive_enumeration(self, pts, limit):
@@ -277,14 +276,6 @@ class TestMetrics:
         graph_metrics(g, smaller, pts)  # fine
         with pytest.raises(ValueError, match="subgraph"):
             graph_metrics(smaller, bigger, pts)
-
-    def test_coincident_pair_logs_warning(self, caplog):
-        pts = [(0.0, 0.0), (0.0, 0.0)]
-        g = visibility_graph(pts, 1.0)
-        with caplog.at_level("WARNING", logger="rngswarm.graphs"):
-            m = graph_metrics(g, g, pts)
-        assert m.min_pair_distance == 0.0
-        assert any("coincident" in rec.message for rec in caplog.records)
 
     def test_hop_diameter_on_cycle(self):
         # hexagon with unit sides: opposite corners are 3 hops apart

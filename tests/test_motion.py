@@ -7,15 +7,7 @@ import pytest
 from rngswarm.engine import InitSpec, SwarmState, WorldConfig
 from rngswarm.geom import Point2, Polygon, distance
 from rngswarm.graphs import Graph, effective_graph, visibility_graph
-from rngswarm.motion import (
-    AllowableRegion,
-    BehaviorSpec,
-    allowable_disc,
-    apply_motion_law,
-    desired_target,
-    effective_allowable_region,
-    separation_cap,
-)
+from rngswarm.motion import BehaviorSpec, apply_motion_law, desired_target, separation_cap
 from rngswarm.properties import sample_connected_positions
 
 
@@ -93,75 +85,91 @@ class TestBehaviorSpec:
         assert spec.spring_gain == 0.25
 
 
+def step_toward(i, positions, target, edges, vis_range):
+    """Agent i's clamped step toward `target` with no floor and no step cap."""
+    spec = BehaviorSpec(kind="leader_follow", max_step=100.0, leader_index=i, waypoints=(target,))
+    world = WorldConfig(
+        n=len(positions),
+        vis_range=vis_range,
+        behavior=BehaviorSpec(kind="idle", max_step=0.1),
+        init=InitSpec(box=(0.0, 0.0, 1.0, 1.0)),  # the snapshot is given, not sampled
+        min_separation=0.0,
+    )
+    eff = Graph(n=len(positions), edges=frozenset(edges))
+    return apply_motion_law(i, make_state(positions), eff, spec, world)
+
+
 class TestAllowableDisc:
+    """The disc shared by an effective pair: radius V/2 at the pair midpoint."""
+
     def test_midpoint_and_radius(self):
-        d = allowable_disc(Point2(0, 0), Point2(1, 0), vis_range=2.0)
-        assert (d.center.x, d.center.y) == (0.5, 0.0)
-        assert d.radius == 1.0
+        # disc centred (0.5, 0) with radius 1: the ray toward (1, 2) leaves it at (0.5, 1)
+        q = step_toward(0, [(0.0, 0.0), (1.0, 0.0)], (1.0, 2.0), {(0, 1)}, vis_range=2.0)
+        assert (q.x, q.y) == pytest.approx((0.5, 1.0), abs=1e-9)
 
     def test_contains_both_endpoints(self):
-        p, q = Point2(0, 0), Point2(1.2, 0.9)
-        d = allowable_disc(p, q, vis_range=2.0)
-        assert d.contains(p) and d.contains(q)
+        # the neighbour's own position lies in the shared disc, so it is reached exactly
+        q = step_toward(0, [(0.0, 0.0), (1.2, 0.9)], (1.2, 0.9), {(0, 1)}, vis_range=2.0)
+        assert (q.x, q.y) == (1.2, 0.9)
 
     def test_pair_at_exactly_the_range(self):
-        d = allowable_disc(Point2(0, 0), Point2(2, 0), vis_range=2.0)
-        assert (d.center.x, d.center.y) == (1.0, 0.0)
+        # the mover sits on the rim: it cannot back away, but it can close in
+        positions = [(0.0, 0.0), (2.0, 0.0)]
+        away = step_toward(0, positions, (-1.0, 0.0), {(0, 1)}, vis_range=2.0)
+        assert (away.x, away.y) == pytest.approx((0.0, 0.0), abs=1e-9)
+        closer = step_toward(0, positions, (0.5, 0.0), {(0, 1)}, vis_range=2.0)
+        assert (closer.x, closer.y) == (0.5, 0.0)
 
     def test_pair_beyond_range_raises(self):
-        with pytest.raises(ValueError, match="exceeds visibility range"):
-            allowable_disc(Point2(0, 0), Point2(2.1, 0), vis_range=2.0)
+        with pytest.raises(RuntimeError, match="allowable region"):
+            step_toward(0, [(0.0, 0.0), (2.1, 0.0)], (1.0, 0.0), {(0, 1)}, vis_range=2.0)
 
     def test_symmetric_in_argument_order(self):
-        a, b = Point2(0.2, -0.4), Point2(1.0, 0.3)
-        d1 = allowable_disc(a, b, 2.0)
-        d2 = allowable_disc(b, a, 2.0)
-        assert (d1.center.x, d1.center.y, d1.radius) == (d2.center.x, d2.center.y, d2.radius)
+        # whichever end of the pair moves, it is clamped to the same disc
+        a, b = (0.2, -0.4), (1.0, 0.3)
+        mid = (0.6, -0.05)
+        qa = step_toward(0, [a, b], (-5.0, -5.0), {(0, 1)}, vis_range=2.0)
+        qb = step_toward(0, [b, a], (5.0, 5.0), {(0, 1)}, vis_range=2.0)
+        for q in (qa, qb):
+            assert math.hypot(q.x - mid[0], q.y - mid[1]) == pytest.approx(1.0, abs=1e-9)
 
     def test_any_two_points_inside_stay_visible(self, rng):
-        # the whole point of the disc: it has diameter vis_range
-        d = allowable_disc(Point2(0, 0), Point2(1, 0), vis_range=2.0)
+        # the whole point of the disc: it has diameter vis_range, so both ends
+        # of a pair can move at once and still see each other
         for _ in range(200):
-            u, v = rng.uniform(-1, 1, size=(2, 2))
-            pu = Point2(d.center.x + u[0], d.center.y + u[1])
-            pv = Point2(d.center.x + v[0], d.center.y + v[1])
-            if d.contains(pu) and d.contains(pv):
-                assert distance(pu, pv) <= 2.0 + 1e-9
+            p0 = (0.0, 0.0)
+            p1 = tuple(rng.uniform(-1.4, 1.4, size=2))
+            if math.hypot(*p1) > 2.0:
+                continue
+            t0, t1 = (tuple(rng.uniform(-3.0, 3.0, size=2)) for _ in range(2))
+            q0 = step_toward(0, [p0, p1], t0, {(0, 1)}, vis_range=2.0)
+            q1 = step_toward(1, [p0, p1], t1, {(0, 1)}, vis_range=2.0)
+            assert distance(q0, q1) <= 2.0 + 1e-9
 
 
 class TestEffectiveAllowableRegion:
+    """A mover stays in the intersection of the discs of all its effective edges."""
+
+    TRIANGLE = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]
+
     def test_one_disc_per_effective_neighbour(self):
-        xy = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]
-        eff = Graph(n=3, edges=frozenset({(0, 1), (0, 2)}))
-        region = effective_allowable_region(0, xy, eff, vis_range=1.0)
-        centers = sorted((d.center.x, d.center.y) for d in region.discs)
-        assert centers == [(0.0, 0.5), (0.5, 0.0)]
-        assert all(d.radius == 0.5 for d in region.discs)
+        # discs centred (0.5, 0) and (0, 0.5), radius 0.5: along the diagonal
+        # both allow up to (0.5, 0.5)
+        q = step_toward(0, self.TRIANGLE, (1.0, 1.0), {(0, 1), (0, 2)}, vis_range=1.0)
+        assert (q.x, q.y) == pytest.approx((0.5, 0.5), abs=1e-9)
 
     def test_contains_is_the_intersection(self):
-        xy = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]
-        eff = Graph(n=3, edges=frozenset({(0, 1), (0, 2)}))
-        region = effective_allowable_region(0, xy, eff, vis_range=1.0)
-        assert region.contains(Point2(0.0, 0.0))
-        assert region.contains(Point2(0.45, 0.45))
-        assert not region.contains(Point2(0.9, 0.0))  # leaves the disc toward agent 2
+        # (0.9, 0) is inside the disc toward agent 1 but leaves the disc toward
+        # agent 2, whose rim passes through the mover: no progress is possible
+        q = step_toward(0, self.TRIANGLE, (0.9, 0.0), {(0, 1), (0, 2)}, vis_range=1.0)
+        assert (q.x, q.y) == pytest.approx((0.0, 0.0), abs=1e-9)
+        only_one = step_toward(0, self.TRIANGLE, (0.9, 0.0), {(0, 1)}, vis_range=1.0)
+        assert (only_one.x, only_one.y) == (0.9, 0.0)
 
     def test_isolated_vertex_is_unconstrained(self):
-        xy = [(0.0, 0.0), (5.0, 5.0), (5.0, 5.5)]
-        eff = Graph(n=3, edges=frozenset({(1, 2)}))
-        region = effective_allowable_region(0, xy, eff, vis_range=1.0)
-        assert region.discs == ()
-        assert region.contains(Point2(123.0, -456.0))
-
-    def test_accepts_point_sequences(self):
-        pts = [Point2(0, 0), Point2(1, 0)]
-        eff = Graph(n=2, edges=frozenset({(0, 1)}))
-        region = effective_allowable_region(0, pts, eff, vis_range=2.0)
-        assert len(region.discs) == 1
-        assert (region.discs[0].center.x, region.discs[0].center.y) == (0.5, 0.0)
-
-    def test_region_dataclass_contains_empty(self):
-        assert AllowableRegion(discs=()).contains(Point2(0, 0))
+        positions = [(0.0, 0.0), (0.8, 0.0), (0.8, 0.5)]
+        q = step_toward(0, positions, (-40.0, 30.0), {(1, 2)}, vis_range=1.0)
+        assert (q.x, q.y) == (-40.0, 30.0)
 
 
 class TestDesiredTarget:

@@ -193,6 +193,12 @@ class TestLoadScenario:
         with pytest.raises(ScenarioError, match="disconnected"):
             load_doc(tmp_path, doc)
 
+    def test_positions_below_the_separation_floor(self, tmp_path):
+        doc = base_doc()
+        doc["init"] = {"positions": [[0.0, 0.0], [0.1, 0.0], [0.5, 0.0]]}  # sep defaults to 0.2
+        with pytest.raises(ScenarioError, match="'init.positions' must keep every pair"):
+            load_doc(tmp_path, doc)
+
     def test_bad_box(self, tmp_path):
         doc = base_doc()
         doc["init"] = {"box": [0.0, 0.0, 1.0]}
