@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -23,7 +23,6 @@ from .geom import Polygon
 from .graphs import (
     Graph,
     GraphMetrics,
-    coords,
     effective_graph,
     graph_metrics,
     is_connected,
@@ -173,7 +172,7 @@ def initial_state(world: WorldConfig) -> SwarmState:
     xmin, ymin, xmax, ymax = world.init.box
     for _ in range(_MAX_INIT_ATTEMPTS):
         xy = rng.uniform((xmin, ymin), (xmax, ymax), size=(world.n, 2))
-        if _acceptable_init(xy, world):
+        if _acceptable_init(xy, world.vis_range, world.min_separation, world.obstacles):
             return SwarmState(round=0, positions=xy)
     raise ValueError(
         f"no acceptable initial configuration in {_MAX_INIT_ATTEMPTS} samples; "
@@ -181,22 +180,24 @@ def initial_state(world: WorldConfig) -> SwarmState:
     )
 
 
-def _acceptable_init(xy: np.ndarray, world: WorldConfig) -> bool:
-    if world.min_separation > 0.0 and pair_distance_range(xy)[0] < world.min_separation:
+def _acceptable_init(xy: np.ndarray, vis_range: float, min_separation: float, obstacles) -> bool:
+    """No pair below the separation floor, no agent inside an obstacle or seeing
+    a neighbour through one, and a connected visibility graph."""
+    if min_separation > 0.0 and pair_distance_range(xy)[0] < min_separation:
         return False
-    if world.obstacles:
+    if obstacles:
         for x, y in xy:
-            if any(poly.contains_xy(float(x), float(y)) for poly in world.obstacles):
+            if any(poly.contains_xy(float(x), float(y)) for poly in obstacles):
                 return False
-    g = visibility_graph(xy, world.vis_range)
-    if world.obstacles:
+    g = visibility_graph(xy, vis_range)
+    if obstacles:
         # an initial edge through a wall would be reverted forever; resample instead
-        for a, b in g.edges:
+        for a, b in g.edges.tolist():
             x1, y1 = xy[a]
             x2, y2 = xy[b]
             if any(
                 poly.blocks_segment_xy(float(x1), float(y1), float(x2), float(y2))
-                for poly in world.obstacles
+                for poly in obstacles
             ):
                 return False
     return is_connected(g)
@@ -244,9 +245,7 @@ def _verify_and_revert(
     sight break) cannot be repaired and is left to the trimming dynamics.
     """
     reverted: set[int] = set()
-    edges = sorted(effective.edges)
-    if not edges:
-        return reverted
+    edges = effective.edges.tolist()
     while True:
         changed = False
         for i, j in edges:

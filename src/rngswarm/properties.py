@@ -12,16 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import InitSpec, SwarmState, WorldConfig, step
+from .engine import InitSpec, SwarmState, WorldConfig, _acceptable_init, step
 from .geom import clamp_fraction, clamp_point_xy
-from .graphs import (
-    Graph,
-    effective_graph,
-    is_connected,
-    lune_count,
-    pair_distance_range,
-    visibility_graph,
-)
+from .graphs import effective_graph, is_connected, lune_count, pair_distance_range, visibility_graph
 from .motion import BehaviorSpec
 
 CLAMP_ORACLE_TOL = 1e-7
@@ -53,9 +46,7 @@ def sample_connected_positions(
     side = max(1.0, box_scale * math.sqrt(n)) * vis_range
     for _ in range(attempts):
         xy = rng.uniform(0.0, side, size=(n, 2))
-        if min_sep > 0.0 and pair_distance_range(xy)[0] < min_sep:
-            continue
-        if is_connected(visibility_graph(xy, vis_range)):
+        if _acceptable_init(xy, vis_range, min_sep, ()):
             return xy
     raise RuntimeError(f"no connected sample found for n={n} in {attempts} attempts")
 
@@ -84,7 +75,7 @@ def check_edge_bound(cases: int, seed: int, n_max: int = 60) -> SuiteResult:
         xy = sample_connected_positions(rng, n)
         g = visibility_graph(xy, 1.0)
         eff = effective_graph(g, xy, 0)
-        if not eff.edges <= g.edges or len(eff.edges) > 3 * n - 6:
+        if not g.has_edges(eff.edges).all() or len(eff.edges) > 3 * n - 6:
             failures += 1
             detail = f"n={n} effective_edges={len(eff.edges)}"
     return SuiteResult("edge-bound", cases, failures, detail)
@@ -98,7 +89,7 @@ def check_trim_symmetry(cases: int, seed: int, n_max: int = 30) -> SuiteResult:
         n = int(rng.integers(3, n_max + 1))
         xy = sample_connected_positions(rng, n)
         g = visibility_graph(xy, 1.0)
-        for i, j in g.edges:
+        for i, j in g.edges.tolist():
             if lune_count(i, j, xy) != lune_count(j, i, xy):
                 failures += 1
                 break
@@ -113,8 +104,8 @@ def check_plus_nesting(cases: int, seed: int, n_max: int = 40) -> SuiteResult:
         n = int(rng.integers(3, n_max + 1))
         xy = sample_connected_positions(rng, n)
         g = visibility_graph(xy, 1.0)
-        levels = [effective_graph(g, xy, m).edges for m in (0, 1, 2)]
-        if not (levels[0] <= levels[1] <= levels[2] <= g.edges):
+        levels = [effective_graph(g, xy, m) for m in (0, 1, 2)] + [g]
+        if not all(outer.has_edges(inner.edges).all() for inner, outer in zip(levels, levels[1:])):
             failures += 1
     return SuiteResult("plus-nesting", cases, failures)
 

@@ -3,12 +3,10 @@
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Iterable, Sequence
-
-import numpy as np
+from typing import Sequence
 
 from .engine import RoundReport, SwarmState, WorldConfig
-from .graphs import Graph, effective_graph, visibility_graph
+from .graphs import Graph, visibility_graph
 
 METRICS_COLUMNS = (
     "round",
@@ -104,14 +102,13 @@ def write_svg_frame(state: SwarmState, world: WorldConfig, effective: Graph, pat
             f'<path d="M {x - c:.2f} {y:.2f} H {x + c:.2f} M {x:.2f} {y - c:.2f} V {y + c:.2f}" '
             f'stroke="#b8860b" stroke-width="{thin:.2f}" fill="none"/>'
         )
-    trimmed = sorted(g.edges - effective.edges)
-    for i, j in trimmed:
+    for i, j in g.edges[~effective.has_edges(g.edges)].tolist():  # the trimmed edges
         parts.append(
             f'<line x1="{sx(xy[i, 0]):.2f}" y1="{sy(xy[i, 1]):.2f}" '
             f'x2="{sx(xy[j, 0]):.2f}" y2="{sy(xy[j, 1]):.2f}" '
             f'stroke="#c5c9ce" stroke-width="{thin:.2f}" stroke-dasharray="{3 * thin:.2f} {3 * thin:.2f}"/>'
         )
-    for i, j in sorted(effective.edges):
+    for i, j in effective.edges.tolist():
         parts.append(
             f'<line x1="{sx(xy[i, 0]):.2f}" y1="{sy(xy[i, 1]):.2f}" '
             f'x2="{sx(xy[j, 0]):.2f}" y2="{sy(xy[j, 1]):.2f}" '

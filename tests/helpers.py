@@ -64,3 +64,33 @@ def naive_connected(n, edges):
                 seen.add(nb)
                 stack.append(nb)
     return len(seen) == n
+
+
+def naive_hop_diameter(n, edges):
+    """Longest shortest path in hops, by a breadth-first search from every
+    vertex; 0 for n <= 1 and -1 when the graph is disconnected."""
+    adj = {i: set() for i in range(n)}
+    for a, b in edges:
+        adj[a].add(b)
+        adj[b].add(a)
+    longest = 0
+    for s in range(n):
+        hops = {s: 0}
+        level = [s]
+        while level:
+            nxt = []
+            for cur in level:
+                for nb in adj[cur]:
+                    if nb not in hops:
+                        hops[nb] = hops[cur] + 1
+                        nxt.append(nb)
+            level = nxt
+        if len(hops) < n:
+            return -1
+        longest = max(longest, max(hops.values()))
+    return longest
+
+
+def edge_set(graph):
+    """A graph's edges as a set of (i, j) int tuples."""
+    return {(i, j) for i, j in graph.edges.tolist()}

@@ -109,7 +109,7 @@ def bulk_trim():
         eff = effective_graph(g, xy, 0)
         if not is_connected(eff):
             disconnected += 1
-        if not eff.edges <= g.edges:
+        if not g.has_edges(eff.edges).all():
             non_subset += 1
         if len(eff.edges) > 3 * n - 6:
             too_dense += 1

@@ -18,7 +18,9 @@ from rngswarm.graphs import (
 )
 
 from helpers import (
+    edge_set,
     naive_connected,
+    naive_hop_diameter,
     naive_effective_edges,
     naive_lune_occupants,
     naive_visibility_edges,
@@ -61,7 +63,8 @@ class TestCoords:
 class TestGraph:
     def test_normalizes_edge_order(self):
         g = Graph(3, frozenset({(2, 0), (1, 2)}))
-        assert g.edges == {(0, 2), (1, 2)}
+        assert edge_set(g) == {(0, 2), (1, 2)}
+        assert g.edges.tolist() == [[0, 2], [1, 2]]
 
     def test_rejects_self_loop(self):
         with pytest.raises(ValueError, match="self-loop"):
@@ -82,6 +85,37 @@ class TestGraph:
         assert g.has_edge(0, 2) and g.has_edge(2, 0)
         assert not g.has_edge(0, 1)
 
+    def test_unsorted_array_with_duplicate_and_reversed_pair(self):
+        g = Graph(4, np.array([[3, 1], [0, 2], [1, 3], [0, 1]]))
+        assert g.edges.tolist() == [[0, 1], [0, 2], [1, 3]]
+        assert g.edges.dtype == np.intp
+        with pytest.raises(ValueError, match="read-only"):
+            g.edges[0, 0] = 2
+
+    def test_rejects_non_pairs(self):
+        with pytest.raises(ValueError, match="pairs"):
+            Graph(4, np.zeros((2, 3), dtype=int))
+
+    def test_has_edges_mask_in_both_orders(self):
+        g = Graph(5, frozenset({(0, 2), (1, 4), (3, 4)}))
+        pairs = [(0, 2), (2, 0), (4, 1), (1, 4), (0, 1), (2, 2), (4, 5), (-1, 0)]
+        assert g.has_edges(pairs).tolist() == [True, True, True, True, False, False, False, False]
+        assert g.has_edges(np.zeros((0, 2), dtype=int)).shape == (0,)
+        assert not Graph(3).has_edges([(0, 1)]).any()
+
+    def test_neighbors_and_degree_match_naive_adjacency(self, rng):
+        for n in (1, 2, 7, 30):
+            for density in (0.0, 0.2, 0.7):
+                pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < density]
+                g = Graph(n, [p[::-1] for p in pairs[::-1]])  # reversed pairs, reversed order
+                adj = {i: set() for i in range(n)}
+                for i, j in pairs:
+                    adj[i].add(j)
+                    adj[j].add(i)
+                for i in range(n):
+                    assert g.neighbors(i).tolist() == sorted(adj[i])
+                    assert g.degree(i) == len(adj[i])
+
 
 class TestVisibilityGraph:
     def test_unit_square_with_diagonals(self):
@@ -90,15 +124,15 @@ class TestVisibilityGraph:
 
     def test_unit_square_sides_only(self):
         g = visibility_graph(UNIT_SQUARE, 1.0)
-        assert g.edges == {(0, 1), (1, 2), (2, 3), (0, 3)}
+        assert edge_set(g) == {(0, 1), (1, 2), (2, 3), (0, 3)}
 
     def test_range_is_inclusive(self):
         g = visibility_graph([(0.0, 0.0), (1.0, 0.0)], 1.0)
-        assert g.edges == {(0, 1)}
+        assert edge_set(g) == {(0, 1)}
 
     def test_single_agent(self):
         g = visibility_graph([(0.0, 0.0)], 1.0)
-        assert g.n == 1 and g.edges == frozenset()
+        assert g.n == 1 and g.edges.shape == (0, 2)
 
     def test_bad_range(self):
         with pytest.raises(ValueError, match="vis_range"):
@@ -107,7 +141,7 @@ class TestVisibilityGraph:
     @given(positions_strategy(), st.floats(min_value=0.1, max_value=4.0))
     def test_matches_naive_enumeration(self, pts, vis_range):
         g = visibility_graph(pts, vis_range)
-        assert g.edges == naive_visibility_edges(pts.tolist(), vis_range)
+        assert edge_set(g) == naive_visibility_edges(pts.tolist(), vis_range)
 
 
 class TestLuneCount:
@@ -153,12 +187,12 @@ class TestEffectiveGraph:
     def test_square_plus_center_trims_to_spokes(self):
         g = visibility_graph(SQUARE_PLUS_CENTER, 1.5)
         eff = effective_graph(g, SQUARE_PLUS_CENTER, 0)
-        assert eff.edges == {(0, 4), (1, 4), (2, 4), (3, 4)}
+        assert edge_set(eff) == {(0, 4), (1, 4), (2, 4), (3, 4)}
 
     def test_square_plus_center_relaxed_keeps_sides(self):
         g = visibility_graph(SQUARE_PLUS_CENTER, 1.5)
         eff = effective_graph(g, SQUARE_PLUS_CENTER, 1)
-        assert eff.edges == {(0, 1), (1, 2), (2, 3), (0, 3), (0, 4), (1, 4), (2, 4), (3, 4)}
+        assert edge_set(eff) == {(0, 1), (1, 2), (2, 3), (0, 3), (0, 4), (1, 4), (2, 4), (3, 4)}
 
     def test_boundary_occupant_does_not_trim(self):
         # the third agent sits exactly on the lens rim of the long pair
@@ -167,13 +201,13 @@ class TestEffectiveGraph:
         pts = [(0.0, 0.0), (5.0, 0.0), (3.0, 4.0)]
         g = visibility_graph(pts, 6.0)
         eff = effective_graph(g, pts, 0)
-        assert (0, 1) in eff.edges
+        assert eff.has_edge(0, 1)
 
     def test_coincident_pair_edge_is_kept(self):
         pts = [(0.0, 0.0), (0.0, 0.0), (0.4, 0.0)]
         g = visibility_graph(pts, 1.0)
         eff = effective_graph(g, pts, 0)
-        assert (0, 1) in eff.edges
+        assert eff.has_edge(0, 1)
 
     def test_rejects_negative_limit(self):
         g = visibility_graph(UNIT_SQUARE, 1.5)
@@ -192,13 +226,13 @@ class TestEffectiveGraph:
             g = visibility_graph(pts, 1.0)
             for limit in (0, 1):
                 eff = effective_graph(g, pts, limit)
-                assert eff.edges == naive_effective_edges(pts.tolist(), 1.0, limit)
+                assert edge_set(eff) == naive_effective_edges(pts.tolist(), 1.0, limit)
 
     @given(positions_strategy(max_n=16), st.integers(min_value=0, max_value=3))
     def test_matches_naive_enumeration(self, pts, limit):
         g = visibility_graph(pts, 1.0)
         eff = effective_graph(g, pts, limit)
-        assert eff.edges == naive_effective_edges(pts.tolist(), 1.0, limit)
+        assert edge_set(eff) == naive_effective_edges(pts.tolist(), 1.0, limit)
 
     @given(positions_strategy(max_n=20))
     def test_trim_preserves_connectivity(self, pts):
@@ -212,7 +246,9 @@ class TestEffectiveGraph:
         e0 = effective_graph(g, pts, 0)
         e1 = effective_graph(g, pts, 1)
         e2 = effective_graph(g, pts, 2)
-        assert e0.edges <= e1.edges <= e2.edges <= g.edges
+        assert e1.has_edges(e0.edges).all()
+        assert e2.has_edges(e1.edges).all()
+        assert g.has_edges(e2.edges).all()
 
     @given(positions_strategy(max_n=30))
     def test_edge_count_bound(self, pts):
@@ -235,7 +271,7 @@ class TestConnectivity:
     @given(positions_strategy(max_n=15), st.floats(min_value=0.2, max_value=3.0))
     def test_matches_naive_bfs(self, pts, vis_range):
         g = visibility_graph(pts, vis_range)
-        assert is_connected(g) == naive_connected(g.n, g.edges)
+        assert is_connected(g) == naive_connected(g.n, edge_set(g))
 
 
 class TestMetrics:
@@ -276,6 +312,13 @@ class TestMetrics:
         graph_metrics(g, smaller, pts)  # fine
         with pytest.raises(ValueError, match="subgraph"):
             graph_metrics(smaller, bigger, pts)
+
+    @given(positions_strategy(max_n=15), st.floats(min_value=0.2, max_value=3.0))
+    def test_diameter_matches_naive_bfs(self, pts, vis_range):
+        g = visibility_graph(pts, vis_range)
+        m = graph_metrics(g, g, pts)
+        assert m.diameter_hops == naive_hop_diameter(g.n, edge_set(g))
+        assert m.connected == (m.diameter_hops >= 0)
 
     def test_hop_diameter_on_cycle(self):
         # hexagon with unit sides: opposite corners are 3 hops apart
