@@ -12,6 +12,7 @@ edge inside the next visibility graph and hence the swarm connected.
 
 from __future__ import annotations
 
+import heapq
 import logging
 import math
 from dataclasses import dataclass, replace
@@ -219,19 +220,17 @@ def _advance_waypoints(state: SwarmState, world: WorldConfig) -> int:
     return k
 
 
-def _edge_safe(pi: np.ndarray, pj: np.ndarray, world: WorldConfig) -> bool:
-    xi, yi = float(pi[0]), float(pi[1])
-    xj, yj = float(pj[0]), float(pj[1])
-    dx = xi - xj
-    dy = yi - yj
+def _edges_safe(pos: np.ndarray, edges: np.ndarray, world: WorldConfig) -> np.ndarray:
+    """Whether each edge keeps its endpoints in range and in sight of each other."""
+    d = pos[edges[:, 0]] - pos[edges[:, 1]]
     # same arithmetic as pairwise_distances: an edge this check accepts is
     # guaranteed to reappear in the next round's visibility graph
-    if math.sqrt(dx * dx + dy * dy) > world.vis_range:
-        return False
-    for poly in world.obstacles:
-        if poly.blocks_segment_xy(xi, yi, xj, yj):
-            return False
-    return True
+    safe = np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]) <= world.vis_range
+    if world.obstacles:
+        for e in np.flatnonzero(safe).tolist():
+            (x1, y1), (x2, y2) = pos[edges[e]].tolist()
+            safe[e] = not any(poly.blocks_segment_xy(x1, y1, x2, y2) for poly in world.obstacles)
+    return safe
 
 
 def _verify_and_revert(
@@ -239,25 +238,54 @@ def _verify_and_revert(
 ) -> set[int]:
     """Revert both endpoints of every violated effective edge, to a fixpoint.
 
-    Edges are swept in sorted order for determinism. Each sweep only ever
-    adds newly reverted agents, so at most n sweeps run; an edge that stays
-    violated with both endpoints already reverted (a pre-existing line of
-    sight break) cannot be repaired and is left to the trimming dynamics.
+    The result is that of sweeping the edges in sorted order, reverting as
+    each violated edge is met, until a sweep changes nothing; an edge that
+    stays violated with both endpoints already reverted (a pre-existing line
+    of sight break) cannot be repaired and is left to the trimming dynamics.
+    Only the edges that can act are visited: one array pass checks every
+    edge, and an edge is checked again only after one of its endpoints was
+    reverted, in the same sweep if it comes later in the order, else in the
+    next one.
     """
+    edges = effective.edges
+    safe = _edges_safe(proposals, edges, world)
     reverted: set[int] = set()
-    edges = effective.edges.tolist()
-    while True:
-        changed = False
-        for i, j in edges:
-            if _edge_safe(proposals[i], proposals[j], world):
+    todo = np.flatnonzero(~safe).tolist()
+    if not todo:
+        return reverted
+    stale = np.zeros(len(edges), dtype=bool)
+    # the edges at each agent: its CSR row, as edge indices
+    ptr = effective._csr[0]
+    at = (np.argsort(edges.T.ravel(), kind="stable") % len(edges)).tolist()
+    while todo:
+        later: set[int] = set()
+        heapq.heapify(todo)
+        last = -1
+        while todo:
+            e = heapq.heappop(todo)
+            if e == last:
+                continue
+            last = e
+            i, j = edges[e].tolist()
+            if stale[e]:
+                stale[e] = False
+                safe[e] = _edges_safe(proposals, edges[e : e + 1], world)[0]
+            if safe[e]:
                 continue
             for a in (i, j):
-                if a not in reverted:
-                    proposals[a] = old[a]
-                    reverted.add(a)
-                    changed = True
-        if not changed:
-            return reverted
+                if a in reverted:
+                    continue
+                proposals[a] = old[a]
+                reverted.add(a)
+                for f in at[ptr[a] : ptr[a + 1]]:
+                    if f != e:
+                        stale[f] = True
+                        if f > e:
+                            heapq.heappush(todo, f)
+                        else:
+                            later.add(f)
+        todo = list(later)
+    return reverted
 
 
 def _build_graphs(positions: np.ndarray, world: WorldConfig) -> tuple[Graph, Graph]:
@@ -274,11 +302,7 @@ def _step_core(
         state = replace(state, waypoint_index=wp_index)
     spec = world.behavior
     old = state.positions
-    proposals = np.array(old, dtype=float)
-    for i in range(world.n):
-        q = apply_motion_law(i, state, eff, spec, world)
-        proposals[i, 0] = q.x
-        proposals[i, 1] = q.y
+    proposals = apply_motion_law(np.arange(world.n), state, eff, spec, world)
     reverted = _verify_and_revert(old, proposals, eff, world)
     new_state = SwarmState(round=state.round + 1, positions=proposals, waypoint_index=wp_index)
     g2, eff2 = _build_graphs(new_state.positions, world)

@@ -1,10 +1,19 @@
 """Planar geometry for the swarm simulator.
 
 Scalar primitives work on small frozen types; the segment clamp is array
-based because the motion law evaluates it once per agent per round. All
+based because the motion law evaluates it for every agent at once. All
 feasibility checks share an absolute length tolerance of 1e-9, and the
 intersection tests are deliberately conservative: exact touching counts
 as contact.
+
+Portable arithmetic: nothing that decides a position may go through BLAS
+(`@`, `np.dot`, `np.matmul`, `np.einsum`) or `pow` (`**`). Their results
+depend on the kernel a CPU selects, where a fused multiply-add or a libm
+`pow` rounds differently from `x * x`. Dot products and squared norms are
+spelled out as `a[0]*b[0] + a[1]*b[1]`, and lengths as sqrt(dx*dx + dy*dy),
+never hypot. Sums over neighbours run in CSR row order, one neighbour at a
+time, which is the order `ndarray.sum(axis=0)` adds rows in. Every result
+is then correctly rounded the same way on every IEEE platform.
 """
 
 from __future__ import annotations
@@ -64,68 +73,98 @@ def in_lune(k: Point2, i: Point2, j: Point2) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def _disc_rows(cur_xy, tgt_xy, centers, radii, indptr=None):
+    """Normalise the clamp arguments to rows: (cur, tgt, ctr, r, owner).
+
+    Without `indptr` one point owns every disc; with it, row k owns
+    centers[indptr[k]:indptr[k + 1]]. `owner` names each disc's row."""
+    ctr = np.asarray(centers, dtype=float).reshape(-1, 2)
+    cur = np.asarray(cur_xy, dtype=float).reshape(-1, 2)
+    tgt = np.asarray(tgt_xy, dtype=float).reshape(-1, 2)
+    deg = [len(ctr)] if indptr is None else np.diff(indptr)
+    owner = np.repeat(np.arange(len(cur)), deg)
+    r = np.broadcast_to(np.asarray(radii, dtype=float), (len(ctr),))
+    return cur, tgt, ctr, r, owner
+
+
+def _fractions(cur, tgt, ctr, r, owner, tol: float) -> np.ndarray:
+    """Largest feasible fraction per row: one ray-circle root per disc, then
+    the smallest per row, a minimum that does not depend on the disc order."""
+    k = len(cur)
+    w = cur[owner] - ctr
+    ww = w[:, 0] * w[:, 0] + w[:, 1] * w[:, 1]
+    if len(ww):
+        violation = float((np.sqrt(ww) - r).max())
+        if violation > tol:
+            raise ValueError(f"current point violates a constraint disc by {violation:.3g}")
+    d = tgt - cur
+    a = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]
+    wt = tgt[owner] - ctr
+    rr = r * r
+    # rows whose target already satisfies every disc, or that do not move, take s = 1
+    outside = np.bincount(owner[wt[:, 0] * wt[:, 0] + wt[:, 1] * wt[:, 1] > rr], minlength=k)
+    clamped = (outside > 0) & (a != 0.0)
+    s = np.ones(k)
+    if not clamped.any():
+        return s
+    de = d[owner]
+    ae = a[owner]
+    b = 2.0 * (w[:, 0] * de[:, 0] + w[:, 1] * de[:, 1])
+    disc = b * b - 4.0 * ae * (ww - rr)
+    # a non-positive discriminant can only happen when the current point sits
+    # marginally outside a disc (within tol); no forward motion then
+    root = np.where(
+        disc > 0.0, (-b + np.sqrt(np.maximum(disc, 0.0))) / np.where(ae > 0.0, 2.0 * ae, 1.0), 0.0
+    )
+    starts = np.flatnonzero(np.diff(owner, prepend=-1))  # rows with discs, in order
+    smin = np.minimum.reduceat(root, starts)[clamped[owner[starts]]]
+    # min(1, max(0, smin)), ties resolved as Python's min and max resolve them
+    smin = np.where(smin > 0.0, smin, 0.0)
+    s[clamped] = np.where(smin < 1.0, smin, 1.0)
+    return s
+
+
 def clamp_fraction(cur_xy, tgt_xy, centers, radii, tol: float = FEASIBILITY_TOL) -> float:
     """Largest s in [0, 1] keeping cur + s * (tgt - cur) inside every disc.
 
     Solves the ray-circle quadratic per disc and takes the smallest positive
     root bound; the feasible set along the segment is an interval starting at
     the current point, so the minimum over discs is exact. The current point
-    must already satisfy every disc within tol, otherwise ValueError.
+    must already satisfy every disc within tol, otherwise ValueError. This
+    is the one-row case of the clamp that `clamp_point_xy` runs per row.
     """
-    ctr = np.asarray(centers, dtype=float).reshape(-1, 2)
-    if ctr.shape[0] == 0:
-        return 1.0
-    cur = np.asarray(cur_xy, dtype=float)
-    tgt = np.asarray(tgt_xy, dtype=float)
-    r = np.broadcast_to(np.asarray(radii, dtype=float), (ctr.shape[0],))
-    w = cur - ctr
-    dist0 = np.sqrt((w * w).sum(axis=1))
-    violation = float((dist0 - r).max())
-    if violation > tol:
-        raise ValueError(f"current point violates a constraint disc by {violation:.3g}")
-    d = tgt - cur
-    a = float(d @ d)
-    if a == 0.0:
-        return 1.0
-    wt = tgt - ctr
-    if np.all((wt * wt).sum(axis=1) <= r * r):
-        return 1.0
-    b = 2.0 * (w @ d)
-    c = (w * w).sum(axis=1) - r * r
-    disc = b * b - 4.0 * a * c
-    # a non-positive discriminant can only happen when the current point sits
-    # marginally outside a disc (within tol); no forward motion then
-    s = np.where(disc > 0.0, (-b + np.sqrt(np.maximum(disc, 0.0))) / (2.0 * a), 0.0)
-    return float(min(1.0, max(0.0, float(s.min()))))
+    return float(_fractions(*_disc_rows(cur_xy, tgt_xy, centers, radii), tol)[0])
 
 
-def clamp_point_xy(cur_xy, tgt_xy, centers, radii, tol: float = FEASIBILITY_TOL) -> np.ndarray:
+def clamp_point_xy(cur_xy, tgt_xy, centers, radii, tol: float = FEASIBILITY_TOL, indptr=None) -> np.ndarray:
     """Move from cur toward tgt as far as every disc allows.
 
     Returns cur + s * (tgt - cur) with the largest feasible s in [0, 1]; if
     the target satisfies all discs it is returned as is. The current point
     must lie inside every disc within the feasibility tolerance (it is the
     mover's own allowable region), else ValueError.
+
+    With `indptr`, cur and tgt are (k, 2) rows, row k is clamped to the discs
+    centers[indptr[k]:indptr[k + 1]], and the result has k rows. A single
+    point is the one-row case and gives one (2,) point.
     """
-    cur = np.asarray(cur_xy, dtype=float)
-    tgt = np.asarray(tgt_xy, dtype=float)
-    ctr = np.asarray(centers, dtype=float).reshape(-1, 2)
-    if ctr.shape[0] == 0:
-        return tgt.copy()
-    s = clamp_fraction(cur, tgt, ctr, radii, tol)
-    if s >= 1.0:
-        return tgt.copy()
-    r = np.broadcast_to(np.asarray(radii, dtype=float), (ctr.shape[0],))
-    q = cur + s * (tgt - cur)
+    cur, tgt, ctr, r, owner = _disc_rows(cur_xy, tgt_xy, centers, radii, indptr)
+    s = _fractions(cur, tgt, ctr, r, owner, tol)
+    q = tgt.copy()
+    rows = s < 1.0
+    q[rows] = cur[rows] + s[rows, None] * (tgt[rows] - cur[rows])
     # nudge down against float overshoot so the result is inside every disc
     # not just within tolerance (keeps clamped pairs inside visibility range)
     for _ in range(4):
-        w = q - ctr
-        if np.all(np.sqrt((w * w).sum(axis=1)) <= r):
+        w = q[owner] - ctr
+        out = np.bincount(owner[np.sqrt(w[:, 0] * w[:, 0] + w[:, 1] * w[:, 1]) > r], minlength=len(q))
+        rows &= out > 0
+        if not rows.any():
             break
-        s = max(0.0, s - 1e-12)
-        q = cur + s * (tgt - cur)
-    return q
+        nudged = s[rows] - 1e-12
+        s[rows] = np.where(nudged > 0.0, nudged, 0.0)
+        q[rows] = cur[rows] + s[rows, None] * (tgt[rows] - cur[rows])
+    return q[0] if indptr is None else q
 
 
 # ---------------------------------------------------------------------------

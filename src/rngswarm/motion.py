@@ -1,10 +1,13 @@
-"""Per-agent motion: behaviour targets and the step constrained to the allowable discs.
+"""Motion: behaviour targets and the step constrained to the allowable discs.
 
-Every step is planned against the round-start snapshot only. The proposal
-pipeline is: behaviour target, pre-cap at max_step, separation cap, clamp
-into the intersection of the allowable discs of all effective neighbours,
-then (with obstacles) shorten along the same segment until the endpoint is
-outside every obstacle and keeps line of sight to every effective neighbour.
+Every step is planned against the round-start snapshot only, for all agents
+at once: each stage is one array pass over the agents and their effective
+edges, in the portable arithmetic of `geom`. The proposal pipeline is:
+behaviour target, pre-cap at max_step, separation cap, clamp into the
+intersection of the allowable discs of all effective neighbours, then (with
+obstacles, agent by agent) shorten along the same segment until the endpoint
+is outside every obstacle and keeps line of sight to every effective
+neighbour.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .geom import FEASIBILITY_TOL, Point2, clamp_point_xy
+from .geom import FEASIBILITY_TOL, clamp_point_xy
 from .graphs import Graph, coords
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -89,69 +92,106 @@ class BehaviorSpec:
         )
 
 
-def desired_target(i: int, state: "SwarmState", effective: Graph, spec: BehaviorSpec) -> Point2:
-    """Behaviour target for agent i, pre-capped at max_step from its position.
+def _as_rows(agents) -> tuple[bool, np.ndarray]:
+    """(single, indices): a scalar index is the one-row case of an index array."""
+    idx = np.asarray(agents, dtype=np.intp)
+    return idx.ndim == 0, idx.reshape(-1)
+
+
+def _neighbour_rows(effective: Graph, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """CSR rows of the agents `idx`: row k lists the effective neighbours of
+    idx[k], in ascending order, as nbr[indptr[k]:indptr[k + 1]]."""
+    full_ptr, full_idx = effective._csr
+    start = full_ptr[idx]
+    deg = full_ptr[idx + 1] - start
+    indptr = np.zeros(len(idx) + 1, dtype=np.intp)
+    np.cumsum(deg, out=indptr[1:])
+    return indptr, full_idx[np.repeat(start - indptr[:-1], deg) + np.arange(indptr[-1])]
+
+
+def _row_sums(rows: np.ndarray, indptr: np.ndarray) -> np.ndarray:
+    """Sum of each CSR row of `rows`, adding one neighbour at a time in row
+    order from +0.0: the order, and so the rounding, of `ndarray.sum(axis=0)`."""
+    deg = np.diff(indptr)
+    acc = np.zeros((len(deg), 2))
+    for level in range(int(deg.max(initial=0))):
+        has = deg > level
+        acc[has] += rows[indptr[:-1][has] + level]
+    return acc
+
+
+def desired_target(agents, state: "SwarmState", effective: Graph, spec: BehaviorSpec) -> np.ndarray:
+    """Behaviour target of each agent, pre-capped at max_step from its position.
 
     gather moves toward the centroid of the effective neighbours; formation
     applies a spring pull of gain * (d - spacing) along each effective edge;
     leader_follow sends the leader to its current waypoint (holding position
     once the list is exhausted) while everyone else gathers; idle stays put.
+    `agents` is an index array, giving (k, 2) targets, or one index, giving
+    one (2,) target.
     """
+    single, idx = _as_rows(agents)
     xy = state.positions
-    p = xy[i]
-    if spec.kind == "idle":
-        raw = p
-    elif spec.kind == "leader_follow" and i == spec.leader_index:
-        k = state.waypoint_index
-        raw = np.asarray(spec.waypoints[k], dtype=float) if k < len(spec.waypoints) else p
-    elif spec.kind == "formation":
-        nbrs = effective.neighbors(i)
-        raw = p
-        if len(nbrs):
-            rel = xy[nbrs] - p
-            dist = np.sqrt((rel * rel).sum(axis=1))
+    p = xy[idx]
+    raw = p.copy()
+    if spec.kind != "idle":
+        indptr, nbr = _neighbour_rows(effective, idx)
+        deg = np.diff(indptr)
+        if spec.kind == "formation":
+            owner = np.repeat(np.arange(len(idx)), deg)
+            rel = xy[nbr] - p[owner]
+            dist = np.sqrt(rel[:, 0] * rel[:, 0] + rel[:, 1] * rel[:, 1])
             ok = dist > 0.0  # a coincident neighbour has no direction to pull along
-            if ok.any():
-                scale = spec.spring_gain * (dist[ok] - spec.desired_spacing) / dist[ok]
-                raw = p + (scale[:, None] * rel[ok]).sum(axis=0)
-    else:  # gather, and every non-leader in leader_follow
-        nbrs = effective.neighbors(i)
-        raw = xy[nbrs].mean(axis=0) if len(nbrs) else p
+            scale = spec.spring_gain * (dist - spec.desired_spacing) / np.where(ok, dist, 1.0)
+            # a skipped neighbour adds -0.0, which leaves every sum as it was
+            pull = np.where(ok[:, None], scale[:, None] * rel, -0.0)
+            pulled = np.bincount(owner[ok], minlength=len(idx)) > 0
+            raw[pulled] = p[pulled] + _row_sums(pull, indptr)[pulled]
+        else:  # gather, and every non-leader in leader_follow
+            has = deg > 0
+            raw[has] = _row_sums(xy[nbr], indptr)[has] / deg[has, None]
+        if spec.kind == "leader_follow":
+            k = state.waypoint_index
+            lead = idx == spec.leader_index
+            raw[lead] = spec.waypoints[k] if k < len(spec.waypoints) else p[lead]
     off = raw - p
-    norm = math.sqrt(float(off[0]) ** 2 + float(off[1]) ** 2)
-    if norm > spec.max_step:
-        raw = p + off * (spec.max_step / norm)
-    return Point2(float(raw[0]), float(raw[1]))
+    norm = np.sqrt(off[:, 0] * off[:, 0] + off[:, 1] * off[:, 1])
+    over = norm > spec.max_step
+    raw[over] = p[over] + off[over] * (spec.max_step / norm[over])[:, None]
+    return raw[0] if single else raw
 
 
-def separation_cap(i: int, positions, vis_range: float, min_separation: float) -> float:
-    """Largest displacement of agent i that cannot break the separation floor.
+def separation_cap(agents, positions, vis_range: float, min_separation: float):
+    """Largest displacement of each agent that cannot break the separation floor.
 
     Each visible pair may close by at most its slack (d - min_separation),
     and under simultaneous motion both endpoints spend half of it, hence the
     /2. Pairs beyond vis_range are not inspected; they stay safe as long as
     max_step <= (vis_range - min_separation) / 2, which the world config
     enforces. With nothing visible the cap is unbounded (inf); the behaviour
-    target is already pre-capped at max_step.
+    target is already pre-capped at max_step. An index array gives a (k,)
+    array of caps, one index a float. Agents that start below the floor are
+    held still and reported in one warning per call.
     """
     if min_separation < 0.0:
         raise ValueError(f"min_separation must be >= 0, got {min_separation!r}")
+    single, idx = _as_rows(agents)
     xy = coords(positions)
-    rel = xy - xy[i]
-    d = np.sqrt((rel * rel).sum(axis=1))
-    d[i] = math.inf
-    visible = d <= vis_range
-    if not visible.any():
-        return math.inf
-    nearest = float(d[visible].min())
+    rel = xy[None, :, :] - xy[idx][:, None, :]
+    d = np.sqrt(rel[:, :, 0] * rel[:, :, 0] + rel[:, :, 1] * rel[:, :, 1])
+    d[np.arange(len(idx)), idx] = math.inf
+    nearest = np.where(d <= vis_range, d, math.inf).min(axis=1, initial=math.inf)
     # Agents that have packed down to exactly the floor sit an ulp below it in
     # floats; only a materially shorter distance is worth flagging.
-    if nearest < min_separation - 1e-9:
+    below = nearest < min_separation - 1e-9
+    if below.any():
         log.warning(
-            "agent %d starts the round below the separation floor (%.6g < %.6g); holding it still",
-            i, nearest, min_separation,
+            "%d agent(s) start the round below the separation floor (closest at %.6g < %.6g); holding them still",
+            int(below.sum()), float(nearest[below].min()), min_separation,
         )
-    return max(0.0, 0.5 * (nearest - min_separation))
+    half = 0.5 * (nearest - min_separation)
+    cap = np.where(half > 0.0, half, 0.0)
+    return float(cap[0]) if single else cap
 
 
 def _feasible_xy(x: float, y: float, nbr_pts: list[tuple[float, float]], obstacles) -> bool:
@@ -185,48 +225,53 @@ def _constrain_to_obstacles(p: np.ndarray, q: np.ndarray, nbr_xy: np.ndarray, ob
 
 
 def apply_motion_law(
-    i: int,
+    agents,
     state: "SwarmState",
     effective: Graph,
     spec: BehaviorSpec,
     world: "WorldConfig",
-) -> Point2:
-    """Propose the next position of agent i from the current snapshot.
+) -> np.ndarray:
+    """Propose the next position of each agent from the current snapshot.
 
     The move never leaves the intersection of the allowable discs toward the
     effective neighbours, never exceeds the separation cap, and with
     obstacles present never loses line of sight to an effective neighbour's
     current position. Cross-agent interactions of simultaneous proposals are
-    the engine's verify step, not handled here.
+    the engine's verify step, not handled here. `agents` is an index array,
+    giving (k, 2) proposals, or one index, giving one (2,) proposal.
     """
+    single, idx = _as_rows(agents)
     xy = state.positions
-    p = xy[i]
-    nbrs = effective.neighbors(i)
-    nbr_xy = xy[nbrs]
-    if len(nbrs):
-        rel = nbr_xy - p
-        dist = np.sqrt((rel * rel).sum(axis=1))
-        if float(dist.max()) > world.vis_range + FEASIBILITY_TOL:
-            raise RuntimeError(
-                f"agent {i} is outside its allowable region: an effective neighbour "
-                f"sits {float(dist.max()):.6g} away with visibility range {world.vis_range:.6g}"
-            )
-    target = desired_target(i, state, effective, spec)
-    t = np.array((target.x, target.y), dtype=float)
+    p = xy[idx]
+    indptr, nbr = _neighbour_rows(effective, idx)
+    owner = np.repeat(np.arange(len(idx)), np.diff(indptr))
+    nbr_xy = xy[nbr]
+    rel = nbr_xy - p[owner]
+    dist = np.sqrt(rel[:, 0] * rel[:, 0] + rel[:, 1] * rel[:, 1])
+    far = dist > world.vis_range + FEASIBILITY_TOL
+    if far.any():
+        row = owner[np.argmax(far)]
+        raise RuntimeError(
+            f"agent {idx[row]} is outside its allowable region: an effective neighbour "
+            f"sits {float(dist[owner == row].max()):.6g} away with visibility range {world.vis_range:.6g}"
+        )
+    t = desired_target(idx, state, effective, spec)
     if world.min_separation > 0.0:
-        cap = separation_cap(i, xy, world.vis_range, world.min_separation)
+        cap = separation_cap(idx, xy, world.vis_range, world.min_separation)
         off = t - p
-        norm = math.sqrt(float(off[0]) ** 2 + float(off[1]) ** 2)
-        if norm > cap:
-            t = p + off * (cap / norm) if cap > 0.0 else p.copy()
-    if len(nbrs):
-        # allowable disc of a pair: radius V/2 at its midpoint; any two points
-        # inside it are at most V apart, so a pair that moves into its shared
-        # disc keeps its visibility edge
-        centers = 0.5 * (nbr_xy + p)
-        q = clamp_point_xy(p, t, centers, 0.5 * world.vis_range)
-    else:
-        q = t.copy()
+        norm = np.sqrt(off[:, 0] * off[:, 0] + off[:, 1] * off[:, 1])
+        over = norm > cap
+        held = over & (cap <= 0.0)
+        t[held] = p[held]
+        scaled = over & (cap > 0.0)
+        t[scaled] = p[scaled] + off[scaled] * (cap[scaled] / norm[scaled])[:, None]
+    # allowable disc of a pair: radius V/2 at its midpoint; any two points
+    # inside it are at most V apart, so a pair that moves into its shared
+    # disc keeps its visibility edge
+    centers = 0.5 * (nbr_xy + p[owner])
+    q = clamp_point_xy(p, t, centers, 0.5 * world.vis_range, indptr=indptr)
     if world.obstacles:
-        q = _constrain_to_obstacles(p, q, nbr_xy, world.obstacles)
-    return Point2(float(q[0]), float(q[1]))
+        for row in range(len(idx)):
+            nbrs = nbr_xy[indptr[row] : indptr[row + 1]]
+            q[row] = _constrain_to_obstacles(p[row], q[row], nbrs, world.obstacles)
+    return q[0] if single else q

@@ -1,11 +1,23 @@
-"""Slow, loop-based reference implementations of the graph layer.
+"""Slow, loop-based reference implementations of the graph layer, the
+motion law and the verify sweep.
 
-Everything here is deliberately written with plain Python floats and O(n^3)
-loops so that it shares no code path (and no vectorization subtleties) with
-the library. Tests compare the fast implementations against these.
+The graph references are written with plain Python floats and O(n^3) loops
+so that they share no code path (and no vectorization subtleties) with the
+library. The motion law and the verify sweep are kept here in their
+per-agent and full-sweep forms, in the library's portable arithmetic, as the
+oracles the array kernels must match byte for byte. Tests compare the fast
+implementations against these.
 """
 
 import math
+
+import numpy as np
+from hypothesis import strategies as st
+
+from rngswarm.engine import InitSpec, SwarmState, WorldConfig
+from rngswarm.geom import Polygon
+from rngswarm.graphs import effective_graph, visibility_graph
+from rngswarm.motion import BEHAVIOR_KINDS, BehaviorSpec
 
 
 def dist(p, q):
@@ -94,3 +106,187 @@ def naive_hop_diameter(n, edges):
 def edge_set(graph):
     """A graph's edges as a set of (i, j) int tuples."""
     return {(i, j) for i, j in graph.edges.tolist()}
+
+
+# ---------------------------------------------------------------------------
+# the per-agent motion law and the full-sweep verify
+# ---------------------------------------------------------------------------
+
+FEASIBILITY_TOL = 1e-9
+OBSTACLE_BISECTIONS = 40
+
+
+def reference_clamp_point(cur, tgt, centers, radius):
+    """Single-point disc clamp: the smallest positive ray-circle root over the
+    discs, then a nudge down until the point is inside every disc."""
+    w = cur - centers
+    dist0 = np.sqrt((w * w).sum(axis=1))
+    if float((dist0 - radius).max()) > FEASIBILITY_TOL:
+        raise ValueError("current point violates a constraint disc")
+    d = tgt - cur
+    a = d[0] * d[0] + d[1] * d[1]
+    wt = tgt - centers
+    if a == 0.0 or np.all((wt * wt).sum(axis=1) <= radius * radius):
+        return tgt.copy()
+    b = 2.0 * (w[:, 0] * d[0] + w[:, 1] * d[1])
+    c = (w * w).sum(axis=1) - radius * radius
+    disc = b * b - 4.0 * a * c
+    roots = np.where(disc > 0.0, (-b + np.sqrt(np.maximum(disc, 0.0))) / (2.0 * a), 0.0)
+    s = min(1.0, max(0.0, float(roots.min())))
+    if s >= 1.0:
+        return tgt.copy()
+    q = cur + s * (tgt - cur)
+    for _ in range(4):
+        w = q - centers
+        if np.all(np.sqrt((w * w).sum(axis=1)) <= radius):
+            break
+        s = max(0.0, s - 1e-12)
+        q = cur + s * (tgt - cur)
+    return q
+
+
+def reference_target(i, state, effective, spec):
+    xy = state.positions
+    p = xy[i]
+    nbrs = effective.neighbors(i)
+    if spec.kind == "idle":
+        raw = p
+    elif spec.kind == "leader_follow" and i == spec.leader_index:
+        k = state.waypoint_index
+        raw = np.asarray(spec.waypoints[k], dtype=float) if k < len(spec.waypoints) else p
+    elif spec.kind == "formation":
+        raw = p
+        if len(nbrs):
+            rel = xy[nbrs] - p
+            dist = np.sqrt((rel * rel).sum(axis=1))
+            ok = dist > 0.0
+            if ok.any():
+                scale = spec.spring_gain * (dist[ok] - spec.desired_spacing) / dist[ok]
+                raw = p + (scale[:, None] * rel[ok]).sum(axis=0)
+    else:
+        raw = xy[nbrs].mean(axis=0) if len(nbrs) else p
+    off = raw - p
+    ox, oy = float(off[0]), float(off[1])
+    norm = math.sqrt(ox * ox + oy * oy)
+    if norm > spec.max_step:
+        raw = p + off * (spec.max_step / norm)
+    return np.array(raw, dtype=float)
+
+
+def reference_separation_cap(i, xy, vis_range, min_separation):
+    rel = xy - xy[i]
+    d = np.sqrt((rel * rel).sum(axis=1))
+    d[i] = math.inf
+    visible = d <= vis_range
+    if not visible.any():
+        return math.inf
+    return max(0.0, 0.5 * (float(d[visible].min()) - min_separation))
+
+
+def _reference_feasible(x, y, nbr_pts, obstacles):
+    if any(poly.contains_xy(x, y) for poly in obstacles):
+        return False
+    return not any(poly.blocks_segment_xy(x, y, bx, by) for bx, by in nbr_pts for poly in obstacles)
+
+
+def reference_obstacle_step(p, q, nbr_xy, obstacles):
+    nbr_pts = [(float(a), float(b)) for a, b in nbr_xy]
+    if _reference_feasible(float(q[0]), float(q[1]), nbr_pts, obstacles):
+        return q
+    lo, hi = 0.0, 1.0
+    for _ in range(OBSTACLE_BISECTIONS):
+        mid = 0.5 * (lo + hi)
+        x = float(p[0] + mid * (q[0] - p[0]))
+        y = float(p[1] + mid * (q[1] - p[1]))
+        if _reference_feasible(x, y, nbr_pts, obstacles):
+            lo = mid
+        else:
+            hi = mid
+    return p + lo * (q - p)
+
+
+def reference_motion_law(i, state, effective, spec, world):
+    """Agent i's proposal, planned on its own: target, separation cap, disc
+    clamp, obstacle step. Returns a (2,) array."""
+    xy = state.positions
+    p = xy[i]
+    nbrs = effective.neighbors(i)
+    nbr_xy = xy[nbrs]
+    if len(nbrs):
+        rel = nbr_xy - p
+        if float(np.sqrt((rel * rel).sum(axis=1)).max()) > world.vis_range + FEASIBILITY_TOL:
+            raise RuntimeError(f"agent {i} is outside its allowable region")
+    t = reference_target(i, state, effective, spec)
+    if world.min_separation > 0.0:
+        cap = reference_separation_cap(i, xy, world.vis_range, world.min_separation)
+        off = t - p
+        ox, oy = float(off[0]), float(off[1])
+        norm = math.sqrt(ox * ox + oy * oy)
+        if norm > cap:
+            t = p + off * (cap / norm) if cap > 0.0 else p.copy()
+    q = reference_clamp_point(p, t, 0.5 * (nbr_xy + p), 0.5 * world.vis_range) if len(nbrs) else t.copy()
+    if world.obstacles:
+        q = reference_obstacle_step(p, q, nbr_xy, world.obstacles)
+    return q
+
+
+def reference_edge_safe(pi, pj, world):
+    xi, yi, xj, yj = float(pi[0]), float(pi[1]), float(pj[0]), float(pj[1])
+    dx, dy = xi - xj, yi - yj
+    if math.sqrt(dx * dx + dy * dy) > world.vis_range:
+        return False
+    return not any(poly.blocks_segment_xy(xi, yi, xj, yj) for poly in world.obstacles)
+
+
+def reference_verify(old, proposals, effective, world):
+    """Sweep every effective edge in sorted order, reverting both endpoints of
+    each violated one as it is met, until a sweep changes nothing. Mutates
+    `proposals` and returns the set of reverted agents."""
+    reverted = set()
+    edges = effective.edges.tolist()
+    while True:
+        changed = False
+        for i, j in edges:
+            if reference_edge_safe(proposals[i], proposals[j], world):
+                continue
+            for a in (i, j):
+                if a not in reverted:
+                    proposals[a] = old[a]
+                    reverted.add(a)
+                    changed = True
+        if not changed:
+            return reverted
+
+
+# grid values give coincident agents, exact zeros and pairs at exactly the
+# range; free floats give everything in between
+_COORD = st.one_of(
+    st.integers(-8, 8).map(lambda k: k * 0.125),
+    st.floats(-1.0, 1.0, allow_nan=False, allow_subnormal=False),
+)
+_WALL = Polygon(((0.1, 0.1), (0.35, 0.1), (0.35, 0.3), (0.1, 0.3)))
+
+
+@st.composite
+def snapshots(draw):
+    """(state, effective graph, world) for an arbitrary snapshot: every
+    behaviour kind, rng_plus 0 or 1, separation 0 or 0.1, with or without a
+    wall. The world's box is never sampled; the snapshot is the state."""
+    n = draw(st.integers(1, 12))
+    xy = np.array(draw(st.lists(st.tuples(_COORD, _COORD), min_size=n, max_size=n)), dtype=float)
+    kind = draw(st.sampled_from(BEHAVIOR_KINDS))
+    spec = BehaviorSpec.for_range(
+        kind, 1.0, waypoints=((0.5, 0.5), (-0.5, 0.25)), leader_index=draw(st.integers(0, n - 1))
+    )
+    world = WorldConfig(
+        n=n,
+        vis_range=1.0,
+        behavior=spec,
+        init=InitSpec(box=(0.0, 0.0, 1.0, 1.0)),
+        rng_plus=draw(st.integers(0, 1)),
+        min_separation=draw(st.sampled_from((0.0, 0.1))),
+        obstacles=(_WALL,) if draw(st.booleans()) else (),
+    )
+    state = SwarmState(round=0, positions=xy, waypoint_index=draw(st.integers(0, 2)))
+    eff = effective_graph(visibility_graph(xy, world.vis_range), xy, world.rng_plus)
+    return state, eff, world

@@ -1,3 +1,4 @@
+import os
 import re
 import subprocess
 import sys
@@ -151,10 +152,14 @@ class TestGraphCommand:
 
 def test_module_entry_point(tmp_path):
     scn = SCENARIO_DIR / "adhoc_network.yaml"
+    # a subprocess does not inherit pytest's `pythonpath`; point it at this checkout's src/
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
     proc = subprocess.run(
         [sys.executable, "-m", "rngswarm", "graph", "--scenario", str(scn)],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert "connected: yes" in proc.stdout

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rngswarm.engine import (
     InitSpec,
@@ -15,8 +17,10 @@ from rngswarm.engine import (
 )
 from rngswarm.geom import Polygon
 from rngswarm.graphs import Graph, effective_graph, is_connected, pairwise_distances, visibility_graph
-from rngswarm.motion import BehaviorSpec
+from rngswarm.motion import BehaviorSpec, apply_motion_law
 from rngswarm.properties import sample_connected_positions
+
+from helpers import reference_verify, snapshots
 
 
 def make_world(positions=None, behavior=None, **kw):
@@ -260,6 +264,31 @@ class TestVerifyRevert:
         reverted = _verify_and_revert(old, props, eff, w)
         assert reverted == {0, 1}
         np.testing.assert_array_equal(props, old)
+
+    @settings(max_examples=200)
+    @given(snapshots(), st.data())
+    def test_matches_the_full_sweep(self, snap, data):
+        # random moves of up to about half the range break many edges at once;
+        # about two thirds of the examples revert, some through several sweeps
+        state, eff, world = snap
+        old = state.positions
+        step = data.draw(st.lists(st.floats(-0.6, 0.6), min_size=2 * world.n, max_size=2 * world.n))
+        props = old + np.reshape(step, (world.n, 2))
+        got_props, want_props = props.copy(), props.copy()
+        got = _verify_and_revert(old, got_props, eff, world)
+        want = reference_verify(old, want_props, eff, world)
+        assert got == want
+        assert got_props.tobytes() == want_props.tobytes()
+
+    @given(snapshots())
+    def test_matches_the_full_sweep_on_planned_moves(self, snap):
+        state, eff, world = snap
+        props = apply_motion_law(np.arange(world.n), state, eff, world.behavior, world)
+        want_props = props.copy()
+        assert _verify_and_revert(state.positions, props, eff, world) == reference_verify(
+            state.positions, want_props, eff, world
+        )
+        assert props.tobytes() == want_props.tobytes()
 
 
 class TestStep:

@@ -121,6 +121,19 @@ class TestClampFraction:
                 d2 = np.sqrt(((q2 - centers) ** 2).sum(axis=1))
                 assert np.any(d2 > np.asarray(radii))
 
+    def test_rows_match_single_point_calls(self, rng):
+        # one call over many rows, each with its own discs (some with none),
+        # gives each row's single-point clamp byte for byte
+        cases = [random_clamp_instance(rng) for _ in range(300)]
+        cur = np.array([c[0] for c in cases])
+        tgt = np.array([c[1] for c in cases])
+        centers = np.concatenate([c[2] for c in cases])
+        radii = np.concatenate([c[3] for c in cases])
+        indptr = np.concatenate(([0], np.cumsum([len(c[2]) for c in cases])))
+        rows = clamp_point_xy(cur, tgt, centers, radii, indptr=indptr)
+        single = np.array([clamp_point_xy(*c) for c in cases])
+        assert rows.tobytes() == single.tobytes()
+
 
 class TestSegmentIntersection:
     def test_proper_crossing(self):

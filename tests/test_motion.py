@@ -1,14 +1,20 @@
 import logging
 import math
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rngswarm.engine import InitSpec, SwarmState, WorldConfig
+from rngswarm.engine import InitSpec, SwarmState, WorldConfig, _advance_waypoints, run
 from rngswarm.geom import Point2, Polygon, distance
 from rngswarm.graphs import Graph, effective_graph, visibility_graph
 from rngswarm.motion import BehaviorSpec, apply_motion_law, desired_target, separation_cap
 from rngswarm.properties import sample_connected_positions
+
+from helpers import reference_motion_law, snapshots
 
 
 def make_state(positions, waypoint_index=0):
@@ -105,20 +111,20 @@ class TestAllowableDisc:
     def test_midpoint_and_radius(self):
         # disc centred (0.5, 0) with radius 1: the ray toward (1, 2) leaves it at (0.5, 1)
         q = step_toward(0, [(0.0, 0.0), (1.0, 0.0)], (1.0, 2.0), {(0, 1)}, vis_range=2.0)
-        assert (q.x, q.y) == pytest.approx((0.5, 1.0), abs=1e-9)
+        assert tuple(q) == pytest.approx((0.5, 1.0), abs=1e-9)
 
     def test_contains_both_endpoints(self):
         # the neighbour's own position lies in the shared disc, so it is reached exactly
         q = step_toward(0, [(0.0, 0.0), (1.2, 0.9)], (1.2, 0.9), {(0, 1)}, vis_range=2.0)
-        assert (q.x, q.y) == (1.2, 0.9)
+        assert tuple(q) == (1.2, 0.9)
 
     def test_pair_at_exactly_the_range(self):
         # the mover sits on the rim: it cannot back away, but it can close in
         positions = [(0.0, 0.0), (2.0, 0.0)]
         away = step_toward(0, positions, (-1.0, 0.0), {(0, 1)}, vis_range=2.0)
-        assert (away.x, away.y) == pytest.approx((0.0, 0.0), abs=1e-9)
+        assert tuple(away) == pytest.approx((0.0, 0.0), abs=1e-9)
         closer = step_toward(0, positions, (0.5, 0.0), {(0, 1)}, vis_range=2.0)
-        assert (closer.x, closer.y) == (0.5, 0.0)
+        assert tuple(closer) == (0.5, 0.0)
 
     def test_pair_beyond_range_raises(self):
         with pytest.raises(RuntimeError, match="allowable region"):
@@ -131,7 +137,7 @@ class TestAllowableDisc:
         qa = step_toward(0, [a, b], (-5.0, -5.0), {(0, 1)}, vis_range=2.0)
         qb = step_toward(0, [b, a], (5.0, 5.0), {(0, 1)}, vis_range=2.0)
         for q in (qa, qb):
-            assert math.hypot(q.x - mid[0], q.y - mid[1]) == pytest.approx(1.0, abs=1e-9)
+            assert math.hypot(q[0] - mid[0], q[1] - mid[1]) == pytest.approx(1.0, abs=1e-9)
 
     def test_any_two_points_inside_stay_visible(self, rng):
         # the whole point of the disc: it has diameter vis_range, so both ends
@@ -144,7 +150,7 @@ class TestAllowableDisc:
             t0, t1 = (tuple(rng.uniform(-3.0, 3.0, size=2)) for _ in range(2))
             q0 = step_toward(0, [p0, p1], t0, {(0, 1)}, vis_range=2.0)
             q1 = step_toward(1, [p0, p1], t1, {(0, 1)}, vis_range=2.0)
-            assert distance(q0, q1) <= 2.0 + 1e-9
+            assert distance(Point2(*q0), Point2(*q1)) <= 2.0 + 1e-9
 
 
 class TestEffectiveAllowableRegion:
@@ -156,20 +162,20 @@ class TestEffectiveAllowableRegion:
         # discs centred (0.5, 0) and (0, 0.5), radius 0.5: along the diagonal
         # both allow up to (0.5, 0.5)
         q = step_toward(0, self.TRIANGLE, (1.0, 1.0), {(0, 1), (0, 2)}, vis_range=1.0)
-        assert (q.x, q.y) == pytest.approx((0.5, 0.5), abs=1e-9)
+        assert tuple(q) == pytest.approx((0.5, 0.5), abs=1e-9)
 
     def test_contains_is_the_intersection(self):
         # (0.9, 0) is inside the disc toward agent 1 but leaves the disc toward
         # agent 2, whose rim passes through the mover: no progress is possible
         q = step_toward(0, self.TRIANGLE, (0.9, 0.0), {(0, 1), (0, 2)}, vis_range=1.0)
-        assert (q.x, q.y) == pytest.approx((0.0, 0.0), abs=1e-9)
+        assert tuple(q) == pytest.approx((0.0, 0.0), abs=1e-9)
         only_one = step_toward(0, self.TRIANGLE, (0.9, 0.0), {(0, 1)}, vis_range=1.0)
-        assert (only_one.x, only_one.y) == (0.9, 0.0)
+        assert tuple(only_one) == (0.9, 0.0)
 
     def test_isolated_vertex_is_unconstrained(self):
         positions = [(0.0, 0.0), (0.8, 0.0), (0.8, 0.5)]
         q = step_toward(0, positions, (-40.0, 30.0), {(1, 2)}, vis_range=1.0)
-        assert (q.x, q.y) == (-40.0, 30.0)
+        assert tuple(q) == (-40.0, 30.0)
 
 
 class TestDesiredTarget:
@@ -178,28 +184,28 @@ class TestDesiredTarget:
         eff = Graph(n=3, edges=frozenset({(0, 1), (0, 2)}))
         spec = BehaviorSpec(kind="gather", max_step=1.0)
         t = desired_target(0, state, eff, spec)
-        assert (t.x, t.y) == (0.5, 0.5)
+        assert tuple(t) == (0.5, 0.5)
 
     def test_gather_capped_at_max_step(self):
         state = make_state([(0.0, 0.0), (1.0, 0.0)])
         eff = Graph(n=2, edges=frozenset({(0, 1)}))
         spec = BehaviorSpec(kind="gather", max_step=0.2)
         t = desired_target(0, state, eff, spec)
-        assert (t.x, t.y) == (0.2, 0.0)
+        assert tuple(t) == (0.2, 0.0)
 
     def test_gather_with_no_neighbours_holds(self):
         state = make_state([(0.3, 0.7), (5.0, 5.0)])
         eff = Graph(n=2, edges=frozenset())
         spec = BehaviorSpec(kind="gather", max_step=0.2)
         t = desired_target(0, state, eff, spec)
-        assert (t.x, t.y) == (0.3, 0.7)
+        assert tuple(t) == (0.3, 0.7)
 
     def test_idle_holds(self):
         state = make_state([(0.3, 0.7), (0.5, 0.5)])
         eff = Graph(n=2, edges=frozenset({(0, 1)}))
         spec = BehaviorSpec(kind="idle", max_step=0.2)
         t = desired_target(0, state, eff, spec)
-        assert (t.x, t.y) == (0.3, 0.7)
+        assert tuple(t) == (0.3, 0.7)
 
     def test_formation_spring_pull(self):
         # gain 0.5 on slack (0.75 - 0.25) pulls a quarter unit along the edge
@@ -207,31 +213,31 @@ class TestDesiredTarget:
         eff = Graph(n=2, edges=frozenset({(0, 1)}))
         spec = BehaviorSpec(kind="formation", max_step=10.0, desired_spacing=0.25, spring_gain=0.5)
         t = desired_target(0, state, eff, spec)
-        assert t.x == pytest.approx(0.25, abs=1e-12)
-        assert t.y == 0.0
+        assert t[0] == pytest.approx(0.25, abs=1e-12)
+        assert t[1] == 0.0
 
     def test_formation_at_desired_spacing_holds(self):
         state = make_state([(0.0, 0.0), (0.25, 0.0)])
         eff = Graph(n=2, edges=frozenset({(0, 1)}))
         spec = BehaviorSpec(kind="formation", max_step=10.0, desired_spacing=0.25, spring_gain=0.5)
         t = desired_target(0, state, eff, spec)
-        assert (t.x, t.y) == (0.0, 0.0)
+        assert tuple(t) == (0.0, 0.0)
 
     def test_formation_pushes_apart_when_too_close(self):
         state = make_state([(0.0, 0.0), (0.1, 0.0)])
         eff = Graph(n=2, edges=frozenset({(0, 1)}))
         spec = BehaviorSpec(kind="formation", max_step=10.0, desired_spacing=0.25, spring_gain=0.5)
         t = desired_target(0, state, eff, spec)
-        assert t.x < 0.0  # negative slack pushes away from the neighbour
-        assert t.y == 0.0
+        assert t[0] < 0.0  # negative slack pushes away from the neighbour
+        assert t[1] == 0.0
 
     def test_formation_skips_coincident_neighbour(self):
         state = make_state([(0.0, 0.0), (0.0, 0.0), (0.75, 0.0)])
         eff = Graph(n=3, edges=frozenset({(0, 1), (0, 2)}))
         spec = BehaviorSpec(kind="formation", max_step=10.0, desired_spacing=0.25, spring_gain=0.5)
         t = desired_target(0, state, eff, spec)
-        assert math.isfinite(t.x) and math.isfinite(t.y)
-        assert t.x == pytest.approx(0.25, abs=1e-12)  # only the distinct neighbour pulls
+        assert math.isfinite(t[0]) and math.isfinite(t[1])
+        assert t[0] == pytest.approx(0.25, abs=1e-12)  # only the distinct neighbour pulls
 
     def test_leader_heads_for_current_waypoint(self):
         state = make_state([(0.0, 0.0), (0.5, 0.0)])
@@ -240,7 +246,7 @@ class TestDesiredTarget:
             kind="leader_follow", max_step=0.25, waypoints=((2.0, 0.0), (5.0, 5.0))
         )
         t = desired_target(0, state, eff, spec)
-        assert (t.x, t.y) == (0.25, 0.0)
+        assert tuple(t) == (0.25, 0.0)
 
     def test_leader_tracks_waypoint_progress(self):
         state = make_state([(0.0, 0.0), (0.5, 0.0)], waypoint_index=1)
@@ -249,8 +255,8 @@ class TestDesiredTarget:
             kind="leader_follow", max_step=0.25, waypoints=((2.0, 0.0), (5.0, 5.0))
         )
         t = desired_target(0, state, eff, spec)
-        assert t.x == pytest.approx(t.y, abs=1e-12)  # toward (5, 5) now
-        assert t.x > 0.0
+        assert t[0] == pytest.approx(t[1], abs=1e-12)  # toward (5, 5) now
+        assert t[0] > 0.0
 
     def test_leader_holds_once_waypoints_exhausted(self):
         state = make_state([(0.1, 0.2), (0.5, 0.0)], waypoint_index=2)
@@ -259,7 +265,7 @@ class TestDesiredTarget:
             kind="leader_follow", max_step=0.25, waypoints=((2.0, 0.0), (5.0, 5.0))
         )
         t = desired_target(0, state, eff, spec)
-        assert (t.x, t.y) == (0.1, 0.2)
+        assert tuple(t) == (0.1, 0.2)
 
     def test_followers_gather(self):
         state = make_state([(0.0, 0.0), (0.5, 0.0)])
@@ -268,7 +274,7 @@ class TestDesiredTarget:
             kind="leader_follow", max_step=0.25, waypoints=((2.0, 0.0),)
         )
         t = desired_target(1, state, eff, spec)
-        assert (t.x, t.y) == (0.25, 0.0)  # toward the leader, capped at max_step
+        assert tuple(t) == (0.25, 0.0)  # toward the leader, capped at max_step
 
     def test_never_exceeds_max_step(self, rng):
         spec = BehaviorSpec(kind="gather", max_step=0.2)
@@ -278,9 +284,9 @@ class TestDesiredTarget:
             g = visibility_graph(xy, 2.0)
             eff = effective_graph(g, xy, 1)
             state = make_state(xy)
-            for i in range(n):
-                t = desired_target(i, state, eff, spec)
-                step = math.sqrt((t.x - xy[i, 0]) ** 2 + (t.y - xy[i, 1]) ** 2)
+            targets = desired_target(np.arange(n), state, eff, spec)
+            for i, t in enumerate(targets):
+                step = math.sqrt((t[0] - xy[i, 0]) ** 2 + (t[1] - xy[i, 1]) ** 2)
                 assert step <= 0.2 + 1e-12
 
 
@@ -325,7 +331,7 @@ class TestApplyMotionLaw:
         world = make_world(positions, spec, vis_range=2.0)
         eff = Graph(n=2, edges=frozenset({(0, 1)}))
         q = apply_motion_law(0, make_state(positions), eff, spec, world)
-        assert (q.x, q.y) == (0.3, 0.4)
+        assert tuple(q) == (0.3, 0.4)
 
     def test_clamped_at_the_allowable_disc(self):
         # neighbour at (1,0), range 2: the shared disc is centred (0.5,0) with
@@ -335,8 +341,8 @@ class TestApplyMotionLaw:
         world = make_world(positions, spec, vis_range=2.0)
         eff = Graph(n=2, edges=frozenset({(0, 1)}))
         q = apply_motion_law(0, make_state(positions), eff, spec, world)
-        assert (q.x, q.y) == (1.5, 0.0)
-        assert distance(q, Point2(1.0, 0.0)) <= 2.0  # the edge survives the move
+        assert tuple(q) == (1.5, 0.0)
+        assert distance(Point2(*q), Point2(1.0, 0.0)) <= 2.0  # the edge survives the move
 
     def test_separation_cap_binds(self):
         # slack to the neighbour is 1 - 0.2; half of it caps the step at 0.4
@@ -347,8 +353,8 @@ class TestApplyMotionLaw:
         world = make_world(positions, spec, vis_range=2.0, min_separation=0.2)
         eff = Graph(n=2, edges=frozenset({(0, 1)}))
         q = apply_motion_law(0, make_state(positions), eff, spec, world)
-        assert q.x == pytest.approx(0.4, abs=1e-12)
-        assert q.y == 0.0
+        assert q[0] == pytest.approx(0.4, abs=1e-12)
+        assert q[1] == 0.0
 
     def test_cap_then_disc_clamp(self):
         # step budget 0.9 toward (-5,0) is first capped at (1.8-0.2)/2 = 0.8,
@@ -361,9 +367,9 @@ class TestApplyMotionLaw:
         world = make_world(positions, spec, vis_range=2.0, min_separation=0.2)
         eff = Graph(n=2, edges=frozenset({(0, 1)}))
         q = apply_motion_law(0, make_state(positions), eff, spec, world)
-        assert q.x == pytest.approx(-0.1, abs=1e-9)
-        assert q.y == 0.0
-        assert distance(q, Point2(1.8, 0.0)) <= 2.0 + 1e-9
+        assert q[0] == pytest.approx(-0.1, abs=1e-9)
+        assert q[1] == 0.0
+        assert distance(Point2(*q), Point2(1.8, 0.0)) <= 2.0 + 1e-9
 
     def test_zero_cap_holds_exactly(self):
         positions = [(0.0, 0.0), (0.2, 0.0)]
@@ -371,7 +377,7 @@ class TestApplyMotionLaw:
         world = make_world(positions, spec, vis_range=2.0, min_separation=0.2)
         eff = Graph(n=2, edges=frozenset({(0, 1)}))
         q = apply_motion_law(0, make_state(positions), eff, spec, world)
-        assert (q.x, q.y) == (0.0, 0.0)
+        assert tuple(q) == (0.0, 0.0)
 
     def test_effective_neighbour_beyond_range_raises(self):
         positions = [(0.0, 0.0), (1.0, 0.0)]
@@ -388,7 +394,7 @@ class TestApplyMotionLaw:
         world = make_world(positions, spec, vis_range=2.0)
         eff = Graph(n=2, edges=frozenset())  # nothing effective: no discs bind
         q = apply_motion_law(0, make_state(positions), eff, spec, world)
-        assert (q.x, q.y) == (0.0, 0.9)
+        assert tuple(q) == (0.0, 0.9)
 
     @pytest.mark.parametrize("kind", ["gather", "formation", "leader_follow"])
     @pytest.mark.parametrize("rng_plus", [0, 1])
@@ -401,16 +407,16 @@ class TestApplyMotionLaw:
             g = visibility_graph(xy, 1.0)
             eff = effective_graph(g, xy, rng_plus)
             state = make_state(xy)
-            for i in range(n):
-                q = apply_motion_law(i, state, eff, spec, world)
-                step = math.sqrt((q.x - xy[i, 0]) ** 2 + (q.y - xy[i, 1]) ** 2)
+            proposals = apply_motion_law(np.arange(n), state, eff, spec, world)
+            caps = separation_cap(np.arange(n), xy, 1.0, 0.1)
+            for i, q in enumerate(proposals):
+                step = math.sqrt((q[0] - xy[i, 0]) ** 2 + (q[1] - xy[i, 1]) ** 2)
                 assert step <= spec.max_step + 1e-9
-                cap = separation_cap(i, xy, 1.0, 0.1)
-                assert step <= cap + 1e-9
+                assert step <= caps[i] + 1e-9
                 for j in eff.neighbors(i):
                     mx = 0.5 * (xy[i, 0] + xy[j, 0])
                     my = 0.5 * (xy[i, 1] + xy[j, 1])
-                    off = math.sqrt((q.x - mx) ** 2 + (q.y - my) ** 2)
+                    off = math.sqrt((q[0] - mx) ** 2 + (q[1] - my) ** 2)
                     assert off <= 0.5 + 1e-9  # stays inside the shared disc
 
     def test_idle_world_holds_everyone(self, rng):
@@ -420,9 +426,8 @@ class TestApplyMotionLaw:
         g = visibility_graph(xy, 1.0)
         eff = effective_graph(g, xy, 0)
         state = make_state(xy)
-        for i in range(6):
-            q = apply_motion_law(i, state, eff, spec, world)
-            assert (q.x, q.y) == (xy[i, 0], xy[i, 1])
+        proposals = apply_motion_law(np.arange(6), state, eff, spec, world)
+        assert proposals.tobytes() == xy.tobytes()
 
 
 class TestObstacleConstraint:
@@ -433,8 +438,8 @@ class TestObstacleConstraint:
         world = make_world([(0.0, 0.0)], spec, vis_range=1.0, obstacles=(self.WALL,))
         eff = Graph(n=1, edges=frozenset())
         q = apply_motion_law(0, make_state([(0.0, 0.0)]), eff, spec, world)
-        assert 0.4999999 < q.x < 0.5  # the wall face is at x = 0.5, boundary included
-        assert q.y == 0.0
+        assert 0.4999999 < q[0] < 0.5  # the wall face is at x = 0.5, boundary included
+        assert q[1] == 0.0
 
     def test_holds_when_no_shortened_step_clears(self):
         wall = Polygon(((0.0, -1.0), (1.0, -1.0), (1.0, 1.0), (0.0, 1.0)))
@@ -442,7 +447,7 @@ class TestObstacleConstraint:
         world = make_world([(0.0, 0.0)], spec, vis_range=1.0, obstacles=(wall,))
         eff = Graph(n=1, edges=frozenset())
         q = apply_motion_law(0, make_state([(0.0, 0.0)]), eff, spec, world)
-        assert (q.x, q.y) == (0.0, 0.0)
+        assert tuple(q) == (0.0, 0.0)
 
     def test_keeps_line_of_sight_to_effective_neighbour(self):
         wall = Polygon(((0.6, 0.4), (0.8, 0.4), (0.8, 10.0), (0.6, 10.0)))
@@ -451,10 +456,10 @@ class TestObstacleConstraint:
         world = make_world(positions, spec, vis_range=4.0, obstacles=(wall,))
         eff = Graph(n=2, edges=frozenset({(0, 1)}))
         q = apply_motion_law(0, make_state(positions), eff, spec, world)
-        assert not wall.contains_xy(q.x, q.y)
-        assert not wall.blocks_segment_xy(q.x, q.y, 0.0, 1.0)
-        assert q.x > 0.3  # real progress toward the waypoint, not a timid hold
-        assert q.x == pytest.approx(1.4 * q.y, abs=1e-9)  # still on the planned ray
+        assert not wall.contains_xy(*q)
+        assert not wall.blocks_segment_xy(q[0], q[1], 0.0, 1.0)
+        assert q[0] > 0.3  # real progress toward the waypoint, not a timid hold
+        assert q[0] == pytest.approx(1.4 * q[1], abs=1e-9)  # still on the planned ray
 
     def test_clear_path_is_untouched(self):
         far_wall = Polygon(((50.0, 0.0), (51.0, 0.0), (51.0, 1.0), (50.0, 1.0)))
@@ -466,4 +471,63 @@ class TestObstacleConstraint:
         walled = make_world(positions, spec, vis_range=2.0, obstacles=(far_wall,))
         q1 = apply_motion_law(0, state, eff, spec, clear)
         q2 = apply_motion_law(0, state, eff, spec, walled)
-        assert (q1.x, q1.y) == (q2.x, q2.y)
+        assert tuple(q1) == tuple(q2)
+
+
+class TestArrayKernel:
+    """The all-agent kernel is the per-agent law of `helpers`, byte for byte."""
+
+    @settings(max_examples=200)
+    @given(snapshots())
+    def test_proposals_match_the_per_agent_law_bytewise(self, snap):
+        state, eff, world = snap
+        got = apply_motion_law(np.arange(world.n), state, eff, world.behavior, world)
+        want = np.array([reference_motion_law(i, state, eff, world.behavior, world) for i in range(world.n)])
+        assert got.tobytes() == want.tobytes()
+
+    @given(snapshots(), st.data())
+    def test_one_index_is_the_one_row_case(self, snap, data):
+        state, eff, world = snap
+        i = data.draw(st.integers(0, world.n - 1))
+        rows = apply_motion_law(np.array([i]), state, eff, world.behavior, world)
+        one = apply_motion_law(i, state, eff, world.behavior, world)
+        assert one.shape == (2,)
+        assert one.tobytes() == rows[0].tobytes()
+        assert desired_target(i, state, eff, world.behavior).tobytes() == (
+            desired_target(np.array([i]), state, eff, world.behavior)[0].tobytes()
+        )
+
+    @pytest.mark.parametrize("kind", ["gather", "formation", "leader_follow"])
+    def test_whole_runs_match_the_per_agent_law(self, kind):
+        # planned from committed states of real runs, walls and reverts included
+        spec = BehaviorSpec.for_range(kind, 1.0, waypoints=((2.0, 1.0),))
+        wall = Polygon(((0.8, 0.5), (0.92, 0.5), (0.92, 0.62), (0.8, 0.62)))
+        for rng_plus, obstacles in ((0, ()), (1, (wall,))):
+            world = WorldConfig(
+                n=14, vis_range=1.0, behavior=spec, init=InitSpec(box=(0.0, 0.0, 1.6, 1.6)),
+                rng_plus=rng_plus, min_separation=0.1, obstacles=obstacles, max_rounds=60, seed=7,
+            )
+            states = []
+            run(world, observer=lambda state, report: states.append(state))
+            for state in states:
+                state = replace(state, waypoint_index=_advance_waypoints(state, world))
+                eff = effective_graph(visibility_graph(state.positions, 1.0), state.positions, rng_plus)
+                got = apply_motion_law(np.arange(world.n), state, eff, spec, world)
+                want = np.array([reference_motion_law(i, state, eff, spec, world) for i in range(world.n)])
+                assert got.tobytes() == want.tobytes()
+
+    def test_separation_cap_rows_match_scalar_calls(self, rng):
+        for _ in range(20):
+            xy = rng.uniform(0.0, 1.5, size=(9, 2))
+            caps = separation_cap(np.arange(9), xy, 1.0, 0.0)
+            assert caps.tolist() == [separation_cap(i, xy, 1.0, 0.0) for i in range(9)]
+
+    def test_floor_warning_is_one_record_per_call(self, caplog):
+        # agents 0, 1 and 2 are pairwise closer than the floor; agent 3 is clear
+        xy = [(0.0, 0.0), (0.05, 0.0), (0.0, 0.08), (1.0, 0.0)]
+        with caplog.at_level(logging.WARNING, logger="rngswarm.motion"):
+            caps = separation_cap(np.arange(4), xy, vis_range=1.0, min_separation=0.1)
+        assert caps[:3].tolist() == [0.0, 0.0, 0.0]
+        assert len(caplog.records) == 1
+        assert "below the separation floor" in caplog.records[0].message
+        assert caplog.records[0].message.startswith("3 agent(s)")
