@@ -20,13 +20,7 @@ from .engine import (
     run,
     step,
 )
-from .geom import (
-    FEASIBILITY_TOL,
-    Point2,
-    Polygon,
-    distance,
-    in_lune,
-)
+from .geom import FEASIBILITY_TOL, Polygon
 from .graphs import (
     Graph,
     GraphMetrics,
@@ -54,7 +48,6 @@ __all__ = [
     "Graph",
     "GraphMetrics",
     "InitSpec",
-    "Point2",
     "Polygon",
     "RoundReport",
     "ScenarioError",
@@ -62,10 +55,8 @@ __all__ = [
     "WorldConfig",
     "apply_motion_law",
     "desired_target",
-    "distance",
     "effective_graph",
     "graph_metrics",
-    "in_lune",
     "initial_state",
     "is_connected",
     "load_scenario",

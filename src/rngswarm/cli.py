@@ -102,7 +102,7 @@ def _cmd_graph(args: argparse.Namespace) -> int:
     print(f"diameter_hops: {m.diameter_hops}")
     print(f"min_pair_distance: {m.min_pair_distance:.9g}")
     print(f"max_pair_distance: {m.max_pair_distance:.9g}")
-    print(f"max_effective_degree: {m.max_effective_degree}")
+    print(f"max_effective_degree: {max(eff.degree(i) for i in range(world.n))}")
     if args.svg:
         write_svg_frame(state, world, eff, args.svg)
         print(f"frame: {args.svg}")

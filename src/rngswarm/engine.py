@@ -12,7 +12,6 @@ edge inside the next visibility graph and hence the swarm connected.
 
 from __future__ import annotations
 
-import heapq
 import logging
 import math
 from dataclasses import dataclass, replace
@@ -157,7 +156,6 @@ class RoundReport:
     round: int
     metrics: GraphMetrics
     reverted_agents: int
-    leader_waypoint_index: int = 0
 
 
 def initial_state(world: WorldConfig) -> SwarmState:
@@ -242,34 +240,25 @@ def _verify_and_revert(
     each violated edge is met, until a sweep changes nothing; an edge that
     stays violated with both endpoints already reverted (a pre-existing line
     of sight break) cannot be repaired and is left to the trimming dynamics.
-    Only the edges that can act are visited: one array pass checks every
-    edge, and an edge is checked again only after one of its endpoints was
-    reverted, in the same sweep if it comes later in the order, else in the
-    next one.
+    One array pass checks every edge; a sweep then re-checks an edge only
+    when one of its endpoints was reverted since its last check, and the
+    sweeps stop once no such edge is left.
     """
     edges = effective.edges
-    safe = _edges_safe(proposals, edges, world)
+    safe = _edges_safe(proposals, edges, world).tolist()
     reverted: set[int] = set()
-    todo = np.flatnonzero(~safe).tolist()
-    if not todo:
+    if all(safe):
         return reverted
-    stale = np.zeros(len(edges), dtype=bool)
+    stale = [False] * len(safe)
     # the edges at each agent: its CSR row, as edge indices
     ptr = effective._csr[0]
     at = (np.argsort(edges.T.ravel(), kind="stable") % len(edges)).tolist()
-    while todo:
-        later: set[int] = set()
-        heapq.heapify(todo)
-        last = -1
-        while todo:
-            e = heapq.heappop(todo)
-            if e == last:
-                continue
-            last = e
-            i, j = edges[e].tolist()
+    pairs = edges.tolist()
+    while True:
+        for e, (i, j) in enumerate(pairs):
             if stale[e]:
                 stale[e] = False
-                safe[e] = _edges_safe(proposals, edges[e : e + 1], world)[0]
+                safe[e] = bool(_edges_safe(proposals, edges[e : e + 1], world)[0])
             if safe[e]:
                 continue
             for a in (i, j):
@@ -280,12 +269,8 @@ def _verify_and_revert(
                 for f in at[ptr[a] : ptr[a + 1]]:
                     if f != e:
                         stale[f] = True
-                        if f > e:
-                            heapq.heappush(todo, f)
-                        else:
-                            later.add(f)
-        todo = list(later)
-    return reverted
+        if not any(stale):
+            return reverted
 
 
 def _build_graphs(positions: np.ndarray, world: WorldConfig) -> tuple[Graph, Graph]:
@@ -312,12 +297,7 @@ def _step_core(
             f"visibility graph disconnected after round {new_state.round}; positions:\n"
             + np.array2string(new_state.positions, precision=17, threshold=10_000)
         )
-    report = RoundReport(
-        round=new_state.round,
-        metrics=metrics,
-        reverted_agents=len(reverted),
-        leader_waypoint_index=wp_index,
-    )
+    report = RoundReport(round=new_state.round, metrics=metrics, reverted_agents=len(reverted))
     return new_state, report, g2, eff2
 
 

@@ -1,7 +1,7 @@
 """Planar geometry for the swarm simulator.
 
-Scalar primitives work on small frozen types; the segment clamp is array
-based because the motion law evaluates it for every agent at once. All
+Polygon predicates work on plain floats; the segment clamp is array based
+because the motion law evaluates it for every agent at once. All
 feasibility checks share an absolute length tolerance of 1e-9, and the
 intersection tests are deliberately conservative: exact touching counts
 as contact.
@@ -30,44 +30,6 @@ FEASIBILITY_TOL = 1e-9
 _EPS = 1e-12
 
 
-@dataclass(frozen=True)
-class Point2:
-    """Planar position in abstract world units."""
-
-    x: float
-    y: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise ValueError(f"coordinates must be finite, got ({self.x!r}, {self.y!r})")
-
-
-def distance(a: Point2, b: Point2) -> float:
-    """Euclidean distance between two points.
-
-    Computed as sqrt(dx*dx + dy*dy) rather than hypot: multiplication,
-    addition, and sqrt are correctly rounded on every IEEE platform, so every
-    module comparing distances (the lune test, the visibility cut-off, the
-    engine's edge checks) sees bit-identical values for identical inputs.
-    """
-    dx = a.x - b.x
-    dy = a.y - b.y
-    return math.sqrt(dx * dx + dy * dy)
-
-
-def in_lune(k: Point2, i: Point2, j: Point2) -> bool:
-    """Whether k lies strictly inside the lens of the pair (i, j).
-
-    The lens is the intersection of the two open discs of radius d(i, j)
-    centred at i and at j. Both comparisons are strict, so points exactly
-    on the boundary do not count. A coincident pair has no lens and raises.
-    """
-    d = distance(i, j)
-    if d == 0.0:
-        raise ValueError("lune is undefined for a coincident pair")
-    return distance(i, k) < d and distance(j, k) < d
-
-
 # ---------------------------------------------------------------------------
 # segment clamping against disc constraints
 # ---------------------------------------------------------------------------
@@ -87,7 +49,7 @@ def _disc_rows(cur_xy, tgt_xy, centers, radii, indptr=None):
     return cur, tgt, ctr, r, owner
 
 
-def _fractions(cur, tgt, ctr, r, owner, tol: float) -> np.ndarray:
+def _fractions(cur, tgt, ctr, r, owner) -> np.ndarray:
     """Largest feasible fraction per row: one ray-circle root per disc, then
     the smallest per row, a minimum that does not depend on the disc order."""
     k = len(cur)
@@ -95,7 +57,7 @@ def _fractions(cur, tgt, ctr, r, owner, tol: float) -> np.ndarray:
     ww = w[:, 0] * w[:, 0] + w[:, 1] * w[:, 1]
     if len(ww):
         violation = float((np.sqrt(ww) - r).max())
-        if violation > tol:
+        if violation > FEASIBILITY_TOL:
             raise ValueError(f"current point violates a constraint disc by {violation:.3g}")
     d = tgt - cur
     a = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]
@@ -112,7 +74,7 @@ def _fractions(cur, tgt, ctr, r, owner, tol: float) -> np.ndarray:
     b = 2.0 * (w[:, 0] * de[:, 0] + w[:, 1] * de[:, 1])
     disc = b * b - 4.0 * ae * (ww - rr)
     # a non-positive discriminant can only happen when the current point sits
-    # marginally outside a disc (within tol); no forward motion then
+    # marginally outside a disc (within the tolerance); no forward motion then
     root = np.where(
         disc > 0.0, (-b + np.sqrt(np.maximum(disc, 0.0))) / np.where(ae > 0.0, 2.0 * ae, 1.0), 0.0
     )
@@ -124,19 +86,20 @@ def _fractions(cur, tgt, ctr, r, owner, tol: float) -> np.ndarray:
     return s
 
 
-def clamp_fraction(cur_xy, tgt_xy, centers, radii, tol: float = FEASIBILITY_TOL) -> float:
+def clamp_fraction(cur_xy, tgt_xy, centers, radii) -> float:
     """Largest s in [0, 1] keeping cur + s * (tgt - cur) inside every disc.
 
     Solves the ray-circle quadratic per disc and takes the smallest positive
     root bound; the feasible set along the segment is an interval starting at
     the current point, so the minimum over discs is exact. The current point
-    must already satisfy every disc within tol, otherwise ValueError. This
-    is the one-row case of the clamp that `clamp_point_xy` runs per row.
+    must already satisfy every disc within the feasibility tolerance,
+    otherwise ValueError. This is the one-row case of the clamp that
+    `clamp_point_xy` runs per row.
     """
-    return float(_fractions(*_disc_rows(cur_xy, tgt_xy, centers, radii), tol)[0])
+    return float(_fractions(*_disc_rows(cur_xy, tgt_xy, centers, radii))[0])
 
 
-def clamp_point_xy(cur_xy, tgt_xy, centers, radii, tol: float = FEASIBILITY_TOL, indptr=None) -> np.ndarray:
+def clamp_point_xy(cur_xy, tgt_xy, centers, radii, indptr=None) -> np.ndarray:
     """Move from cur toward tgt as far as every disc allows.
 
     Returns cur + s * (tgt - cur) with the largest feasible s in [0, 1]; if
@@ -149,7 +112,7 @@ def clamp_point_xy(cur_xy, tgt_xy, centers, radii, tol: float = FEASIBILITY_TOL,
     point is the one-row case and gives one (2,) point.
     """
     cur, tgt, ctr, r, owner = _disc_rows(cur_xy, tgt_xy, centers, radii, indptr)
-    s = _fractions(cur, tgt, ctr, r, owner, tol)
+    s = _fractions(cur, tgt, ctr, r, owner)
     q = tgt.copy()
     rows = s < 1.0
     q[rows] = cur[rows] + s[rows, None] * (tgt[rows] - cur[rows])
@@ -221,17 +184,16 @@ def _signed_area(xy: Sequence[tuple[float, float]]) -> float:
 class Polygon:
     """Simple polygon used as an obstacle; stored counterclockwise."""
 
-    vertices: tuple[Point2, ...]
+    vertices: tuple[tuple[float, float], ...]
 
     def __post_init__(self) -> None:
-        verts = tuple(
-            p if isinstance(p, Point2) else Point2(float(p[0]), float(p[1]))
-            for p in self.vertices
-        )
-        if len(verts) < 3:
-            raise ValueError(f"polygon needs at least 3 vertices, got {len(verts)}")
-        xy = [(p.x, p.y) for p in verts]
+        xy = [(float(x), float(y)) for x, y in self.vertices]
         n = len(xy)
+        if n < 3:
+            raise ValueError(f"polygon needs at least 3 vertices, got {n}")
+        for k, (x, y) in enumerate(xy):
+            if not (math.isfinite(x) and math.isfinite(y)):
+                raise ValueError(f"polygon vertices must be finite, got ({x!r}, {y!r}) at index {k}")
         for k in range(n):
             if xy[k] == xy[(k + 1) % n]:
                 raise ValueError(f"polygon has coincident consecutive vertices at index {k}")
@@ -239,8 +201,7 @@ class Polygon:
         if area == 0.0:
             raise ValueError("polygon is degenerate (zero area)")
         if area < 0.0:
-            verts = tuple(reversed(verts))
-            xy = list(reversed(xy))
+            xy.reverse()
         # simplicity: no two non-adjacent edges may meet
         for k in range(n):
             a1, a2 = xy[k], xy[(k + 1) % n]
@@ -252,18 +213,15 @@ class Polygon:
                     raise ValueError(f"polygon edges {k} and {l} intersect (not simple)")
         xs = [p[0] for p in xy]
         ys = [p[1] for p in xy]
-        object.__setattr__(self, "vertices", verts)
-        object.__setattr__(self, "_xy", tuple(xy))
+        object.__setattr__(self, "vertices", tuple(xy))
         object.__setattr__(self, "_bbox", (min(xs), min(ys), max(xs), max(ys)))
-
-    # float-level predicates (hot path: no Point2 boxing)
 
     def contains_xy(self, x: float, y: float) -> bool:
         """Inside or on the boundary; boundary contact counts as contained."""
         bx0, by0, bx1, by1 = self._bbox
         if x < bx0 - _EPS or x > bx1 + _EPS or y < by0 - _EPS or y > by1 + _EPS:
             return False
-        pts = self._xy
+        pts = self.vertices
         n = len(pts)
         inside = False
         for k in range(n):
@@ -277,9 +235,6 @@ class Polygon:
                     inside = not inside
         return inside
 
-    def contains(self, p: Point2) -> bool:
-        return self.contains_xy(p.x, p.y)
-
     def blocks_segment_xy(self, x1: float, y1: float, x2: float, y2: float) -> bool:
         """Whether the segment touches, crosses, or sits inside this polygon."""
         bx0, by0, bx1, by1 = self._bbox
@@ -290,7 +245,7 @@ class Polygon:
             or min(y1, y2) > by1 + _EPS
         ):
             return False
-        pts = self._xy
+        pts = self.vertices
         n = len(pts)
         for k in range(n):
             ex1, ey1 = pts[k]

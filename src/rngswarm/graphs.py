@@ -14,11 +14,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .geom import Point2
-
 
 def coords(positions) -> np.ndarray:
-    """(n, 2) float64 array from an ndarray, Point2 sequence, or pair sequence."""
+    """(n, 2) float64 array from an ndarray or a sequence of (x, y) pairs."""
     if isinstance(positions, np.ndarray):
         a = np.asarray(positions, dtype=float)
         if a.ndim != 2 or a.shape[1] != 2:
@@ -27,8 +25,6 @@ def coords(positions) -> np.ndarray:
     seq = list(positions)
     if not seq:
         return np.zeros((0, 2), dtype=float)
-    if isinstance(seq[0], Point2):
-        return np.array([(p.x, p.y) for p in seq], dtype=float)
     return np.asarray(seq, dtype=float).reshape(len(seq), 2)
 
 
@@ -107,7 +103,6 @@ class GraphMetrics:
     diameter_hops: int  # 0 when n <= 1; -1 flags a disconnected graph
     min_pair_distance: float  # inf when there is no pair
     max_pair_distance: float  # 0 when there is no pair
-    max_effective_degree: int
 
 
 def pairwise_distances(xy: np.ndarray) -> np.ndarray:
@@ -220,7 +215,6 @@ def graph_metrics(graph: Graph, effective: Graph, positions) -> GraphMetrics:
         raise ValueError(f"graph has {graph.n} vertices but {len(xy)} positions given")
     dmin, dmax = pair_distance_range(xy)
     diameter = _hops(graph, np.arange(n))
-    max_degree = int(np.bincount(effective.edges.ravel(), minlength=n).max(initial=0))
     return GraphMetrics(
         edge_count=len(graph.edges),
         effective_edge_count=len(effective.edges),
@@ -228,5 +222,4 @@ def graph_metrics(graph: Graph, effective: Graph, positions) -> GraphMetrics:
         diameter_hops=diameter,
         min_pair_distance=dmin,
         max_pair_distance=dmax,
-        max_effective_degree=max_degree,
     )

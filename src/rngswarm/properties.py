@@ -19,6 +19,7 @@ from .motion import BehaviorSpec
 
 CLAMP_ORACLE_TOL = 1e-7
 SEPARATION_TOL = 1e-9
+_SAMPLE_ATTEMPTS = 10_000
 
 
 @dataclass(frozen=True)
@@ -33,30 +34,24 @@ class SuiteResult:
         return self.failures == 0
 
 
-def sample_connected_positions(
-    rng: np.random.Generator,
-    n: int,
-    vis_range: float = 1.0,
-    min_sep: float = 0.0,
-    box_scale: float = 0.7,
-    attempts: int = 10_000,
-) -> np.ndarray:
-    """Uniform box sample, resampled until the visibility graph is connected
-    (and no pair starts below min_sep, when given)."""
-    side = max(1.0, box_scale * math.sqrt(n)) * vis_range
-    for _ in range(attempts):
+def sample_connected_positions(rng: np.random.Generator, n: int, min_sep: float = 0.0) -> np.ndarray:
+    """Uniform sample of a square of side max(1, 0.7 * sqrt(n)), resampled
+    until the unit-range visibility graph is connected (and no pair starts
+    below min_sep, when given)."""
+    side = max(1.0, 0.7 * math.sqrt(n))
+    for _ in range(_SAMPLE_ATTEMPTS):
         xy = rng.uniform(0.0, side, size=(n, 2))
-        if _acceptable_init(xy, vis_range, min_sep, ()):
+        if _acceptable_init(xy, 1.0, min_sep, ()):
             return xy
-    raise RuntimeError(f"no connected sample found for n={n} in {attempts} attempts")
+    raise RuntimeError(f"no connected sample found for n={n} in {_SAMPLE_ATTEMPTS} attempts")
 
 
-def check_connectivity_preservation(cases: int, seed: int, n_max: int = 60) -> SuiteResult:
+def check_connectivity_preservation(cases: int, seed: int) -> SuiteResult:
     """Trimming a connected visibility graph never disconnects it."""
     rng = np.random.default_rng(seed)
     failures = 0
     for _ in range(cases):
-        n = int(rng.integers(3, n_max + 1))
+        n = int(rng.integers(3, 61))
         xy = sample_connected_positions(rng, n)
         g = visibility_graph(xy, 1.0)
         eff = effective_graph(g, xy, 0)
@@ -65,13 +60,13 @@ def check_connectivity_preservation(cases: int, seed: int, n_max: int = 60) -> S
     return SuiteResult("connectivity-preservation", cases, failures)
 
 
-def check_edge_bound(cases: int, seed: int, n_max: int = 60) -> SuiteResult:
+def check_edge_bound(cases: int, seed: int) -> SuiteResult:
     """The trimmed graph is a subgraph with at most 3n - 6 edges (n >= 3)."""
     rng = np.random.default_rng(seed)
     failures = 0
     detail = ""
     for _ in range(cases):
-        n = int(rng.integers(3, n_max + 1))
+        n = int(rng.integers(3, 61))
         xy = sample_connected_positions(rng, n)
         g = visibility_graph(xy, 1.0)
         eff = effective_graph(g, xy, 0)
@@ -81,12 +76,12 @@ def check_edge_bound(cases: int, seed: int, n_max: int = 60) -> SuiteResult:
     return SuiteResult("edge-bound", cases, failures, detail)
 
 
-def check_trim_symmetry(cases: int, seed: int, n_max: int = 30) -> SuiteResult:
+def check_trim_symmetry(cases: int, seed: int) -> SuiteResult:
     """Lens occupancy is identical from both ends of every visible edge."""
     rng = np.random.default_rng(seed)
     failures = 0
     for _ in range(cases):
-        n = int(rng.integers(3, n_max + 1))
+        n = int(rng.integers(3, 31))
         xy = sample_connected_positions(rng, n)
         g = visibility_graph(xy, 1.0)
         for i, j in g.edges.tolist():
@@ -96,12 +91,12 @@ def check_trim_symmetry(cases: int, seed: int, n_max: int = 30) -> SuiteResult:
     return SuiteResult("trim-symmetry", cases, failures)
 
 
-def check_plus_nesting(cases: int, seed: int, n_max: int = 40) -> SuiteResult:
+def check_plus_nesting(cases: int, seed: int) -> SuiteResult:
     """Raising the lens occupancy limit only ever adds edges."""
     rng = np.random.default_rng(seed)
     failures = 0
     for _ in range(cases):
-        n = int(rng.integers(3, n_max + 1))
+        n = int(rng.integers(3, 41))
         xy = sample_connected_positions(rng, n)
         g = visibility_graph(xy, 1.0)
         levels = [effective_graph(g, xy, m) for m in (0, 1, 2)] + [g]
@@ -160,7 +155,7 @@ def random_clamp_instance(rng: np.random.Generator):
     return cur, tgt, centers, radii
 
 
-def bisect_clamp_fraction(cur, tgt, centers, radii, iters: int = 60) -> float:
+def bisect_clamp_fraction(cur, tgt, centers, radii) -> float:
     """Independent oracle: bisection on the feasibility predicate along the segment."""
     centers = np.asarray(centers, dtype=float).reshape(-1, 2)
     radii = np.broadcast_to(np.asarray(radii, dtype=float), (centers.shape[0],))
@@ -175,7 +170,7 @@ def bisect_clamp_fraction(cur, tgt, centers, radii, iters: int = 60) -> float:
     if feasible(1.0):
         return 1.0
     lo, hi = 0.0, 1.0
-    for _ in range(iters):
+    for _ in range(60):
         mid = 0.5 * (lo + hi)
         if feasible(mid):
             lo = mid

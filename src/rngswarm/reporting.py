@@ -66,8 +66,8 @@ def write_svg_frame(state: SwarmState, world: WorldConfig, effective: Graph, pat
     xs = [float(v) for v in xy[:, 0]]
     ys = [float(v) for v in xy[:, 1]]
     for poly in world.obstacles:
-        xs.extend(p.x for p in poly.vertices)
-        ys.extend(p.y for p in poly.vertices)
+        xs.extend(x for x, _ in poly.vertices)
+        ys.extend(y for _, y in poly.vertices)
     for wx, wy in world.behavior.waypoints:
         xs.append(wx)
         ys.append(wy)
@@ -93,7 +93,7 @@ def write_svg_frame(state: SwarmState, world: WorldConfig, effective: Graph, pat
         f'<rect x="0" y="0" width="{width:.2f}" height="{height:.2f}" fill="#fdfdf8"/>',
     ]
     for poly in world.obstacles:
-        pts = " ".join(f"{sx(p.x):.2f},{sy(p.y):.2f}" for p in poly.vertices)
+        pts = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in poly.vertices)
         parts.append(f'<polygon points="{pts}" fill="#9aa0a6" stroke="#5f6368" stroke-width="{thin:.2f}"/>')
     for wx, wy in world.behavior.waypoints:
         c = max(2.0, 0.04 * vis * scale)

@@ -189,7 +189,7 @@ def save_scenario(world: WorldConfig, path) -> None:
         },
     }
     if world.obstacles:
-        doc["obstacles"] = [[[p.x, p.y] for p in poly.vertices] for poly in world.obstacles]
+        doc["obstacles"] = [[[x, y] for x, y in poly.vertices] for poly in world.obstacles]
     if world.init.positions is not None:
         doc["init"] = {"positions": [list(p) for p in world.init.positions]}
     else:

@@ -252,7 +252,7 @@ def test_leader_stretches_swarm_past_three_ranges():
 def test_swarm_threads_the_corridor(corridor_run):
     world = corridor_run["world"]
     reports = corridor_run["reports"]
-    exit_x = max(p.x for poly in world.obstacles for p in poly.vertices)
+    exit_x = max(x for poly in world.obstacles for x, _ in poly.vertices)
     final_x = corridor_run["final"].positions[:, 0]
     past = int((final_x > exit_x).sum())
     connected = all(r.metrics.connected for r in reports)

@@ -1,7 +1,8 @@
 """The modules that decide positions keep to the portable arithmetic.
 
-`geom` and `motion` spell dot products and squares out as products and
-sums, because BLAS kernels (`@`, `np.dot`, `np.matmul`, `np.einsum`) may use
+`geom` and `motion` compute positions and `engine` decides which of them
+commit. All three spell dot products and squares out as products and sums,
+because BLAS kernels (`@`, `np.dot`, `np.matmul`, `np.einsum`) may use
 fused multiply-adds chosen per CPU, and `**` goes through libm `pow`; either
 would tie the trajectories to the machine. An AST scan, like
 `tests/test_imports.py`.
@@ -13,7 +14,7 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "rngswarm"
-MODULES = [SRC / "geom.py", SRC / "motion.py"]
+MODULES = [SRC / "engine.py", SRC / "geom.py", SRC / "motion.py"]
 BLAS_NAMES = {"dot", "matmul", "einsum", "vdot", "inner"}
 
 

@@ -5,19 +5,26 @@ round calls them through, and `perfbench/sweep.py` reaches the layers through
 public `rngswarm` names. A round that stops calling a wrapped name, or a
 public name that disappears, drops that layer from the benchmark's result
 without failing it. These checks run a few traced batch rounds the way
-`perfbench/run.py` does, and call every name the layer sweep uses.
+`perfbench/run.py` does, and call every name the layer sweep uses. The last
+line `perfbench/run.py` prints is its result; the benchmark reads nothing
+else, so a short run at each trace level must end on that line.
 """
 
 import ast
+import json
+import os
+import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import rngswarm as rs
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
 sys.path.insert(0, str(PERFBENCH))
 try:
     import tracer
@@ -67,3 +74,26 @@ def test_the_sweeps_per_agent_motion_call_runs():
     for i in range(world.n):
         q = rs.apply_motion_law(i, state, eff, world.behavior, world)
         assert q.tobytes() == rows[i].tobytes()
+
+
+def _reject(constant):
+    raise ValueError(f"{constant} is not strict JSON")
+
+
+@pytest.mark.parametrize("trace, declared", [(0, "end_to_end"), (1, "per_layer")])
+def test_the_last_line_is_the_result(trace, declared):
+    proc = subprocess.run(
+        [sys.executable, str(PERFBENCH / "run.py"), "--workload", "scenarios", "--seed", "11",
+         "--seconds", "0.1", "--trace", str(trace)],
+        cwd=ROOT,
+        env={**os.environ, "PYTHONUNBUFFERED": "1"},
+        stdout=subprocess.PIPE,
+        stderr=subprocess.STDOUT,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout
+    result = json.loads(proc.stdout.splitlines()[-1], parse_constant=_reject)
+    assert result["correct"] is True
+    names = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())[declared]]
+    assert sorted(result["metrics"]) == sorted(names)

@@ -302,7 +302,7 @@ class TestStep:
         spec = BehaviorSpec.for_range("gather", 1.0)
         for _ in range(50):
             n = int(rng.integers(3, 11))
-            xy = sample_connected_positions(rng, n, vis_range=1.0, min_sep=0.12)
+            xy = sample_connected_positions(rng, n, min_sep=0.12)
             w = make_world([tuple(p) for p in xy], spec, min_separation=0.1)
             state = initial_state(w)
             eff_before = effective_graph(visibility_graph(state.positions, 1.0), state.positions, 0)
@@ -317,7 +317,7 @@ class TestStep:
         spec = BehaviorSpec.for_range("gather", 1.0)
         for _ in range(30):
             n = int(rng.integers(3, 11))
-            xy = sample_connected_positions(rng, n, vis_range=1.0, min_sep=0.12)
+            xy = sample_connected_positions(rng, n, min_sep=0.12)
             w = make_world([tuple(p) for p in xy], spec, min_separation=0.1)
             _, report = step(initial_state(w), w)
             assert report.reverted_agents == 0
@@ -325,7 +325,7 @@ class TestStep:
     def test_separation_floor_holds(self, rng):
         spec = BehaviorSpec.for_range("gather", 1.0)
         for _ in range(20):
-            xy = sample_connected_positions(rng, 8, vis_range=1.0, min_sep=0.12)
+            xy = sample_connected_positions(rng, 8, min_sep=0.12)
             w = make_world([tuple(p) for p in xy], spec, min_separation=0.1)
             state = initial_state(w)
             for _ in range(5):
@@ -383,18 +383,20 @@ class TestRun:
         w = make_world(
             [(0.0, 0.0)], spec, min_separation=0.0, obstacles=(wall,), max_rounds=25
         )
-        reports = run(w)
+        waypoint = []
+        reports = run(w, observer=lambda state, report: waypoint.append(state.waypoint_index))
         assert len(reports) == 25
-        assert all(r.leader_waypoint_index == 0 for r in reports)
+        assert waypoint == [0] * 26
 
     def test_leader_run_ends_after_reaching_waypoints(self):
         # follower trails the leader: one-sided approaches keep a little slack
         # above the floor, so the pair never freezes mid-route
         spec = BehaviorSpec.for_range("leader_follow", 1.0, waypoints=((0.3, 0.0),))
         w = make_world([(0.0, 0.0), (-0.5, 0.0)], spec, min_separation=0.1, max_rounds=100)
-        reports = run(w)
+        waypoint = []
+        reports = run(w, observer=lambda state, report: waypoint.append(state.waypoint_index))
         assert 0 < len(reports) < 100  # quiescent well before the budget
-        assert reports[-1].leader_waypoint_index == 1
+        assert waypoint[-1] == 1
         assert all(r.metrics.connected for r in reports)
         assert all(r.metrics.min_pair_distance >= 0.1 - 1e-9 for r in reports)
 

@@ -6,29 +6,28 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rngswarm.geom import (
-    Point2,
     Polygon,
     clamp_fraction,
     clamp_point_xy,
-    distance,
-    in_lune,
     segments_intersect_xy,
 )
+from rngswarm.graphs import lune_count, pairwise_distances
 from rngswarm.properties import bisect_clamp_fraction, random_clamp_instance
 
 finite = st.floats(min_value=-50, max_value=50, allow_nan=False, allow_infinity=False)
 
 
+def in_lens(k, i, j):
+    """Whether point k lies strictly inside the lens of the pair (i, j)."""
+    return lune_count(0, 1, [i, j, k]) == 1
+
+
 class TestPoints:
     def test_distance(self):
-        assert distance(Point2(0, 0), Point2(3, 4)) == 5.0
-        assert distance(Point2(-1, -1), Point2(-1, -1)) == 0.0
-
-    def test_rejects_non_finite_coordinates(self):
-        with pytest.raises(ValueError):
-            Point2(math.nan, 0.0)
-        with pytest.raises(ValueError):
-            Point2(0.0, math.inf)
+        # lengths are sqrt(dx*dx + dy*dy): a 3-4-5 triangle is exact
+        d = pairwise_distances(np.array([(0.0, 0.0), (3.0, 4.0), (-1.0, -1.0), (-1.0, -1.0)]))
+        assert d[0, 1] == 5.0
+        assert d[2, 3] == 0.0
 
     def test_disc_contains_is_closed(self):
         # a clamp disc includes its rim: a target on it is reached, one just
@@ -39,32 +38,32 @@ class TestPoints:
 
 class TestLune:
     def test_point_inside(self):
-        assert in_lune(Point2(0.5, 0.1), Point2(0, 0), Point2(1, 0))
+        assert in_lens((0.5, 0.1), (0, 0), (1, 0))
 
     def test_midpoint_inside(self):
-        assert in_lune(Point2(0.5, 0.0), Point2(0, 0), Point2(1, 0))
+        assert in_lens((0.5, 0.0), (0, 0), (1, 0))
 
     def test_boundary_point_excluded(self):
         # (3, 4) is at distance exactly 5 from (0, 0) — on the lens rim of a
         # pair at distance 5, and well inside the disc around the other end
-        assert not in_lune(Point2(3, 4), Point2(0, 0), Point2(5, 0))
+        assert not in_lens((3, 4), (0, 0), (5, 0))
         # nudged one step inward it counts
-        assert in_lune(Point2(3, 3.9999999), Point2(0, 0), Point2(5, 0))
+        assert in_lens((3, 3.9999999), (0, 0), (5, 0))
 
     def test_endpoints_excluded(self):
-        assert not in_lune(Point2(0, 0), Point2(0, 0), Point2(1, 0))
-        assert not in_lune(Point2(1, 0), Point2(0, 0), Point2(1, 0))
+        assert not in_lens((0, 0), (0, 0), (1, 0))
+        assert not in_lens((1, 0), (0, 0), (1, 0))
 
     def test_far_point_excluded(self):
-        assert not in_lune(Point2(2.0, 0.0), Point2(0, 0), Point2(1, 0))
+        assert not in_lens((2.0, 0.0), (0, 0), (1, 0))
 
     def test_coincident_pair_raises(self):
         with pytest.raises(ValueError, match="coincident"):
-            in_lune(Point2(0.3, 0.3), Point2(1, 1), Point2(1, 1))
+            in_lens((0.3, 0.3), (1, 1), (1, 1))
 
     def test_symmetric_in_pair_order(self):
-        k, a, b = Point2(0.4, -0.2), Point2(0, 0), Point2(1, 0)
-        assert in_lune(k, a, b) == in_lune(k, b, a)
+        k, a, b = (0.4, -0.2), (0, 0), (1, 0)
+        assert in_lens(k, a, b) == in_lens(k, b, a)
 
 
 class TestClampFraction:
@@ -162,36 +161,42 @@ class TestSegmentIntersection:
         assert first == second
 
 
-SQUARE = Polygon((Point2(0, 0), Point2(2, 0), Point2(2, 2), Point2(0, 2)))
+SQUARE = Polygon(((0, 0), (2, 0), (2, 2), (0, 2)))
 
 
 class TestPolygon:
     def test_accepts_bare_pairs(self):
         p = Polygon(((0, 0), (1, 0), (0, 1)))
-        assert p.vertices[1] == Point2(1.0, 0.0)
+        assert p.vertices[1] == (1.0, 0.0)
 
     def test_clockwise_input_is_reversed(self):
-        ccw = Polygon((Point2(0, 0), Point2(1, 0), Point2(0, 1)))
-        cw = Polygon((Point2(0, 1), Point2(1, 0), Point2(0, 0)))
+        ccw = Polygon(((0, 0), (1, 0), (0, 1)))
+        cw = Polygon(((0, 1), (1, 0), (0, 0)))
         assert set(ccw.vertices) == set(cw.vertices)
         assert cw.contains_xy(0.25, 0.25)
 
     def test_too_few_vertices(self):
         with pytest.raises(ValueError, match="at least 3"):
-            Polygon((Point2(0, 0), Point2(1, 0)))
+            Polygon(((0, 0), (1, 0)))
 
     def test_coincident_consecutive_vertices(self):
         with pytest.raises(ValueError, match="coincident"):
-            Polygon((Point2(0, 0), Point2(0, 0), Point2(1, 1)))
+            Polygon(((0, 0), (0, 0), (1, 1)))
+
+    def test_rejects_non_finite_vertices(self):
+        with pytest.raises(ValueError, match="finite"):
+            Polygon(((0, 0), (math.nan, 0.0), (1, 1)))
+        with pytest.raises(ValueError, match="finite"):
+            Polygon(((0, 0), (1, 0), (0.0, math.inf)))
 
     def test_zero_area(self):
         with pytest.raises(ValueError, match="degenerate"):
-            Polygon((Point2(0, 0), Point2(1, 1), Point2(2, 2)))
+            Polygon(((0, 0), (1, 1), (2, 2)))
 
     def test_self_intersection(self):
         # asymmetric bowtie: nonzero area, edges 1 and 3 cross at (1.2, 0.6)
         with pytest.raises(ValueError, match="not simple"):
-            Polygon((Point2(0, 0), Point2(3, 0), Point2(0, 1), Point2(2, 1)))
+            Polygon(((0, 0), (3, 0), (0, 1), (2, 1)))
 
     def test_contains_interior_and_exterior(self):
         assert SQUARE.contains_xy(1.0, 1.0)
@@ -201,7 +206,7 @@ class TestPolygon:
     def test_boundary_counts_as_contained(self):
         assert SQUARE.contains_xy(2.0, 1.0)  # edge
         assert SQUARE.contains_xy(0.0, 0.0)  # vertex
-        assert SQUARE.contains(Point2(1.0, 2.0))
+        assert SQUARE.contains_xy(1.0, 2.0)
 
     def test_concave_polygon_containment(self):
         # L-shape: the notch around (1.5, 1.5) is outside

@@ -9,12 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rngswarm.engine import InitSpec, SwarmState, WorldConfig, _advance_waypoints, run
-from rngswarm.geom import Point2, Polygon, distance
+from rngswarm.geom import Polygon
 from rngswarm.graphs import Graph, effective_graph, visibility_graph
 from rngswarm.motion import BehaviorSpec, apply_motion_law, desired_target, separation_cap
 from rngswarm.properties import sample_connected_positions
 
-from helpers import reference_motion_law, snapshots
+from helpers import dist, reference_motion_law, snapshots
 
 
 def make_state(positions, waypoint_index=0):
@@ -150,7 +150,7 @@ class TestAllowableDisc:
             t0, t1 = (tuple(rng.uniform(-3.0, 3.0, size=2)) for _ in range(2))
             q0 = step_toward(0, [p0, p1], t0, {(0, 1)}, vis_range=2.0)
             q1 = step_toward(1, [p0, p1], t1, {(0, 1)}, vis_range=2.0)
-            assert distance(Point2(*q0), Point2(*q1)) <= 2.0 + 1e-9
+            assert dist(q0, q1) <= 2.0 + 1e-9
 
 
 class TestEffectiveAllowableRegion:
@@ -342,7 +342,7 @@ class TestApplyMotionLaw:
         eff = Graph(n=2, edges=frozenset({(0, 1)}))
         q = apply_motion_law(0, make_state(positions), eff, spec, world)
         assert tuple(q) == (1.5, 0.0)
-        assert distance(Point2(*q), Point2(1.0, 0.0)) <= 2.0  # the edge survives the move
+        assert dist(q, (1.0, 0.0)) <= 2.0  # the edge survives the move
 
     def test_separation_cap_binds(self):
         # slack to the neighbour is 1 - 0.2; half of it caps the step at 0.4
@@ -369,7 +369,7 @@ class TestApplyMotionLaw:
         q = apply_motion_law(0, make_state(positions), eff, spec, world)
         assert q[0] == pytest.approx(-0.1, abs=1e-9)
         assert q[1] == 0.0
-        assert distance(Point2(*q), Point2(1.8, 0.0)) <= 2.0 + 1e-9
+        assert dist(q, (1.8, 0.0)) <= 2.0 + 1e-9
 
     def test_zero_cap_holds_exactly(self):
         positions = [(0.0, 0.0), (0.2, 0.0)]
@@ -402,7 +402,7 @@ class TestApplyMotionLaw:
         spec = BehaviorSpec.for_range(kind, 1.0, waypoints=((0.5, 0.5),))
         for _ in range(40):
             n = int(rng.integers(2, 9))
-            xy = sample_connected_positions(rng, n, vis_range=1.0, min_sep=0.12)
+            xy = sample_connected_positions(rng, n, min_sep=0.12)
             world = make_world([tuple(p) for p in xy], spec, vis_range=1.0, min_separation=0.1)
             g = visibility_graph(xy, 1.0)
             eff = effective_graph(g, xy, rng_plus)
@@ -421,7 +421,7 @@ class TestApplyMotionLaw:
 
     def test_idle_world_holds_everyone(self, rng):
         spec = BehaviorSpec.for_range("idle", 1.0)
-        xy = sample_connected_positions(rng, 6, vis_range=1.0)
+        xy = sample_connected_positions(rng, 6)
         world = make_world([tuple(p) for p in xy], spec, vis_range=1.0)
         g = visibility_graph(xy, 1.0)
         eff = effective_graph(g, xy, 0)

@@ -172,6 +172,12 @@ class TestLoadScenario:
         with pytest.raises(ScenarioError, match=r"'obstacles\[0\]'"):
             load_doc(tmp_path, doc)
 
+    def test_non_finite_obstacle_vertex(self, tmp_path):
+        doc = base_doc()
+        doc["obstacles"] = [[[0.0, 0.0], [float("nan"), 0.0], [1.0, 1.0]]]  # written as .nan
+        with pytest.raises(ScenarioError, match=r"'obstacles\[0\]': polygon vertices must be finite"):
+            load_doc(tmp_path, doc)
+
     def test_init_needs_exactly_one_source(self, tmp_path):
         doc = base_doc()
         doc["init"] = {}
@@ -299,7 +305,6 @@ class TestMetricsCsv:
             diameter_hops=2,
             min_pair_distance=0.1234567891234,
             max_pair_distance=2.0 / 3.0,
-            max_effective_degree=2,
         )
         rep = RoundReport(round=7, metrics=metrics, reverted_agents=1)
         assert metrics_lines([rep])[1] == "7,4,3,1,2,0.123456789,0.666666667,1"
@@ -312,7 +317,6 @@ class TestMetricsCsv:
             diameter_hops=-1,
             min_pair_distance=5.0,
             max_pair_distance=5.0,
-            max_effective_degree=0,
         )
         rep = RoundReport(round=1, metrics=metrics, reverted_agents=0)
         assert metrics_lines([rep])[1] == "1,0,0,0,-1,5,5,0"
