@@ -27,7 +27,6 @@ from .graphs import (
     effective_graph,
     graph_metrics,
     is_connected,
-    lune_count,
     visibility_graph,
 )
 from .motion import (
@@ -60,7 +59,6 @@ __all__ = [
     "initial_state",
     "is_connected",
     "load_scenario",
-    "lune_count",
     "run",
     "save_scenario",
     "separation_cap",

@@ -9,8 +9,8 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import properties
-from .engine import ConnectivityError, RoundReport, SwarmState, initial_state, run
-from .graphs import effective_graph, graph_metrics, visibility_graph
+from .engine import ConnectivityError, RoundReport, SwarmState, _build_graphs, initial_state, run
+from .graphs import graph_metrics
 from .reporting import write_metrics, write_svg_frame
 from .scenario import ScenarioError, load_scenario
 
@@ -56,11 +56,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
         def observer(state: SwarmState, report: RoundReport | None) -> None:
             if state.round % every == 0:
-                eff = effective_graph(
-                    visibility_graph(state.positions, world.vis_range),
-                    state.positions,
-                    world.rng_plus,
-                )
+                _, eff = _build_graphs(state.positions, world)
                 write_svg_frame(state, world, eff, outdir / f"frame_{state.round:05d}.svg")
 
     reports = run(world, observer=observer)
@@ -92,8 +88,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
 def _cmd_graph(args: argparse.Namespace) -> int:
     world = load_scenario(args.scenario)
     state = initial_state(world)
-    g = visibility_graph(state.positions, world.vis_range)
-    eff = effective_graph(g, state.positions, world.rng_plus)
+    g, eff = _build_graphs(state.positions, world)
     m = graph_metrics(g, eff, state.positions)
     print(f"n: {world.n}")
     print(f"edge_count: {m.edge_count}")

@@ -1,13 +1,16 @@
 """Synchronous round engine: snapshot, propose, verify, commit.
 
-All agents plan from the same round-start snapshot. The commit phase then
+All agents plan from the same round-start snapshot, each inside the discs
+and wall half-planes it shares with its effective neighbours, so the planned
+moves keep every effective edge in range and in sight. The commit phase
 re-checks every effective edge of that snapshot against the proposals (pair
-distance, plus line of sight when obstacles exist) and reverts both
-endpoints of any violated edge to their snapshot positions. Reverting is
-monotone, a reverted agent never moves again within the round, so the sweep
-reaches a fixpoint after at most n passes. Snapshot positions are safe
-against both old and new neighbour positions, which keeps every effective
-edge inside the next visibility graph and hence the swarm connected.
+distance, plus line of sight when obstacles exist) as a backstop, and
+reverts both endpoints of any violated edge to their snapshot positions.
+Reverting is monotone, a reverted agent never moves again within the round,
+so the sweep reaches a fixpoint after at most n passes. Snapshot positions
+are safe against both old and new neighbour positions, which keeps every
+effective edge inside the next visibility graph and hence the swarm
+connected.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .geom import Polygon
+from .geom import Polygon, segments_blocked
 from .graphs import (
     Graph,
     GraphMetrics,
@@ -127,7 +130,7 @@ class WorldConfig:
                     f"init.positions must keep every pair at least min_separation ({sep!r}) apart, "
                     f"got a pair at {closest!r}"
                 )
-            if not is_connected(visibility_graph(xy, self.vis_range)):
+            if not is_connected(visibility_graph(xy, self.vis_range, self.obstacles)):
                 raise ValueError("init.positions give a disconnected initial visibility graph")
 
 
@@ -165,7 +168,7 @@ def initial_state(world: WorldConfig) -> SwarmState:
     if world.init.positions is not None:
         return SwarmState(round=0, positions=np.asarray(world.init.positions, dtype=float))
     rng = np.random.default_rng(world.seed)
-    # box sampling additionally rejects starts entangled with obstacles; explicit
+    # box sampling additionally rejects an agent on or in a wall; explicit
     # positions are taken verbatim once WorldConfig has checked them (the
     # scenario author owns their placement around walls)
     xmin, ymin, xmax, ymax = world.init.box
@@ -180,26 +183,14 @@ def initial_state(world: WorldConfig) -> SwarmState:
 
 
 def _acceptable_init(xy: np.ndarray, vis_range: float, min_separation: float, obstacles) -> bool:
-    """No pair below the separation floor, no agent inside an obstacle or seeing
-    a neighbour through one, and a connected visibility graph."""
+    """No pair below the separation floor, no agent touching an obstacle, and
+    a connected visibility graph, walls included."""
     if min_separation > 0.0 and pair_distance_range(xy)[0] < min_separation:
         return False
-    if obstacles:
-        for x, y in xy:
-            if any(poly.contains_xy(float(x), float(y)) for poly in obstacles):
-                return False
-    g = visibility_graph(xy, vis_range)
-    if obstacles:
-        # an initial edge through a wall would be reverted forever; resample instead
-        for a, b in g.edges.tolist():
-            x1, y1 = xy[a]
-            x2, y2 = xy[b]
-            if any(
-                poly.blocks_segment_xy(float(x1), float(y1), float(x2), float(y2))
-                for poly in obstacles
-            ):
-                return False
-    return is_connected(g)
+    # a zero-length segment is blocked where its point touches a wall
+    if segments_blocked(xy, xy, obstacles).any():
+        return False
+    return is_connected(visibility_graph(xy, vis_range, obstacles))
 
 
 def _advance_waypoints(state: SwarmState, world: WorldConfig) -> int:
@@ -220,15 +211,13 @@ def _advance_waypoints(state: SwarmState, world: WorldConfig) -> int:
 
 def _edges_safe(pos: np.ndarray, edges: np.ndarray, world: WorldConfig) -> np.ndarray:
     """Whether each edge keeps its endpoints in range and in sight of each other."""
-    d = pos[edges[:, 0]] - pos[edges[:, 1]]
-    # same arithmetic as pairwise_distances: an edge this check accepts is
-    # guaranteed to reappear in the next round's visibility graph
-    safe = np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]) <= world.vis_range
-    if world.obstacles:
-        for e in np.flatnonzero(safe).tolist():
-            (x1, y1), (x2, y2) = pos[edges[e]].tolist()
-            safe[e] = not any(poly.blocks_segment_xy(x1, y1, x2, y2) for poly in world.obstacles)
-    return safe
+    p, q = pos[edges[:, 0]], pos[edges[:, 1]]
+    d = p - q
+    # the arithmetic and the wall test of visibility_graph: an edge this check
+    # accepts is guaranteed to reappear in the next round's visibility graph
+    return (np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]) <= world.vis_range) & ~segments_blocked(
+        p, q, world.obstacles
+    )
 
 
 def _verify_and_revert(
@@ -236,45 +225,29 @@ def _verify_and_revert(
 ) -> set[int]:
     """Revert both endpoints of every violated effective edge, to a fixpoint.
 
-    The result is that of sweeping the edges in sorted order, reverting as
-    each violated edge is met, until a sweep changes nothing; an edge that
-    stays violated with both endpoints already reverted (a pre-existing line
-    of sight break) cannot be repaired and is left to the trimming dynamics.
-    One array pass checks every edge; a sweep then re-checks an edge only
-    when one of its endpoints was reverted since its last check, and the
-    sweeps stop once no such edge is left.
+    The planner keeps every effective edge by construction, so this is a
+    backstop. One array pass checks every edge; only when one fails are the
+    edges swept in sorted order, reverting as each violated edge is met,
+    until a sweep changes nothing. An edge that stays violated with both
+    endpoints already reverted (a pre-existing line of sight break) cannot
+    be repaired and is left to the trimming dynamics.
     """
     edges = effective.edges
-    safe = _edges_safe(proposals, edges, world).tolist()
     reverted: set[int] = set()
-    if all(safe):
-        return reverted
-    stale = [False] * len(safe)
-    # the edges at each agent: its CSR row, as edge indices
-    ptr = effective._csr[0]
-    at = (np.argsort(edges.T.ravel(), kind="stable") % len(edges)).tolist()
-    pairs = edges.tolist()
-    while True:
-        for e, (i, j) in enumerate(pairs):
-            if stale[e]:
-                stale[e] = False
-                safe[e] = bool(_edges_safe(proposals, edges[e : e + 1], world)[0])
-            if safe[e]:
+    changed = not _edges_safe(proposals, edges, world).all()
+    while changed:
+        changed = False
+        for e, (i, j) in enumerate(edges.tolist()):
+            if {i, j} <= reverted or _edges_safe(proposals, edges[e : e + 1], world)[0]:
                 continue
-            for a in (i, j):
-                if a in reverted:
-                    continue
-                proposals[a] = old[a]
-                reverted.add(a)
-                for f in at[ptr[a] : ptr[a + 1]]:
-                    if f != e:
-                        stale[f] = True
-        if not any(stale):
-            return reverted
+            proposals[[i, j]] = old[[i, j]]
+            reverted |= {i, j}
+            changed = True
+    return reverted
 
 
 def _build_graphs(positions: np.ndarray, world: WorldConfig) -> tuple[Graph, Graph]:
-    g = visibility_graph(positions, world.vis_range)
+    g = visibility_graph(positions, world.vis_range, world.obstacles)
     eff = effective_graph(g, positions, world.rng_plus)
     return g, eff
 

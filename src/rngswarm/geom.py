@@ -1,10 +1,10 @@
 """Planar geometry for the swarm simulator.
 
-Polygon predicates work on plain floats; the segment clamp is array based
-because the motion law evaluates it for every agent at once. All
-feasibility checks share an absolute length tolerance of 1e-9, and the
-intersection tests are deliberately conservative: exact touching counts
-as contact.
+Polygon predicates and the segment clamps, into discs and into the
+half-planes past obstacle edges, are array based: the round evaluates them
+for every agent, and every segment, at once. All feasibility checks share
+an absolute length tolerance of 1e-9, and the intersection tests are
+deliberately conservative: exact touching counts as contact.
 
 Portable arithmetic: nothing that decides a position may go through BLAS
 (`@`, `np.dot`, `np.matmul`, `np.einsum`) or `pow` (`**`). Their results
@@ -28,6 +28,11 @@ FEASIBILITY_TOL = 1e-9
 
 # collinearity / orientation cutoff for the conservative intersection tests
 _EPS = 1e-12
+
+# Clearance each step keeps from every obstacle edge. It must dominate _EPS:
+# a normal taken from a gap of about 1e-9 is off by about 1e-7 rad, which
+# the far end of an edge levers up.
+SIGHT_MARGIN = 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -131,43 +136,48 @@ def clamp_point_xy(cur_xy, tgt_xy, centers, radii, indptr=None) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# polygons and conservative intersection tests
+# polygons and conservative intersection tests, elementwise over arrays
 # ---------------------------------------------------------------------------
 
 
-def _cross(ox: float, oy: float, ax: float, ay: float, bx: float, by: float) -> float:
+def _cross(ox, oy, ax, ay, bx, by):
     # z component of (a - o) x (b - o)
     return (ax - ox) * (by - oy) - (ay - oy) * (bx - ox)
 
 
-def _within_bbox(x: float, y: float, x1: float, y1: float, x2: float, y2: float) -> bool:
-    return (min(x1, x2) - _EPS <= x <= max(x1, x2) + _EPS) and (
-        min(y1, y2) - _EPS <= y <= max(y1, y2) + _EPS
+def _within_bbox(x, y, x1, y1, x2, y2):
+    return (
+        (np.minimum(x1, x2) - _EPS <= x)
+        & (x <= np.maximum(x1, x2) + _EPS)
+        & (np.minimum(y1, y2) - _EPS <= y)
+        & (y <= np.maximum(y1, y2) + _EPS)
     )
 
 
-def segments_intersect_xy(
-    ax: float, ay: float, bx: float, by: float,
-    cx: float, cy: float, dx: float, dy: float,
-) -> bool:
-    """Closed-segment intersection; touching or collinear overlap counts."""
+def _straddles(d1, d2):
+    return ((d1 > _EPS) & (d2 < -_EPS)) | ((d1 < -_EPS) & (d2 > _EPS))
+
+
+def segments_intersect_xy(ax, ay, bx, by, cx, cy, dx, dy) -> np.ndarray:
+    """Closed-segment intersection of a-b and c-d, elementwise over arrays
+    that broadcast together; touching or collinear overlap counts."""
+    ax, ay, bx, by, cx, cy, dx, dy = (np.asarray(v, dtype=float) for v in (ax, ay, bx, by, cx, cy, dx, dy))
     d1 = _cross(cx, cy, dx, dy, ax, ay)
     d2 = _cross(cx, cy, dx, dy, bx, by)
     d3 = _cross(ax, ay, bx, by, cx, cy)
     d4 = _cross(ax, ay, bx, by, dx, dy)
-    if ((d1 > _EPS and d2 < -_EPS) or (d1 < -_EPS and d2 > _EPS)) and (
-        (d3 > _EPS and d4 < -_EPS) or (d3 < -_EPS and d4 > _EPS)
+    hit = _straddles(d1, d2) & _straddles(d3, d4)
+    # an end on the other segment's line: the box test decides, where it is needed
+    for d, (x, y, x1, y1, x2, y2) in (
+        (d1, (ax, ay, cx, cy, dx, dy)),
+        (d2, (bx, by, cx, cy, dx, dy)),
+        (d3, (cx, cy, ax, ay, bx, by)),
+        (d4, (dx, dy, ax, ay, bx, by)),
     ):
-        return True
-    if abs(d1) <= _EPS and _within_bbox(ax, ay, cx, cy, dx, dy):
-        return True
-    if abs(d2) <= _EPS and _within_bbox(bx, by, cx, cy, dx, dy):
-        return True
-    if abs(d3) <= _EPS and _within_bbox(cx, cy, ax, ay, bx, by):
-        return True
-    if abs(d4) <= _EPS and _within_bbox(dx, dy, ax, ay, bx, by):
-        return True
-    return False
+        near = np.abs(d) <= _EPS
+        if near.any():
+            hit = hit | (near & _within_bbox(x, y, x1, y1, x2, y2))
+    return hit
 
 
 def _signed_area(xy: Sequence[tuple[float, float]]) -> float:
@@ -182,7 +192,10 @@ def _signed_area(xy: Sequence[tuple[float, float]]) -> float:
 
 @dataclass(frozen=True)
 class Polygon:
-    """Simple polygon used as an obstacle; stored counterclockwise."""
+    """Simple polygon used as an obstacle; stored counterclockwise.
+
+    `contains_xy` and `blocks_segment_xy` are elementwise over arrays of
+    coordinates; plain floats are the 0-d case."""
 
     vertices: tuple[tuple[float, float], ...]
 
@@ -202,55 +215,130 @@ class Polygon:
             raise ValueError("polygon is degenerate (zero area)")
         if area < 0.0:
             xy.reverse()
-        # simplicity: no two non-adjacent edges may meet
-        for k in range(n):
-            a1, a2 = xy[k], xy[(k + 1) % n]
-            for l in range(k + 1, n):
-                if l == k or (l + 1) % n == k or (k + 1) % n == l:
-                    continue
-                b1, b2 = xy[l], xy[(l + 1) % n]
-                if segments_intersect_xy(*a1, *a2, *b1, *b2):
-                    raise ValueError(f"polygon edges {k} and {l} intersect (not simple)")
-        xs = [p[0] for p in xy]
-        ys = [p[1] for p in xy]
+        v = np.array(xy)
+        w = np.roll(v, -1, axis=0)
+        # simplicity: no two non-adjacent edges may meet; pairs k < l in order
+        k, l = np.triu_indices(n, 2)
+        k, l = k[(l + 1) % n != k], l[(l + 1) % n != k]
+        crossing = segments_intersect_xy(*v[k].T, *w[k].T, *v[l].T, *w[l].T)
+        if crossing.any():
+            first = int(np.argmax(crossing))
+            raise ValueError(f"polygon edges {k[first]} and {l[first]} intersect (not simple)")
+        edges = np.column_stack((v, w))
+        edges.setflags(write=False)
         object.__setattr__(self, "vertices", tuple(xy))
-        object.__setattr__(self, "_bbox", (min(xs), min(ys), max(xs), max(ys)))
+        object.__setattr__(self, "_bbox", (*v.min(axis=0).tolist(), *v.max(axis=0).tolist()))
+        # one row per edge, (x1, y1, x2, y2), in vertex order
+        object.__setattr__(self, "_edges", edges)
 
-    def contains_xy(self, x: float, y: float) -> bool:
+    def contains_xy(self, x, y) -> np.ndarray:
         """Inside or on the boundary; boundary contact counts as contained."""
+        x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
         bx0, by0, bx1, by1 = self._bbox
-        if x < bx0 - _EPS or x > bx1 + _EPS or y < by0 - _EPS or y > by1 + _EPS:
-            return False
-        pts = self.vertices
-        n = len(pts)
-        inside = False
-        for k in range(n):
-            x1, y1 = pts[k]
-            x2, y2 = pts[(k + 1) % n]
-            if abs(_cross(x1, y1, x2, y2, x, y)) <= _EPS and _within_bbox(x, y, x1, y1, x2, y2):
-                return True
-            if (y1 > y) != (y2 > y):
-                xc = x1 + (y - y1) * (x2 - x1) / (y2 - y1)
-                if x < xc:
-                    inside = not inside
-        return inside
+        out = np.zeros(x.shape, dtype=bool)
+        near = (x >= bx0 - _EPS) & (x <= bx1 + _EPS) & (y >= by0 - _EPS) & (y <= by1 + _EPS)
+        if not near.any():
+            return out
+        px, py = x[near][:, None], y[near][:, None]
+        x1, y1, x2, y2 = self._edges.T
+        on_edge = (np.abs(_cross(x1, y1, x2, y2, px, py)) <= _EPS) & _within_bbox(px, py, x1, y1, x2, y2)
+        spans = (y1 > py) != (y2 > py)
+        xc = x1 + (py - y1) * (x2 - x1) / np.where(spans, y2 - y1, 1.0)
+        crossings = np.count_nonzero(spans & (px < xc), axis=1)
+        out[near] = on_edge.any(axis=1) | (crossings % 2 == 1)
+        return out
 
-    def blocks_segment_xy(self, x1: float, y1: float, x2: float, y2: float) -> bool:
-        """Whether the segment touches, crosses, or sits inside this polygon."""
+    def blocks_segment_xy(self, x1, y1, x2, y2) -> np.ndarray:
+        """Whether each segment touches, crosses, or sits inside this polygon."""
+        x1, y1, x2, y2 = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (x1, y1, x2, y2)))
         bx0, by0, bx1, by1 = self._bbox
-        if (
-            max(x1, x2) < bx0 - _EPS
-            or min(x1, x2) > bx1 + _EPS
-            or max(y1, y2) < by0 - _EPS
-            or min(y1, y2) > by1 + _EPS
-        ):
-            return False
-        pts = self.vertices
-        n = len(pts)
-        for k in range(n):
-            ex1, ey1 = pts[k]
-            ex2, ey2 = pts[(k + 1) % n]
-            if segments_intersect_xy(x1, y1, x2, y2, ex1, ey1, ex2, ey2):
-                return True
+        out = np.zeros(x1.shape, dtype=bool)
+        near = ~(
+            (np.maximum(x1, x2) < bx0 - _EPS)
+            | (np.minimum(x1, x2) > bx1 + _EPS)
+            | (np.maximum(y1, y2) < by0 - _EPS)
+            | (np.minimum(y1, y2) > by1 + _EPS)
+        )
+        if not near.any():
+            return out
+        ax, ay, bx, by = (v[near][:, None] for v in (x1, y1, x2, y2))
+        hit = segments_intersect_xy(ax, ay, bx, by, *self._edges.T).any(axis=1)
         # no edge contact: the segment is either fully inside or fully outside
-        return self.contains_xy(x1, y1)
+        hit[~hit] = self.contains_xy(ax[~hit, 0], ay[~hit, 0])
+        out[near] = hit
+        return out
+
+
+def segments_blocked(p, q, obstacles) -> np.ndarray:
+    """Whether some obstacle blocks each segment p[k] -> q[k] of the (m, 2)
+    arrays p and q; a zero-length segment is blocked where its point touches
+    an obstacle."""
+    blocked = np.zeros(len(p), dtype=bool)
+    for poly in obstacles:
+        blocked |= poly.blocks_segment_xy(p[:, 0], p[:, 1], q[:, 0], q[:, 1])
+    return blocked
+
+
+# ---------------------------------------------------------------------------
+# separating half-planes: line of sight as part of the allowable region
+# ---------------------------------------------------------------------------
+
+
+def _project(px, py, ux, uy, vx, vy):
+    """Closest point to p on the segment u-v; u itself when u = v."""
+    wx, wy = vx - ux, vy - uy
+    ww = wx * wx + wy * wy
+    t = ((px - ux) * wx + (py - uy) * wy) / np.where(ww > 0.0, ww, 1.0)
+    t = np.where(t > 0.0, np.where(t < 1.0, t, 1.0), 0.0)
+    return ux + t * wx, uy + t * wy
+
+
+def clamp_to_sight(p, q, owner, seg_a, seg_b, obstacles) -> np.ndarray:
+    """Shorten each step p -> q as far as needed to keep it on the far side
+    of every obstacle edge from each segment seg_a[r]-seg_b[r] it owns, and
+    from its own point p.
+
+    Each (segment, obstacle edge) row takes the line normal to their
+    closest-point gap; its offset is the obstacle edge's support along that
+    normal plus the margin, so the line clears the edge even when the normal
+    is imprecise. The ray bound is s <= slack / (-n . d), and a negative
+    slack (a segment within the margin) holds the agent. A row whose
+    obstacle lies beyond the mover's step plus the margin cannot bind and is
+    skipped.
+    """
+    owner = np.concatenate((owner, np.arange(len(p))))
+    seg_a, seg_b = np.concatenate((seg_a, p)), np.concatenate((seg_b, p))
+    d = q - p
+    s = np.ones(len(p))
+    reach = np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1])[owner] + SIGHT_MARGIN
+    lo, hi = np.minimum(seg_a, seg_b) - reach[:, None], np.maximum(seg_a, seg_b) + reach[:, None]
+    for poly in obstacles:
+        bx0, by0, bx1, by1 = poly._bbox
+        rows = np.flatnonzero((lo[:, 0] <= bx1) & (hi[:, 0] >= bx0) & (lo[:, 1] <= by1) & (hi[:, 1] >= by0))
+        if not len(rows):
+            continue
+        ax, ay, bx, by = (v[rows, None] for v in (seg_a[:, 0], seg_a[:, 1], seg_b[:, 0], seg_b[:, 1]))
+        cx, cy, ex, ey = poly._edges.T
+        # the gap between two segments that do not cross is the shortest of
+        # the four endpoint projections: a and b onto c-e, then c and e onto
+        # a-b; argmin keeps the first of equals
+        sx, sy = np.stack((ax, bx)), np.stack((ay, by))
+        tx, ty = np.stack((cx, ex))[:, None], np.stack((cy, ey))[:, None]
+        px, py = _project(sx, sy, cx, cy, ex, ey)
+        qx, qy = _project(tx, ty, ax, ay, bx, by)
+        hx, hy = np.concatenate((sx - px, qx - tx)), np.concatenate((sy - py, qy - ty))
+        hh = hx * hx + hy * hy
+        pick = np.argmin(hh, axis=0)[None]
+        gx, gy, gg = (np.take_along_axis(v, pick, axis=0)[0] for v in (hx, hy, hh))
+        length = np.sqrt(gg)
+        length[length == 0.0] = 1.0  # a zero gap leaves a zero normal, and so a negative slack
+        nx, ny = gx / length, gy / length
+        c = np.maximum(nx * cx + ny * cy, nx * ex + ny * ey) + SIGHT_MARGIN
+        mover = owner[rows]
+        slack = (nx * p[mover, 0, None] + ny * p[mover, 1, None]) - c
+        nd = nx * d[mover, 0, None] + ny * d[mover, 1, None]
+        bound = np.where(slack < 0.0, 0.0, np.where(nd < 0.0, slack / np.where(nd < 0.0, -nd, 1.0), 1.0))
+        np.minimum.at(s, mover, bound.min(axis=1))
+    rows = s < 1.0
+    q[rows] = p[rows] + s[rows, None] * d[rows]
+    return q

@@ -1,6 +1,7 @@
 """Visibility graphs and lune-based edge trimming over agent positions.
 
-The trimmed ("effective") graph keeps an edge only while its lens holds at
+The visibility graph joins the pairs in range that no wall blocks. The
+trimmed ("effective") graph keeps an edge only while its lens holds at
 most a configured number of other agents; with limit 0 this is the classical
 relative neighbourhood graph restricted to visibility edges. Everything here
 is a pure function of a position snapshot.
@@ -13,6 +14,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+
+from .geom import segments_blocked
 
 
 def coords(positions) -> np.ndarray:
@@ -121,37 +124,17 @@ def pair_distance_range(xy: np.ndarray) -> tuple[float, float]:
     return float(vals.min()), float(vals.max())
 
 
-def visibility_graph(positions, vis_range: float) -> Graph:
-    """Edge between every pair of agents at distance <= vis_range (inclusive)."""
+def visibility_graph(positions, vis_range: float, obstacles=()) -> Graph:
+    """Edge between every pair of agents at distance <= vis_range (inclusive)
+    whose segment no obstacle blocks."""
     if not (math.isfinite(vis_range) and vis_range > 0.0):
         raise ValueError(f"vis_range must be a positive finite number, got {vis_range!r}")
     xy = coords(positions)
     # argwhere lists the upper triangle row by row: pairs i < j, lexicographic
-    return Graph(len(xy), np.argwhere(np.triu(pairwise_distances(xy) <= vis_range, k=1)))
-
-
-def lune_count(i: int, j: int, positions) -> int:
-    """Number of agents strictly inside the lens of the pair (i, j).
-
-    Candidates are all other agents; anything inside the lens is closer than
-    d(i, j) to both endpoints and therefore automatically visible to both.
-    """
-    xy = coords(positions)
-    n = len(xy)
-    if not (0 <= i < n and 0 <= j < n):
-        raise ValueError(f"agent index out of range: ({i}, {j}) with n={n}")
-    if i == j:
-        raise ValueError("lune requires two distinct agents")
-    rel_i = xy - xy[i]
-    rel_j = xy - xy[j]
-    di = np.sqrt((rel_i * rel_i).sum(axis=1))
-    dj = np.sqrt((rel_j * rel_j).sum(axis=1))
-    # dij taken from the same row arithmetic, so d(i, j) is not strictly
-    # below itself and both endpoints exclude themselves exactly
-    dij = float(di[j])
-    if dij == 0.0:
-        raise ValueError("lune is undefined for a coincident pair")
-    return int(np.count_nonzero((di < dij) & (dj < dij)))
+    e = np.argwhere(np.triu(pairwise_distances(xy) <= vis_range, k=1))
+    if obstacles:
+        e = e[~segments_blocked(xy[e[:, 0]], xy[e[:, 1]], obstacles)]
+    return Graph(len(xy), e)
 
 
 def effective_graph(graph: Graph, positions, max_lune_occupants: int = 0) -> Graph:
@@ -159,9 +142,13 @@ def effective_graph(graph: Graph, positions, max_lune_occupants: int = 0) -> Gra
 
     Limit 0 keeps an edge only when its lens is empty (the relative
     neighbourhood graph of the visibility graph); raising the limit keeps
-    more redundancy. Strict distance comparisons make the decision identical
-    from both endpoints, and a zero-length edge (coincident pair, empty lens)
-    is always kept.
+    more redundancy. An occupant counts only when it is a neighbour of both
+    endpoints in `graph`. Without walls that is every agent in the lens, as
+    it is closer than d <= V to both; with walls, the occupant's two shorter
+    edges are in sight, so trimming still cannot disconnect the graph.
+    Strict distance comparisons make the decision identical from both
+    endpoints, and a zero-length edge (coincident pair, empty lens) is
+    always kept.
     """
     if max_lune_occupants < 0:
         raise ValueError(f"max_lune_occupants must be >= 0, got {max_lune_occupants}")
@@ -169,9 +156,12 @@ def effective_graph(graph: Graph, positions, max_lune_occupants: int = 0) -> Gra
     n = graph.n
     if n != len(xy):
         raise ValueError(f"graph has {graph.n} vertices but {len(xy)} positions given")
-    dist = pairwise_distances(xy)
     rows_i, rows_j = graph.edges[:, 0], graph.edges[:, 1]
-    d = dist[rows_i, rows_j][:, None]
+    d = pairwise_distances(xy)[rows_i, rows_j]
+    # distances along the graph's edges only: a non-neighbour is never closer
+    dist = np.full((n, n), math.inf)
+    dist[rows_i, rows_j] = dist[rows_j, rows_i] = d
+    d = d[:, None]
     occupied = np.count_nonzero((dist[rows_i] < d) & (dist[rows_j] < d), axis=1)
     return Graph(n, graph.edges[occupied <= max_lune_occupants])
 

@@ -1,13 +1,12 @@
-"""Motion: behaviour targets and the step constrained to the allowable discs.
+"""Motion: behaviour targets and the step constrained to the allowable region.
 
 Every step is planned against the round-start snapshot only, for all agents
 at once: each stage is one array pass over the agents and their effective
 edges, in the portable arithmetic of `geom`. The proposal pipeline is:
 behaviour target, pre-cap at max_step, separation cap, clamp into the
 intersection of the allowable discs of all effective neighbours, then (with
-obstacles, agent by agent) shorten along the same segment until the endpoint
-is outside every obstacle and keeps line of sight to every effective
-neighbour.
+obstacles) shorten the same segment into the half-planes that separate each
+effective edge, and the agent's own point, from every obstacle edge.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .geom import FEASIBILITY_TOL, clamp_point_xy
+from .geom import FEASIBILITY_TOL, clamp_point_xy, clamp_to_sight
 from .graphs import Graph, coords
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -28,8 +27,6 @@ if TYPE_CHECKING:  # pragma: no cover
 log = logging.getLogger(__name__)
 
 BEHAVIOR_KINDS = ("gather", "formation", "leader_follow", "idle")
-
-_OBSTACLE_BISECTIONS = 40
 
 
 @dataclass(frozen=True)
@@ -194,36 +191,6 @@ def separation_cap(agents, positions, vis_range: float, min_separation: float):
     return float(cap[0]) if single else cap
 
 
-def _feasible_xy(x: float, y: float, nbr_pts: list[tuple[float, float]], obstacles) -> bool:
-    for poly in obstacles:
-        if poly.contains_xy(x, y):
-            return False
-    for bx, by in nbr_pts:
-        for poly in obstacles:
-            if poly.blocks_segment_xy(x, y, bx, by):
-                return False
-    return True
-
-
-def _constrain_to_obstacles(p: np.ndarray, q: np.ndarray, nbr_xy: np.ndarray, obstacles) -> np.ndarray:
-    """Shorten the step p -> q until the endpoint clears every obstacle and
-    keeps line of sight to each effective neighbour's current position."""
-    nbr_pts = [(float(a), float(b)) for a, b in nbr_xy]
-    if _feasible_xy(float(q[0]), float(q[1]), nbr_pts, obstacles):
-        return q
-    lo, hi = 0.0, 1.0
-    for _ in range(_OBSTACLE_BISECTIONS):
-        mid = 0.5 * (lo + hi)
-        x = float(p[0] + mid * (q[0] - p[0]))
-        y = float(p[1] + mid * (q[1] - p[1]))
-        if _feasible_xy(x, y, nbr_pts, obstacles):
-            lo = mid
-        else:
-            hi = mid
-    # lo stays 0.0 when no shortened step works; the agent then holds position
-    return p + lo * (q - p)
-
-
 def apply_motion_law(
     agents,
     state: "SwarmState",
@@ -235,10 +202,12 @@ def apply_motion_law(
 
     The move never leaves the intersection of the allowable discs toward the
     effective neighbours, never exceeds the separation cap, and with
-    obstacles present never loses line of sight to an effective neighbour's
-    current position. Cross-agent interactions of simultaneous proposals are
-    the engine's verify step, not handled here. `agents` is an index array,
-    giving (k, 2) proposals, or one index, giving one (2,) proposal.
+    obstacles present stays in the half-planes that separate each effective
+    edge, and the agent's own point, from every obstacle edge. A neighbour
+    planning from the same snapshot stays in the same disc and half-planes,
+    so their edge survives both moves; the engine's verify is the backstop.
+    `agents` is an index array, giving (k, 2) proposals, or one index,
+    giving one (2,) proposal.
     """
     single, idx = _as_rows(agents)
     xy = state.positions
@@ -271,7 +240,7 @@ def apply_motion_law(
     centers = 0.5 * (nbr_xy + p[owner])
     q = clamp_point_xy(p, t, centers, 0.5 * world.vis_range, indptr=indptr)
     if world.obstacles:
-        for row in range(len(idx)):
-            nbrs = nbr_xy[indptr[row] : indptr[row + 1]]
-            q[row] = _constrain_to_obstacles(p[row], q[row], nbrs, world.obstacles)
+        # each edge from its index-ordered pair, so both ends share its half-planes
+        seg_a, seg_b = xy[np.minimum(idx[owner], nbr)], xy[np.maximum(idx[owner], nbr)]
+        q = clamp_to_sight(p, q, owner, seg_a, seg_b, world.obstacles)
     return q[0] if single else q

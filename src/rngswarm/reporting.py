@@ -62,7 +62,7 @@ def write_svg_frame(state: SwarmState, world: WorldConfig, effective: Graph, pat
     dashed, obstacles as filled polygons, the leader accented."""
     xy = state.positions
     vis = world.vis_range
-    g = visibility_graph(xy, vis)
+    g = visibility_graph(xy, vis, world.obstacles)
     xs = [float(v) for v in xy[:, 0]]
     ys = [float(v) for v in xy[:, 1]]
     for poly in world.obstacles:

@@ -1,21 +1,22 @@
-"""Slow, loop-based reference implementations of the graph layer, the
-motion law and the verify sweep.
+"""Slow, loop-based reference implementations of the graph layer, the wall
+predicates, the motion law and the verify sweep.
 
-The graph references are written with plain Python floats and O(n^3) loops
-so that they share no code path (and no vectorization subtleties) with the
-library. The motion law and the verify sweep are kept here in their
-per-agent and full-sweep forms, in the library's portable arithmetic, as the
-oracles the array kernels must match byte for byte. Tests compare the fast
-implementations against these.
+The graph references and the wall predicates are written with plain Python
+floats and loops so that they share no code path (and no vectorization
+subtleties) with the library. The motion law and the verify sweep are kept
+here in their per-agent and full-sweep forms, in the library's portable
+arithmetic, as the oracles the array kernels must match byte for byte.
+Tests compare the fast implementations against these.
 """
 
 import math
 
 import numpy as np
+from hypothesis import assume
 from hypothesis import strategies as st
 
 from rngswarm.engine import InitSpec, SwarmState, WorldConfig
-from rngswarm.geom import Polygon
+from rngswarm.geom import Polygon, segments_blocked
 from rngswarm.graphs import effective_graph, visibility_graph
 from rngswarm.motion import BEHAVIOR_KINDS, BehaviorSpec
 
@@ -103,6 +104,90 @@ def naive_hop_diameter(n, edges):
     return longest
 
 
+# ---------------------------------------------------------------------------
+# the scalar wall predicates, one float at a time
+# ---------------------------------------------------------------------------
+
+_EPS = 1e-12
+
+
+def _cross(ox, oy, ax, ay, bx, by):
+    return (ax - ox) * (by - oy) - (ay - oy) * (bx - ox)
+
+
+def _within_bbox(x, y, x1, y1, x2, y2):
+    return (min(x1, x2) - _EPS <= x <= max(x1, x2) + _EPS) and (
+        min(y1, y2) - _EPS <= y <= max(y1, y2) + _EPS
+    )
+
+
+def scalar_segments_intersect(ax, ay, bx, by, cx, cy, dx, dy):
+    """Closed-segment intersection; touching or collinear overlap counts."""
+    d1 = _cross(cx, cy, dx, dy, ax, ay)
+    d2 = _cross(cx, cy, dx, dy, bx, by)
+    d3 = _cross(ax, ay, bx, by, cx, cy)
+    d4 = _cross(ax, ay, bx, by, dx, dy)
+    if ((d1 > _EPS and d2 < -_EPS) or (d1 < -_EPS and d2 > _EPS)) and (
+        (d3 > _EPS and d4 < -_EPS) or (d3 < -_EPS and d4 > _EPS)
+    ):
+        return True
+    if abs(d1) <= _EPS and _within_bbox(ax, ay, cx, cy, dx, dy):
+        return True
+    if abs(d2) <= _EPS and _within_bbox(bx, by, cx, cy, dx, dy):
+        return True
+    if abs(d3) <= _EPS and _within_bbox(cx, cy, ax, ay, bx, by):
+        return True
+    if abs(d4) <= _EPS and _within_bbox(dx, dy, ax, ay, bx, by):
+        return True
+    return False
+
+
+def _bbox(poly):
+    xs = [x for x, _ in poly.vertices]
+    ys = [y for _, y in poly.vertices]
+    return min(xs), min(ys), max(xs), max(ys)
+
+
+def scalar_contains(poly, x, y):
+    """Inside or on the boundary of `poly`, by an even-odd ray cast."""
+    bx0, by0, bx1, by1 = _bbox(poly)
+    if x < bx0 - _EPS or x > bx1 + _EPS or y < by0 - _EPS or y > by1 + _EPS:
+        return False
+    pts = poly.vertices
+    n = len(pts)
+    inside = False
+    for k in range(n):
+        x1, y1 = pts[k]
+        x2, y2 = pts[(k + 1) % n]
+        if abs(_cross(x1, y1, x2, y2, x, y)) <= _EPS and _within_bbox(x, y, x1, y1, x2, y2):
+            return True
+        if (y1 > y) != (y2 > y):
+            xc = x1 + (y - y1) * (x2 - x1) / (y2 - y1)
+            if x < xc:
+                inside = not inside
+    return inside
+
+
+def scalar_blocks(poly, x1, y1, x2, y2):
+    """Whether the segment touches, crosses, or sits inside `poly`."""
+    bx0, by0, bx1, by1 = _bbox(poly)
+    if (
+        max(x1, x2) < bx0 - _EPS
+        or min(x1, x2) > bx1 + _EPS
+        or max(y1, y2) < by0 - _EPS
+        or min(y1, y2) > by1 + _EPS
+    ):
+        return False
+    pts = poly.vertices
+    n = len(pts)
+    for k in range(n):
+        ex1, ey1 = pts[k]
+        ex2, ey2 = pts[(k + 1) % n]
+        if scalar_segments_intersect(x1, y1, x2, y2, ex1, ey1, ex2, ey2):
+            return True
+    return scalar_contains(poly, x1, y1)
+
+
 def edge_set(graph):
     """A graph's edges as a set of (i, j) int tuples."""
     return {(i, j) for i, j in graph.edges.tolist()}
@@ -113,7 +198,7 @@ def edge_set(graph):
 # ---------------------------------------------------------------------------
 
 FEASIBILITY_TOL = 1e-9
-OBSTACLE_BISECTIONS = 40
+SIGHT_MARGIN = 1e-6
 
 
 def reference_clamp_point(cur, tgt, centers, radius):
@@ -183,31 +268,54 @@ def reference_separation_cap(i, xy, vis_range, min_separation):
     return max(0.0, 0.5 * (float(d[visible].min()) - min_separation))
 
 
-def _reference_feasible(x, y, nbr_pts, obstacles):
-    if any(poly.contains_xy(x, y) for poly in obstacles):
-        return False
-    return not any(poly.blocks_segment_xy(x, y, bx, by) for bx, by in nbr_pts for poly in obstacles)
+def _project_point(px, py, ux, uy, vx, vy):
+    wx, wy = vx - ux, vy - uy
+    ww = wx * wx + wy * wy
+    t = ((px - ux) * wx + (py - uy) * wy) / (ww if ww > 0.0 else 1.0)
+    t = (t if t < 1.0 else 1.0) if t > 0.0 else 0.0
+    return ux + t * wx, uy + t * wy
 
 
-def reference_obstacle_step(p, q, nbr_xy, obstacles):
-    nbr_pts = [(float(a), float(b)) for a, b in nbr_xy]
-    if _reference_feasible(float(q[0]), float(q[1]), nbr_pts, obstacles):
-        return q
-    lo, hi = 0.0, 1.0
-    for _ in range(OBSTACLE_BISECTIONS):
-        mid = 0.5 * (lo + hi)
-        x = float(p[0] + mid * (q[0] - p[0]))
-        y = float(p[1] + mid * (q[1] - p[1]))
-        if _reference_feasible(x, y, nbr_pts, obstacles):
-            lo = mid
-        else:
-            hi = mid
-    return p + lo * (q - p)
+def reference_sight_step(i, p, q, nbrs, xy, obstacles):
+    """Agent i's step p -> q, shortened into the half-plane of every
+    (segment, obstacle edge) pair, one pair at a time and none skipped. The
+    segments are i's effective edges, each from its index-ordered pair, and
+    i's own point. A pair's line is normal to their closest-point gap and
+    offset past the obstacle edge by SIGHT_MARGIN."""
+    px, py = float(p[0]), float(p[1])
+    dx, dy = (float(v) for v in q - p)
+    segments = [(xy[min(i, j)].tolist(), xy[max(i, j)].tolist()) for j in nbrs] + [((px, py), (px, py))]
+    s = 1.0
+    for (ax, ay), (bx, by) in segments:
+        for poly in obstacles:
+            m = len(poly.vertices)
+            for k in range(m):
+                (cx, cy), (ex, ey) = poly.vertices[k], poly.vertices[(k + 1) % m]
+                best = None
+                for (sx, sy), (tx, ty) in (
+                    ((ax, ay), _project_point(ax, ay, cx, cy, ex, ey)),
+                    ((bx, by), _project_point(bx, by, cx, cy, ex, ey)),
+                    (_project_point(cx, cy, ax, ay, bx, by), (cx, cy)),
+                    (_project_point(ex, ey, ax, ay, bx, by), (ex, ey)),
+                ):
+                    hx, hy = sx - tx, sy - ty
+                    hh = hx * hx + hy * hy
+                    if best is None or hh < best[2]:
+                        best = (hx, hy, hh)
+                gx, gy, gg = best
+                length = math.sqrt(gg)
+                nx, ny = gx / (length if length > 0.0 else 1.0), gy / (length if length > 0.0 else 1.0)
+                c = max(nx * cx + ny * cy, nx * ex + ny * ey) + SIGHT_MARGIN
+                slack = (nx * px + ny * py) - c
+                nd = nx * dx + ny * dy
+                bound = 0.0 if slack < 0.0 else (slack / -nd if nd < 0.0 else 1.0)
+                s = min(s, bound)
+    return p + s * (q - p) if s < 1.0 else q
 
 
 def reference_motion_law(i, state, effective, spec, world):
     """Agent i's proposal, planned on its own: target, separation cap, disc
-    clamp, obstacle step. Returns a (2,) array."""
+    clamp, wall half-planes. Returns a (2,) array."""
     xy = state.positions
     p = xy[i]
     nbrs = effective.neighbors(i)
@@ -226,7 +334,7 @@ def reference_motion_law(i, state, effective, spec, world):
             t = p + off * (cap / norm) if cap > 0.0 else p.copy()
     q = reference_clamp_point(p, t, 0.5 * (nbr_xy + p), 0.5 * world.vis_range) if len(nbrs) else t.copy()
     if world.obstacles:
-        q = reference_obstacle_step(p, q, nbr_xy, world.obstacles)
+        q = reference_sight_step(i, p, q, nbrs, xy, world.obstacles)
     return q
 
 
@@ -235,7 +343,7 @@ def reference_edge_safe(pi, pj, world):
     dx, dy = xi - xj, yi - yj
     if math.sqrt(dx * dx + dy * dy) > world.vis_range:
         return False
-    return not any(poly.blocks_segment_xy(xi, yi, xj, yj) for poly in world.obstacles)
+    return not any(scalar_blocks(poly, xi, yi, xj, yj) for poly in world.obstacles)
 
 
 def reference_verify(old, proposals, effective, world):
@@ -288,5 +396,39 @@ def snapshots(draw):
         obstacles=(_WALL,) if draw(st.booleans()) else (),
     )
     state = SwarmState(round=0, positions=xy, waypoint_index=draw(st.integers(0, 2)))
-    eff = effective_graph(visibility_graph(xy, world.vis_range), xy, world.rng_plus)
+    eff = effective_graph(visibility_graph(xy, world.vis_range, world.obstacles), xy, world.rng_plus)
+    return state, eff, world
+
+
+@st.composite
+def walled_snapshots(draw):
+    """(state, effective graph, world) among one to three random triangular
+    walls, thin slivers included, with the agents that touch a wall left out;
+    the graphs see the walls."""
+    walls = []
+    for _ in range(draw(st.integers(1, 3))):
+        try:
+            walls.append(Polygon(tuple(draw(st.lists(st.tuples(_COORD, _COORD), min_size=3, max_size=3)))))
+        except ValueError:  # a degenerate triangle
+            pass
+    assume(walls)
+    xy = np.array(draw(st.lists(st.tuples(_COORD, _COORD), min_size=1, max_size=12)), dtype=float)
+    xy = xy[~segments_blocked(xy, xy, walls)]
+    assume(len(xy))
+    n = len(xy)
+    kind = draw(st.sampled_from(BEHAVIOR_KINDS))
+    spec = BehaviorSpec.for_range(
+        kind, 1.0, waypoints=((0.5, 0.5), (-0.5, 0.25)), leader_index=draw(st.integers(0, n - 1))
+    )
+    world = WorldConfig(
+        n=n,
+        vis_range=1.0,
+        behavior=spec,
+        init=InitSpec(box=(0.0, 0.0, 1.0, 1.0)),
+        rng_plus=draw(st.integers(0, 1)),
+        min_separation=draw(st.sampled_from((0.0, 0.1))),
+        obstacles=tuple(walls),
+    )
+    state = SwarmState(round=0, positions=xy, waypoint_index=draw(st.integers(0, 2)))
+    eff = effective_graph(visibility_graph(xy, world.vis_range, world.obstacles), xy, world.rng_plus)
     return state, eff, world

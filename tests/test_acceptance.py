@@ -77,6 +77,7 @@ def scenario_batch():
     t0 = perf_counter()
     total_rounds = 0
     disconnections = 0
+    reverted = 0
     min_pair = math.inf
     for world in _batch_worlds():
         state = initial_state(world)
@@ -85,11 +86,13 @@ def scenario_batch():
             state, rep, g, eff = _step_core(state, world, g, eff)
             total_rounds += 1
             disconnections += not rep.metrics.connected
+            reverted += rep.reverted_agents
             if rep.metrics.min_pair_distance < min_pair:
                 min_pair = rep.metrics.min_pair_distance
     return {
         "rounds": total_rounds,
         "disconnections": disconnections,
+        "reverted": reverted,
         "min_pair": min_pair,
         "elapsed": perf_counter() - t0,
     }
@@ -143,7 +146,7 @@ def test_random_scenarios_never_disconnect(scenario_batch):
         "scenario batch connectivity",
         f"{BATCH_RUNS} runs x {BATCH_ROUNDS} rounds, "
         f"{b['disconnections']} disconnected rounds out of {b['rounds']}, "
-        f"{b['elapsed']:.1f}s < 120s",
+        f"{b['reverted']} reverted agents, {b['elapsed']:.1f}s < 120s",
     )
     assert b["rounds"] == BATCH_RUNS * BATCH_ROUNDS
     assert b["disconnections"] == 0

@@ -112,7 +112,7 @@ class TestCheckCommand:
     def test_small_budget_passes(self, capsys):
         assert main(["check", "--cases", "25", "--seed", "3"]) == 0
         lines = [l for l in capsys.readouterr().out.splitlines() if l.strip()]
-        assert len(lines) == 6
+        assert len(lines) == 5
         for line in lines:
             assert re.fullmatch(r"\[PASS\] [a-z-]+: \d+ cases, 0 failures", line)
 

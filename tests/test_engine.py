@@ -10,17 +10,18 @@ from rngswarm.engine import (
     InitSpec,
     SwarmState,
     WorldConfig,
+    _acceptable_init,
     _verify_and_revert,
     initial_state,
     run,
     step,
 )
-from rngswarm.geom import Polygon
+from rngswarm.geom import Polygon, segments_blocked
 from rngswarm.graphs import Graph, effective_graph, is_connected, pairwise_distances, visibility_graph
 from rngswarm.motion import BehaviorSpec, apply_motion_law
 from rngswarm.properties import sample_connected_positions
 
-from helpers import reference_verify, snapshots
+from helpers import edge_set, reference_verify, scalar_blocks, scalar_contains, snapshots
 
 
 def make_world(positions=None, behavior=None, **kw):
@@ -165,24 +166,42 @@ class TestInitialState:
         assert a.tobytes() != c.tobytes()
 
     def test_box_sample_avoids_obstacles(self):
-        # a wall through the middle of the box: a usable start has everyone on
-        # one side, outside the wall, with no visibility edge crossing it
-        wall = Polygon(((0.45, -1.0), (0.55, -1.0), (0.55, 2.0), (0.45, 2.0)))
+        # a pillar in the middle of the box: a usable start keeps everyone off
+        # it and connected around it; a pair it blocks is simply not an edge
+        pillar = Polygon(((0.4, 0.4), (0.6, 0.4), (0.6, 0.6), (0.4, 0.6)))
         w = make_world(
-            n=4,
+            n=12,
             init=InitSpec(box=(0.0, 0.0, 1.0, 1.0)),
-            obstacles=(wall,),
+            obstacles=(pillar,),
             min_separation=0.0,
             seed=11,
         )
         xy = initial_state(w).positions
-        assert not any(wall.contains_xy(float(x), float(y)) for x, y in xy)
-        g = visibility_graph(xy, 1.0)
-        for a, b in g.edges:
-            assert not wall.blocks_segment_xy(
-                float(xy[a, 0]), float(xy[a, 1]), float(xy[b, 0]), float(xy[b, 1])
-            )
+        assert not any(scalar_contains(pillar, float(x), float(y)) for x, y in xy)
+        g = visibility_graph(xy, 1.0, (pillar,))
         assert is_connected(g)
+        blind = edge_set(visibility_graph(xy, 1.0))
+        blocked = {(a, b) for a, b in blind if scalar_blocks(pillar, *xy[a].tolist(), *xy[b].tolist())}
+        assert blocked  # the start does look through the pillar in places
+        assert edge_set(g) == blind - blocked
+
+    def test_box_start_in_clutter(self):
+        # 20 agents in a 3 x 3 box among 9 pillars: a sample is usable when
+        # no agent touches a pillar and the walled graph is connected, which
+        # a good share of samples are (about 270 in 2000 with this seed)
+        h = 0.075
+        pillars = tuple(
+            Polygon(((cx - h, cy - h), (cx + h, cy - h), (cx + h, cy + h), (cx - h, cy + h)))
+            for cx in (0.5, 1.5, 2.5)
+            for cy in (0.5, 1.5, 2.5)
+        )
+        rng = np.random.default_rng(0)
+        accepted = sum(_acceptable_init(rng.uniform(0.0, 3.0, (20, 2)), 1.0, 0.1, pillars) for _ in range(400))
+        assert accepted >= 25
+        w = make_world(n=20, init=InitSpec(box=(0.0, 0.0, 3.0, 3.0)), obstacles=pillars, seed=3)
+        xy = initial_state(w).positions
+        assert not segments_blocked(xy, xy, pillars).any()
+        assert is_connected(visibility_graph(xy, 1.0, pillars))
 
     def test_impossible_box_raises(self):
         spec = BehaviorSpec(kind="gather", max_step=0.2, desired_spacing=0.5)

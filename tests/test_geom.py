@@ -9,17 +9,22 @@ from rngswarm.geom import (
     Polygon,
     clamp_fraction,
     clamp_point_xy,
+    segments_blocked,
     segments_intersect_xy,
 )
-from rngswarm.graphs import lune_count, pairwise_distances
+from rngswarm.graphs import effective_graph, pairwise_distances, visibility_graph
 from rngswarm.properties import bisect_clamp_fraction, random_clamp_instance
+
+from helpers import naive_lune_occupants, scalar_blocks, scalar_contains, scalar_segments_intersect
 
 finite = st.floats(min_value=-50, max_value=50, allow_nan=False, allow_infinity=False)
 
 
 def in_lens(k, i, j):
-    """Whether point k lies strictly inside the lens of the pair (i, j)."""
-    return lune_count(0, 1, [i, j, k]) == 1
+    """Whether point k lies strictly inside the lens of the pair (i, j): the
+    trim then drops the edge (i, j)."""
+    xy = np.array([i, j, k], dtype=float)
+    return not effective_graph(visibility_graph(xy, 100.0), xy, 0).has_edge(0, 1)
 
 
 class TestPoints:
@@ -58,8 +63,10 @@ class TestLune:
         assert not in_lens((2.0, 0.0), (0, 0), (1, 0))
 
     def test_coincident_pair_raises(self):
+        # the lens of a coincident pair is undefined; the trim keeps its edge
         with pytest.raises(ValueError, match="coincident"):
-            in_lens((0.3, 0.3), (1, 1), (1, 1))
+            naive_lune_occupants([(1.0, 1.0), (1.0, 1.0), (0.3, 0.3)], 0, 1)
+        assert not in_lens((0.3, 0.3), (1, 1), (1, 1))
 
     def test_symmetric_in_pair_order(self):
         k, a, b = (0.4, -0.2), (0, 0), (1, 0)
@@ -242,3 +249,41 @@ class TestPolygon:
         on_edge = min(abs(x), abs(x - 2), abs(y), abs(y - 2)) < 1e-9
         if not on_edge:
             assert SQUARE.contains_xy(x, y) == expected
+
+
+# grid values put points and segment ends on edges and vertices; free floats
+# give everything in between
+_COORD = st.one_of(
+    st.integers(-4, 12).map(lambda k: k * 0.25),
+    st.floats(min_value=-1, max_value=3, allow_nan=False, allow_subnormal=False),
+)
+POLYGONS = (
+    SQUARE,
+    Polygon(((0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2))),  # non-convex
+    Polygon(((0.25, 0.25), (1.75, 0.5), (0.5, 1.5))),
+)
+
+
+class TestElementwisePredicates:
+    """The array predicates are the scalar ones of `helpers`, element by element."""
+
+    @settings(max_examples=300)
+    @given(st.sampled_from(POLYGONS), st.lists(st.tuples(_COORD, _COORD, _COORD, _COORD), min_size=1, max_size=30))
+    def test_arrays_match_the_scalar_oracle(self, poly, segments):
+        a = np.array(segments)
+        other = np.roll(a, 1, axis=0)
+        assert poly.contains_xy(a[:, 0], a[:, 1]).tolist() == [scalar_contains(poly, *s[:2]) for s in segments]
+        assert poly.blocks_segment_xy(*a.T).tolist() == [scalar_blocks(poly, *s) for s in segments]
+        assert segments_intersect_xy(*a.T, *other.T).tolist() == [
+            scalar_segments_intersect(*s, *t) for s, t in zip(segments, other.tolist())
+        ]
+        blocked = segments_blocked(a[:, :2], a[:, 2:], POLYGONS)
+        assert blocked.tolist() == [any(scalar_blocks(p, *s) for p in POLYGONS) for s in segments]
+
+    def test_a_scalar_call_is_the_0d_case(self):
+        assert SQUARE.contains_xy(1.0, 1.0).shape == ()
+        assert SQUARE.blocks_segment_xy(-1.0, 1.0, 3.0, 1.0).shape == ()
+        assert segments_intersect_xy(0, 0, 1, 1, 0, 1, 1, 0).shape == ()
+
+    def test_no_obstacles_block_nothing(self):
+        assert segments_blocked(np.zeros((3, 2)), np.ones((3, 2)), ()).tolist() == [False] * 3

@@ -9,12 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rngswarm.engine import InitSpec, SwarmState, WorldConfig, _advance_waypoints, run
-from rngswarm.geom import Polygon
+from rngswarm.geom import SIGHT_MARGIN, Polygon
 from rngswarm.graphs import Graph, effective_graph, visibility_graph
 from rngswarm.motion import BehaviorSpec, apply_motion_law, desired_target, separation_cap
 from rngswarm.properties import sample_connected_positions
 
-from helpers import dist, reference_motion_law, snapshots
+from helpers import dist, reference_motion_law, scalar_blocks, snapshots, walled_snapshots
 
 
 def make_state(positions, waypoint_index=0):
@@ -438,7 +438,8 @@ class TestObstacleConstraint:
         world = make_world([(0.0, 0.0)], spec, vis_range=1.0, obstacles=(self.WALL,))
         eff = Graph(n=1, edges=frozenset())
         q = apply_motion_law(0, make_state([(0.0, 0.0)]), eff, spec, world)
-        assert 0.4999999 < q[0] < 0.5  # the wall face is at x = 0.5, boundary included
+        # the wall face is at x = 0.5; the step keeps the sight margin from it
+        assert q[0] == 0.5 - SIGHT_MARGIN
         assert q[1] == 0.0
 
     def test_holds_when_no_shortened_step_clears(self):
@@ -474,12 +475,45 @@ class TestObstacleConstraint:
         assert tuple(q1) == tuple(q2)
 
 
+class TestSightByConstruction:
+    """Moves planned from one snapshot keep every effective edge among walls."""
+
+    @settings(max_examples=300)
+    @given(walled_snapshots())
+    def test_planned_moves_never_break_an_edge_or_cross_a_wall(self, snap):
+        state, eff, world = snap
+        p = state.positions
+        q = apply_motion_law(np.arange(world.n), state, eff, world.behavior, world)
+
+        def in_sight(a, b):
+            return dist(a, b) <= world.vis_range and not any(
+                scalar_blocks(poly, *a, *b) for poly in world.obstacles
+            )
+
+        for i, j in eff.edges.tolist():
+            # both moved, or one of them held back at its snapshot position
+            assert in_sight(q[i].tolist(), q[j].tolist())
+            assert in_sight(p[i].tolist(), q[j].tolist())
+            assert in_sight(q[i].tolist(), p[j].tolist())
+        for a, b in zip(p.tolist(), q.tolist()):
+            assert not any(scalar_blocks(poly, *a, *b) for poly in world.obstacles)
+
+
 class TestArrayKernel:
     """The all-agent kernel is the per-agent law of `helpers`, byte for byte."""
 
     @settings(max_examples=200)
     @given(snapshots())
     def test_proposals_match_the_per_agent_law_bytewise(self, snap):
+        state, eff, world = snap
+        got = apply_motion_law(np.arange(world.n), state, eff, world.behavior, world)
+        want = np.array([reference_motion_law(i, state, eff, world.behavior, world) for i in range(world.n)])
+        assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=200)
+    @given(walled_snapshots())
+    def test_walled_proposals_match_the_per_agent_law_bytewise(self, snap):
+        # the kernel skips the rows that cannot bind; the reference skips none
         state, eff, world = snap
         got = apply_motion_law(np.arange(world.n), state, eff, world.behavior, world)
         want = np.array([reference_motion_law(i, state, eff, world.behavior, world) for i in range(world.n)])

@@ -337,7 +337,7 @@ class TestMetricsCsv:
 
 def svg_for(world, positions):
     state = SwarmState(round=0, positions=np.asarray(positions, dtype=float))
-    g = visibility_graph(state.positions, world.vis_range)
+    g = visibility_graph(state.positions, world.vis_range, world.obstacles)
     eff = effective_graph(g, state.positions, world.rng_plus)
     return state, eff
 
@@ -388,6 +388,27 @@ class TestSvgFrames:
         out = tmp_path / "frame.svg"
         write_svg_frame(state, world, eff, out)
         assert out.read_text().count("<polygon") == 2
+
+    def test_blocked_pair_is_not_drawn(self, tmp_path):
+        # agents 0 and 1 are in range but a wall stands between them; agent 2
+        # sees both around it. The blocked pair is neither solid nor dashed.
+        positions = [(0.0, 0.0), (0.8, 0.0), (0.4, 0.8)]
+        wall = Polygon(((0.35, -0.3), (0.45, -0.3), (0.45, 0.3), (0.35, 0.3)))
+        world = WorldConfig(
+            n=3,
+            vis_range=1.0,
+            behavior=BehaviorSpec(kind="idle", max_step=0.2),
+            init=InitSpec(positions=tuple(positions)),
+            min_separation=0.0,
+            obstacles=(wall,),
+        )
+        state, eff = svg_for(world, positions)
+        assert eff.edges.tolist() == [[0, 2], [1, 2]]
+        out = tmp_path / "frame.svg"
+        write_svg_frame(state, world, eff, out)
+        text = out.read_text()
+        assert text.count("<line") == 2
+        assert "stroke-dasharray" not in text
 
     def test_leader_accent_and_waypoint_crosses(self, tmp_path):
         positions = [(0.0, 0.0), (0.5, 0.0)]
