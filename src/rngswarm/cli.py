@@ -9,7 +9,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import properties
-from .engine import ConnectivityError, RoundReport, SwarmState, _build_graphs, initial_state, run
+from .engine import ConnectivityError, RoundReport, SwarmState, _geometry, initial_state, run
 from .graphs import graph_metrics
 from .reporting import write_metrics, write_svg_frame
 from .scenario import ScenarioError, load_scenario
@@ -56,8 +56,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
         def observer(state: SwarmState, report: RoundReport | None) -> None:
             if state.round % every == 0:
-                _, eff = _build_graphs(state.positions, world)
-                write_svg_frame(state, world, eff, outdir / f"frame_{state.round:05d}.svg")
+                _, g, eff = _geometry(state.positions, world)
+                write_svg_frame(state, world, eff, outdir / f"frame_{state.round:05d}.svg", graph=g)
 
     reports = run(world, observer=observer)
     write_metrics(reports, outdir / "metrics.csv")
@@ -88,8 +88,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
 def _cmd_graph(args: argparse.Namespace) -> int:
     world = load_scenario(args.scenario)
     state = initial_state(world)
-    g, eff = _build_graphs(state.positions, world)
-    m = graph_metrics(g, eff, state.positions)
+    dist, g, eff = _geometry(state.positions, world)
+    m = graph_metrics(g, eff, state.positions, dist=dist)
     print(f"n: {world.n}")
     print(f"edge_count: {m.edge_count}")
     print(f"effective_edge_count: {m.effective_edge_count}")
@@ -99,7 +99,7 @@ def _cmd_graph(args: argparse.Namespace) -> int:
     print(f"max_pair_distance: {m.max_pair_distance:.9g}")
     print(f"max_effective_degree: {max(eff.degree(i) for i in range(world.n))}")
     if args.svg:
-        write_svg_frame(state, world, eff, args.svg)
+        write_svg_frame(state, world, eff, args.svg, graph=g)
         print(f"frame: {args.svg}")
     return 0
 

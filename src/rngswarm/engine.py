@@ -1,11 +1,16 @@
 """Synchronous round engine: snapshot, propose, verify, commit.
 
+Each committed state's geometry (its distance matrix, visibility graph and
+effective graph) is derived once and read by every layer: the motion law
+plans from it, and the verify and the metrics read the next state's.
 All agents plan from the same round-start snapshot, each inside the discs
 and wall half-planes it shares with its effective neighbours, so the planned
-moves keep every effective edge in range and in sight. The commit phase
-re-checks every effective edge of that snapshot against the proposals (pair
-distance, plus line of sight when obstacles exist) as a backstop, and
-reverts both endpoints of any violated edge to their snapshot positions.
+moves keep every effective edge in range and in sight. The commit phase is
+a backstop: it builds the visibility graph of the proposals and checks that
+it still holds every effective edge of the snapshot (pair distance, plus
+line of sight when obstacles exist). Only when one is missing does the
+sweep run that reverts both endpoints of each violated edge to their
+snapshot positions, and the next graph is rebuilt from the result.
 Reverting is monotone, a reverted agent never moves again within the round,
 so the sweep reaches a fixpoint after at most n passes. Snapshot positions
 are safe against both old and new neighbour positions, which keeps every
@@ -18,7 +23,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, replace
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -30,6 +35,7 @@ from .graphs import (
     graph_metrics,
     is_connected,
     pair_distance_range,
+    pairwise_distances,
     visibility_graph,
 )
 from .motion import BehaviorSpec, apply_motion_law
@@ -124,13 +130,14 @@ class WorldConfig:
                     f"init.positions must list n={self.n} points, got {count} positions but n={self.n}"
                 )
             xy = np.asarray(self.init.positions, dtype=float)
-            closest = pair_distance_range(xy)[0]
+            dist = pairwise_distances(xy)
+            closest = pair_distance_range(xy, dist)[0]
             if closest < sep:
                 raise ValueError(
                     f"init.positions must keep every pair at least min_separation ({sep!r}) apart, "
                     f"got a pair at {closest!r}"
                 )
-            if not is_connected(visibility_graph(xy, self.vis_range, self.obstacles)):
+            if not is_connected(visibility_graph(xy, self.vis_range, self.obstacles, dist=dist)):
                 raise ValueError("init.positions give a disconnected initial visibility graph")
 
 
@@ -185,12 +192,13 @@ def initial_state(world: WorldConfig) -> SwarmState:
 def _acceptable_init(xy: np.ndarray, vis_range: float, min_separation: float, obstacles) -> bool:
     """No pair below the separation floor, no agent touching an obstacle, and
     a connected visibility graph, walls included."""
-    if min_separation > 0.0 and pair_distance_range(xy)[0] < min_separation:
+    dist = pairwise_distances(xy)
+    if min_separation > 0.0 and pair_distance_range(xy, dist)[0] < min_separation:
         return False
     # a zero-length segment is blocked where its point touches a wall
     if segments_blocked(xy, xy, obstacles).any():
         return False
-    return is_connected(visibility_graph(xy, vis_range, obstacles))
+    return is_connected(visibility_graph(xy, vis_range, obstacles, dist=dist))
 
 
 def _advance_waypoints(state: SwarmState, world: WorldConfig) -> int:
@@ -246,38 +254,54 @@ def _verify_and_revert(
     return reverted
 
 
-def _build_graphs(positions: np.ndarray, world: WorldConfig) -> tuple[Graph, Graph]:
-    g = visibility_graph(positions, world.vis_range, world.obstacles)
-    eff = effective_graph(g, positions, world.rng_plus)
-    return g, eff
+class _Geometry(NamedTuple):
+    """One committed state's geometry, derived once and read by every layer.
+    Kept by the engine, not on SwarmState, so that an observer holding states
+    holds no n x n matrices."""
+
+    dist: np.ndarray  # pairwise_distances of the positions
+    g: Graph  # visibility graph
+    eff: Graph  # effective graph
+
+
+def _geometry(positions: np.ndarray, world: WorldConfig) -> _Geometry:
+    dist = pairwise_distances(positions)
+    g = visibility_graph(positions, world.vis_range, world.obstacles, dist=dist)
+    return _Geometry(dist, g, effective_graph(g, positions, world.rng_plus, dist=dist))
 
 
 def _step_core(
-    state: SwarmState, world: WorldConfig, g: Graph, eff: Graph
-) -> tuple[SwarmState, RoundReport, Graph, Graph]:
+    state: SwarmState, world: WorldConfig, geo: _Geometry
+) -> tuple[SwarmState, RoundReport, _Geometry]:
     wp_index = _advance_waypoints(state, world)
     if wp_index != state.waypoint_index:
         state = replace(state, waypoint_index=wp_index)
-    spec = world.behavior
     old = state.positions
-    proposals = apply_motion_law(np.arange(world.n), state, eff, spec, world)
-    reverted = _verify_and_revert(old, proposals, eff, world)
+    proposals = apply_motion_law(np.arange(world.n), state, geo.eff, world.behavior, world, dist=geo.dist)
+    # the next visibility graph applies the verify's predicate to every pair:
+    # when it holds every effective edge, no edge needs a revert
+    dist = pairwise_distances(proposals)
+    g2 = visibility_graph(proposals, world.vis_range, world.obstacles, dist=dist)
+    reverted: set[int] = set()
+    if not g2.has_edges(geo.eff.edges).all():
+        reverted = _verify_and_revert(old, proposals, geo.eff, world)
+        dist = pairwise_distances(proposals)
+        g2 = visibility_graph(proposals, world.vis_range, world.obstacles, dist=dist)
     new_state = SwarmState(round=state.round + 1, positions=proposals, waypoint_index=wp_index)
-    g2, eff2 = _build_graphs(new_state.positions, world)
-    metrics = graph_metrics(g2, eff2, new_state.positions)
+    eff2 = effective_graph(g2, new_state.positions, world.rng_plus, dist=dist)
+    metrics = graph_metrics(g2, eff2, new_state.positions, dist=dist)
     if not metrics.connected:
         raise ConnectivityError(
             f"visibility graph disconnected after round {new_state.round}; positions:\n"
             + np.array2string(new_state.positions, precision=17, threshold=10_000)
         )
     report = RoundReport(round=new_state.round, metrics=metrics, reverted_agents=len(reverted))
-    return new_state, report, g2, eff2
+    return new_state, report, _Geometry(dist, g2, eff2)
 
 
 def step(state: SwarmState, world: WorldConfig) -> tuple[SwarmState, RoundReport]:
     """Advance one synchronous round and return the committed state + report."""
-    g, eff = _build_graphs(state.positions, world)
-    new_state, report, _, _ = _step_core(state, world, g, eff)
+    new_state, report, _ = _step_core(state, world, _geometry(state.positions, world))
     return new_state, report
 
 
@@ -297,7 +321,7 @@ def run(
     state = initial_state(world)
     # connected by construction: WorldConfig checks explicit positions and
     # initial_state resamples the box until the visibility graph is connected
-    g, eff = _build_graphs(state.positions, world)
+    geo = _geometry(state.positions, world)
     if observer is not None:
         observer(state, None)
     spec = world.behavior
@@ -307,7 +331,7 @@ def run(
     coincident = 0
     for _ in range(world.max_rounds):
         prev = state.positions
-        state, report, g, eff = _step_core(state, world, g, eff)
+        state, report, geo = _step_core(state, world, geo)
         reports.append(report)
         coincident += report.metrics.min_pair_distance == 0.0
         if observer is not None:

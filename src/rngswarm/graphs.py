@@ -44,12 +44,14 @@ class Graph:
     edges: np.ndarray = ()
 
     def __post_init__(self) -> None:
-        e = np.asarray(self.edges if isinstance(self.edges, np.ndarray) else list(self.edges), dtype=np.intp)
+        e = np.array(self.edges if isinstance(self.edges, np.ndarray) else list(self.edges), dtype=np.intp)
         if e.size == 0:
             e = e.reshape(0, 2)
         if e.ndim != 2 or e.shape[1] != 2:
             raise ValueError(f"edges must be (i, j) pairs, got an array of shape {e.shape}")
-        e = np.column_stack((e.min(axis=1), e.max(axis=1)))
+        # the builders' rows already have i < j and need no reordering copy
+        if not (e[:, 0] < e[:, 1]).all():
+            e = np.column_stack((e.min(axis=1), e.max(axis=1)))
         bad = (e[:, 0] == e[:, 1]) | (e[:, 0] < 0) | (e[:, 1] >= self.n)
         if bad.any():
             i, j = e[bad][0]
@@ -75,6 +77,12 @@ class Graph:
         indices.setflags(write=False)
         return indptr, indices
 
+    @cached_property
+    def _keys(self) -> np.ndarray:
+        """Edge keys i * n + j in ascending order, closed by the sentinel n * n,
+        which lies above every valid key, so each lookup lands in range."""
+        return np.append(self.edges[:, 0] * self.n + self.edges[:, 1], self.n * self.n)
+
     def neighbors(self, i: int) -> np.ndarray:
         """Sorted neighbour indices of i."""
         indptr, indices = self._csr
@@ -88,9 +96,7 @@ class Graph:
         p = np.asarray(pairs if isinstance(pairs, np.ndarray) else list(pairs), dtype=np.intp).reshape(-1, 2)
         lo, hi = p.min(axis=1), p.max(axis=1)
         key = np.where((lo >= 0) & (lo < hi) & (hi < self.n), lo * self.n + hi, -1)
-        # the sentinel n * n lies above every valid key, so each lookup lands in range
-        edge_key = np.append(self.edges[:, 0] * self.n + self.edges[:, 1], self.n * self.n)
-        return edge_key[np.searchsorted(edge_key, key)] == key
+        return self._keys[np.searchsorted(self._keys, key)] == key
 
     def has_edge(self, i: int, j: int) -> bool:
         return bool(self.has_edges([(i, j)])[0])
@@ -108,36 +114,48 @@ class GraphMetrics:
     max_pair_distance: float  # 0 when there is no pair
 
 
-def pairwise_distances(xy: np.ndarray) -> np.ndarray:
-    """Full n x n Euclidean distance matrix."""
-    diff = xy[:, None, :] - xy[None, :, :]
+def pairwise_distances(xy: np.ndarray, rows=None) -> np.ndarray:
+    """Euclidean distance matrix: the full n x n one, or only the rows of the
+    agents `rows`, in the same arithmetic. It is exactly symmetric, since
+    (-x)^2 = x^2."""
+    src = xy if rows is None else xy[rows]
+    diff = src[:, None, :] - xy[None, :, :]
     return np.sqrt((diff * diff).sum(axis=2))
 
 
-def pair_distance_range(xy: np.ndarray) -> tuple[float, float]:
-    """Smallest and largest distance between two agents, in pairwise_distances
-    arithmetic; (inf, 0) with fewer than two agents."""
-    if len(xy) < 2:
+def pair_distance_range(xy: np.ndarray, dist: np.ndarray | None = None) -> tuple[float, float]:
+    """Smallest and largest distance between two agents, read from `dist`
+    (default `pairwise_distances(xy)`); (inf, 0) with fewer than two agents."""
+    n = len(xy)
+    if n < 2:
         return math.inf, 0.0
-    iu, ju = np.triu_indices(len(xy), k=1)
-    vals = pairwise_distances(xy)[iu, ju]
-    return float(vals.min()), float(vals.max())
+    if dist is None:
+        dist = pairwise_distances(xy)
+    # every pair sits twice off the diagonal and the n diagonal zeros sort
+    # first, so the n-th smallest entry is the closest pair: exact selections
+    ranked = np.partition(dist, (n, n * n - 1), axis=None)
+    return float(ranked[n]), float(ranked[-1])
 
 
-def visibility_graph(positions, vis_range: float, obstacles=()) -> Graph:
+def visibility_graph(positions, vis_range: float, obstacles=(), dist: np.ndarray | None = None) -> Graph:
     """Edge between every pair of agents at distance <= vis_range (inclusive)
-    whose segment no obstacle blocks."""
+    whose segment no obstacle blocks; `dist` is `pairwise_distances` of the
+    positions, computed when not given."""
     if not (math.isfinite(vis_range) and vis_range > 0.0):
         raise ValueError(f"vis_range must be a positive finite number, got {vis_range!r}")
     xy = coords(positions)
+    if dist is None:
+        dist = pairwise_distances(xy)
     # argwhere lists the upper triangle row by row: pairs i < j, lexicographic
-    e = np.argwhere(np.triu(pairwise_distances(xy) <= vis_range, k=1))
+    e = np.argwhere(np.triu(dist <= vis_range, k=1))
     if obstacles:
         e = e[~segments_blocked(xy[e[:, 0]], xy[e[:, 1]], obstacles)]
     return Graph(len(xy), e)
 
 
-def effective_graph(graph: Graph, positions, max_lune_occupants: int = 0) -> Graph:
+def effective_graph(
+    graph: Graph, positions, max_lune_occupants: int = 0, dist: np.ndarray | None = None
+) -> Graph:
     """Trim every edge whose lens holds more than max_lune_occupants agents.
 
     Limit 0 keeps an edge only when its lens is empty (the relative
@@ -148,7 +166,8 @@ def effective_graph(graph: Graph, positions, max_lune_occupants: int = 0) -> Gra
     edges are in sight, so trimming still cannot disconnect the graph.
     Strict distance comparisons make the decision identical from both
     endpoints, and a zero-length edge (coincident pair, empty lens) is
-    always kept.
+    always kept. `dist` is `pairwise_distances` of the positions, computed
+    when not given.
     """
     if max_lune_occupants < 0:
         raise ValueError(f"max_lune_occupants must be >= 0, got {max_lune_occupants}")
@@ -156,13 +175,15 @@ def effective_graph(graph: Graph, positions, max_lune_occupants: int = 0) -> Gra
     n = graph.n
     if n != len(xy):
         raise ValueError(f"graph has {graph.n} vertices but {len(xy)} positions given")
+    if dist is None:
+        dist = pairwise_distances(xy)
     rows_i, rows_j = graph.edges[:, 0], graph.edges[:, 1]
-    d = pairwise_distances(xy)[rows_i, rows_j]
+    d = dist[rows_i, rows_j]
     # distances along the graph's edges only: a non-neighbour is never closer
-    dist = np.full((n, n), math.inf)
-    dist[rows_i, rows_j] = dist[rows_j, rows_i] = d
+    along = np.full((n, n), math.inf)
+    along[rows_i, rows_j] = along[rows_j, rows_i] = d
     d = d[:, None]
-    occupied = np.count_nonzero((dist[rows_i] < d) & (dist[rows_j] < d), axis=1)
+    occupied = np.count_nonzero((along[rows_i] < d) & (along[rows_j] < d), axis=1)
     return Graph(n, graph.edges[occupied <= max_lune_occupants])
 
 
@@ -195,15 +216,16 @@ def is_connected(graph: Graph) -> bool:
     return graph.n <= 1 or _hops(graph, [0]) >= 0
 
 
-def graph_metrics(graph: Graph, effective: Graph, positions) -> GraphMetrics:
-    """Summarise one snapshot; `effective` must be a subgraph of `graph`."""
+def graph_metrics(graph: Graph, effective: Graph, positions, dist: np.ndarray | None = None) -> GraphMetrics:
+    """Summarise one snapshot; `effective` must be a subgraph of `graph`, and
+    `dist` is `pairwise_distances` of the positions, computed when not given."""
     if effective.n != graph.n or not graph.has_edges(effective.edges).all():
         raise ValueError("effective graph must be a subgraph of the visibility graph")
     xy = coords(positions)
     n = graph.n
     if n != len(xy):
         raise ValueError(f"graph has {graph.n} vertices but {len(xy)} positions given")
-    dmin, dmax = pair_distance_range(xy)
+    dmin, dmax = pair_distance_range(xy, dist)
     diameter = _hops(graph, np.arange(n))
     return GraphMetrics(
         edge_count=len(graph.edges),

@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from .geom import FEASIBILITY_TOL, clamp_point_xy, clamp_to_sight
-from .graphs import Graph, coords
+from .graphs import Graph, coords, pairwise_distances
 
 if TYPE_CHECKING:  # pragma: no cover
     from .engine import SwarmState, WorldConfig
@@ -99,6 +99,8 @@ def _neighbour_rows(effective: Graph, idx: np.ndarray) -> tuple[np.ndarray, np.n
     """CSR rows of the agents `idx`: row k lists the effective neighbours of
     idx[k], in ascending order, as nbr[indptr[k]:indptr[k + 1]]."""
     full_ptr, full_idx = effective._csr
+    if len(idx) == effective.n and (idx == np.arange(len(idx))).all():
+        return full_ptr, full_idx  # every agent in order: the graph's own rows
     start = full_ptr[idx]
     deg = full_ptr[idx + 1] - start
     indptr = np.zeros(len(idx) + 1, dtype=np.intp)
@@ -158,7 +160,9 @@ def desired_target(agents, state: "SwarmState", effective: Graph, spec: Behavior
     return raw[0] if single else raw
 
 
-def separation_cap(agents, positions, vis_range: float, min_separation: float):
+def separation_cap(
+    agents, positions, vis_range: float, min_separation: float, dist: np.ndarray | None = None
+):
     """Largest displacement of each agent that cannot break the separation floor.
 
     Each visible pair may close by at most its slack (d - min_separation),
@@ -168,14 +172,14 @@ def separation_cap(agents, positions, vis_range: float, min_separation: float):
     enforces. With nothing visible the cap is unbounded (inf); the behaviour
     target is already pre-capped at max_step. An index array gives a (k,)
     array of caps, one index a float. Agents that start below the floor are
-    held still and reported in one warning per call.
+    held still and reported in one warning per call. `dist` is
+    `pairwise_distances` of the positions; without it only the agents' own
+    rows are computed.
     """
     if min_separation < 0.0:
         raise ValueError(f"min_separation must be >= 0, got {min_separation!r}")
     single, idx = _as_rows(agents)
-    xy = coords(positions)
-    rel = xy[None, :, :] - xy[idx][:, None, :]
-    d = np.sqrt(rel[:, :, 0] * rel[:, :, 0] + rel[:, :, 1] * rel[:, :, 1])
+    d = pairwise_distances(coords(positions), idx) if dist is None else dist[idx]
     d[np.arange(len(idx)), idx] = math.inf
     nearest = np.where(d <= vis_range, d, math.inf).min(axis=1, initial=math.inf)
     # Agents that have packed down to exactly the floor sit an ulp below it in
@@ -197,6 +201,7 @@ def apply_motion_law(
     effective: Graph,
     spec: BehaviorSpec,
     world: "WorldConfig",
+    dist: np.ndarray | None = None,
 ) -> np.ndarray:
     """Propose the next position of each agent from the current snapshot.
 
@@ -207,7 +212,8 @@ def apply_motion_law(
     planning from the same snapshot stays in the same disc and half-planes,
     so their edge survives both moves; the engine's verify is the backstop.
     `agents` is an index array, giving (k, 2) proposals, or one index,
-    giving one (2,) proposal.
+    giving one (2,) proposal. `dist` is `pairwise_distances` of the
+    positions; without it only the agents' own rows are computed.
     """
     single, idx = _as_rows(agents)
     xy = state.positions
@@ -215,18 +221,17 @@ def apply_motion_law(
     indptr, nbr = _neighbour_rows(effective, idx)
     owner = np.repeat(np.arange(len(idx)), np.diff(indptr))
     nbr_xy = xy[nbr]
-    rel = nbr_xy - p[owner]
-    dist = np.sqrt(rel[:, 0] * rel[:, 0] + rel[:, 1] * rel[:, 1])
-    far = dist > world.vis_range + FEASIBILITY_TOL
+    length = pairwise_distances(xy, idx)[owner, nbr] if dist is None else dist[idx[owner], nbr]
+    far = length > world.vis_range + FEASIBILITY_TOL
     if far.any():
         row = owner[np.argmax(far)]
         raise RuntimeError(
             f"agent {idx[row]} is outside its allowable region: an effective neighbour "
-            f"sits {float(dist[owner == row].max()):.6g} away with visibility range {world.vis_range:.6g}"
+            f"sits {float(length[owner == row].max()):.6g} away with visibility range {world.vis_range:.6g}"
         )
     t = desired_target(idx, state, effective, spec)
     if world.min_separation > 0.0:
-        cap = separation_cap(idx, xy, world.vis_range, world.min_separation)
+        cap = separation_cap(idx, xy, world.vis_range, world.min_separation, dist=dist)
         off = t - p
         norm = np.sqrt(off[:, 0] * off[:, 0] + off[:, 1] * off[:, 1])
         over = norm > cap

@@ -57,12 +57,15 @@ def write_metrics(reports: Sequence[RoundReport], path) -> None:
 # ---------------------------------------------------------------------------
 
 
-def write_svg_frame(state: SwarmState, world: WorldConfig, effective: Graph, path) -> None:
+def write_svg_frame(
+    state: SwarmState, world: WorldConfig, effective: Graph, path, graph: Graph | None = None
+) -> None:
     """One frame: agents as circles, effective edges solid, trimmed edges
-    dashed, obstacles as filled polygons, the leader accented."""
+    dashed, obstacles as filled polygons, the leader accented. `graph` is
+    the state's visibility graph, built when not given."""
     xy = state.positions
     vis = world.vis_range
-    g = visibility_graph(xy, vis, world.obstacles)
+    g = visibility_graph(xy, vis, world.obstacles) if graph is None else graph
     xs = [float(v) for v in xy[:, 0]]
     ys = [float(v) for v in xy[:, 1]]
     for poly in world.obstacles:

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from rngswarm.cli import main as cli_main
-from rngswarm.engine import InitSpec, WorldConfig, _build_graphs, _step_core, initial_state, run
+from rngswarm.engine import InitSpec, WorldConfig, _geometry, _step_core, initial_state, run
 from rngswarm.geom import Polygon
 from rngswarm.graphs import effective_graph, is_connected, visibility_graph
 from rngswarm.motion import BehaviorSpec
@@ -81,9 +81,9 @@ def scenario_batch():
     min_pair = math.inf
     for world in _batch_worlds():
         state = initial_state(world)
-        g, eff = _build_graphs(state.positions, world)
+        geo = _geometry(state.positions, world)
         for _ in range(BATCH_ROUNDS):
-            state, rep, g, eff = _step_core(state, world, g, eff)
+            state, rep, geo = _step_core(state, world, geo)
             total_rounds += 1
             disconnections += not rep.metrics.connected
             reverted += rep.reverted_agents

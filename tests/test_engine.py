@@ -1,16 +1,22 @@
 import logging
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from rngswarm import engine
 from rngswarm.engine import (
+    ConnectivityError,
     InitSpec,
     SwarmState,
     WorldConfig,
     _acceptable_init,
+    _edges_safe,
+    _geometry,
+    _step_core,
     _verify_and_revert,
     initial_state,
     run,
@@ -21,7 +27,7 @@ from rngswarm.graphs import Graph, effective_graph, is_connected, pairwise_dista
 from rngswarm.motion import BehaviorSpec, apply_motion_law
 from rngswarm.properties import sample_connected_positions
 
-from helpers import edge_set, reference_verify, scalar_blocks, scalar_contains, snapshots
+from helpers import edge_set, reference_verify, scalar_blocks, scalar_contains, snapshots, walled_snapshots
 
 
 def make_world(positions=None, behavior=None, **kw):
@@ -308,6 +314,45 @@ class TestVerifyRevert:
             state.positions, want_props, eff, world
         )
         assert props.tobytes() == want_props.tobytes()
+
+
+class TestFoldedVerify:
+    """The round checks its effective edges by reading the next visibility
+    graph; the sweep runs only when that graph lacks one of them."""
+
+    @settings(max_examples=300)
+    @given(walled_snapshots(), st.data())
+    def test_next_graph_holds_exactly_the_safe_edges(self, snap, data):
+        # moves of up to 0.6 against a range of 1 break edges by distance and by walls
+        state, eff, world = snap
+        step = data.draw(st.lists(st.floats(-0.6, 0.6), min_size=2 * world.n, max_size=2 * world.n))
+        moved = state.positions + np.reshape(step, (world.n, 2))
+        held = visibility_graph(moved, world.vis_range, world.obstacles).has_edges(eff.edges)
+        assert held.tolist() == _edges_safe(moved, eff.edges, world).tolist()
+
+    @settings(max_examples=100)
+    @given(walled_snapshots(), st.data())
+    def test_a_violated_round_commits_the_reference_sweep(self, snap, data):
+        state, eff, world = snap
+        step = data.draw(st.lists(st.floats(-0.6, 0.6), min_size=2 * world.n, max_size=2 * world.n))
+        props = state.positions + np.reshape(step, (world.n, 2))
+        assume(not _edges_safe(props, eff.edges, world).all())
+        want_props = props.copy()
+        want = reference_verify(state.positions, want_props, eff, world)
+        with mock.patch.object(engine, "apply_motion_law", lambda *args, **kwargs: props.copy()):
+            if not is_connected(visibility_graph(want_props, world.vis_range, world.obstacles)):
+                # a snapshot that starts disconnected may stay so
+                with pytest.raises(ConnectivityError):
+                    _step_core(state, world, _geometry(state.positions, world))
+                return
+            new_state, report, geo = _step_core(state, world, _geometry(state.positions, world))
+        assert new_state.positions.tobytes() == want_props.tobytes()
+        assert report.reverted_agents == len(want)
+        # the geometry handed to the next round is that of the committed state
+        fresh = _geometry(new_state.positions, world)
+        assert geo.dist.tobytes() == fresh.dist.tobytes()
+        assert geo.g.edges.tobytes() == fresh.g.edges.tobytes()
+        assert geo.eff.edges.tobytes() == fresh.eff.edges.tobytes()
 
 
 class TestStep:

@@ -14,6 +14,7 @@ from rngswarm.graphs import (
     pairwise_distances,
     visibility_graph,
 )
+from rngswarm.motion import separation_cap
 
 from helpers import (
     edge_set,
@@ -340,3 +341,58 @@ class TestPairwiseDistances:
                 assert dist[i, j] == pytest.approx(
                     math.hypot(*(xy[i] - xy[j])), abs=1e-12
                 )
+
+
+def _grid_positions(max_n):
+    # grid values give coincident pairs and exact ties, free floats the rest
+    coord = st.one_of(st.integers(-4, 4).map(lambda k: k * 0.25), st.floats(-1.0, 1.0, allow_nan=False))
+    return st.lists(st.tuples(coord, coord), min_size=1, max_size=max_n).map(
+        lambda pts: np.asarray(pts, dtype=float)
+    )
+
+
+class TestSharedDistances:
+    """Every layer that takes the distance matrix as `dist=` gives the same
+    bytes with it as without it."""
+
+    @staticmethod
+    def _assert_same_bytes(xy):
+        n = len(xy)
+        dist = pairwise_distances(xy)
+        g = visibility_graph(xy, 1.0)
+        assert visibility_graph(xy, 1.0, dist=dist).edges.tobytes() == g.edges.tobytes()
+        for limit in (0, 1):
+            want = effective_graph(g, xy, limit)
+            assert effective_graph(g, xy, limit, dist=dist).edges.tobytes() == want.edges.tobytes()
+        eff = effective_graph(g, xy, 0)
+        with_dist, without = graph_metrics(g, eff, xy, dist=dist), graph_metrics(g, eff, xy)
+        for field in ("min_pair_distance", "max_pair_distance"):
+            got, want = getattr(with_dist, field), getattr(without, field)
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
+        assert with_dist == without
+        if n >= 2:  # the pairs of the upper triangle, as the range was read before
+            iu, ju = np.triu_indices(n, k=1)
+            assert (without.min_pair_distance, without.max_pair_distance) == (
+                float(dist[iu, ju].min()),
+                float(dist[iu, ju].max()),
+            )
+        for sep in (0.0, 0.1):
+            rows = separation_cap(np.arange(n), xy, 1.0, sep)
+            assert separation_cap(np.arange(n), xy, 1.0, sep, dist=dist).tobytes() == rows.tobytes()
+            for i in range(n):
+                want = np.float64(separation_cap(i, xy, 1.0, sep))
+                assert np.float64(separation_cap(i, xy, 1.0, sep, dist=dist)).tobytes() == want.tobytes()
+                assert want.tobytes() == rows[i].tobytes()
+
+    def test_one_agent(self):
+        self._assert_same_bytes(np.array([[0.3, -0.2]]))
+
+    def test_two_agents(self):
+        self._assert_same_bytes(np.array([[0.0, 0.0], [0.6, 0.8]]))
+
+    def test_coincident_pair(self):
+        self._assert_same_bytes(np.array([[0.0, 0.0], [0.5, 0.0], [0.5, 0.0], [0.25, 0.4]]))
+
+    @given(_grid_positions(12))
+    def test_random_snapshots(self, xy):
+        self._assert_same_bytes(xy)
