@@ -5,17 +5,16 @@ effective graph) is derived once and read by every layer: the motion law
 plans from it, and the verify and the metrics read the next state's.
 All agents plan from the same round-start snapshot, each inside the discs
 and wall half-planes it shares with its effective neighbours, so the planned
-moves keep every effective edge in range and in sight. The commit phase is
-a backstop: it builds the visibility graph of the proposals and checks that
-it still holds every effective edge of the snapshot (pair distance, plus
-line of sight when obstacles exist). Only when one is missing does the
-sweep run that reverts both endpoints of each violated edge to their
-snapshot positions, and the next graph is rebuilt from the result.
-Reverting is monotone, a reverted agent never moves again within the round,
-so the sweep reaches a fixpoint after at most n passes. Snapshot positions
-are safe against both old and new neighbour positions, which keeps every
-effective edge inside the next visibility graph and hence the swarm
-connected.
+moves keep every effective edge in range and in sight. The commit is a
+backstop: it builds the visibility graph of the proposals and checks that
+it still holds every effective edge of the snapshot. Only when one is
+missing does it revert both endpoints of every missing edge at once to
+their snapshot positions and build the graph again, until every missing
+edge has both endpoints reverted. The rule reads only visibility graphs and no
+edge order. Reverting is monotone, so it reaches its fixpoint after at most
+n passes. Snapshot positions are safe against both old and new neighbour
+positions, which keeps every effective edge inside the next visibility
+graph and hence the swarm connected.
 """
 
 from __future__ import annotations
@@ -130,15 +129,9 @@ class WorldConfig:
                     f"init.positions must list n={self.n} points, got {count} positions but n={self.n}"
                 )
             xy = np.asarray(self.init.positions, dtype=float)
-            dist = pairwise_distances(xy)
-            closest = pair_distance_range(xy, dist)[0]
-            if closest < sep:
-                raise ValueError(
-                    f"init.positions must keep every pair at least min_separation ({sep!r}) apart, "
-                    f"got a pair at {closest!r}"
-                )
-            if not is_connected(visibility_graph(xy, self.vis_range, self.obstacles, dist=dist)):
-                raise ValueError("init.positions give a disconnected initial visibility graph")
+            fault = _init_fault(xy, self.vis_range, sep, self.obstacles)
+            if fault is not None:
+                raise ValueError(f"init.positions {fault}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -170,18 +163,15 @@ class RoundReport:
 
 def initial_state(world: WorldConfig) -> SwarmState:
     """Explicit positions as given; otherwise sample the box with the world seed
-    until the visibility graph is connected (and, with a separation floor, no
-    pair starts below it)."""
+    until no pair starts below the separation floor, no agent touches a wall
+    and the visibility graph is connected."""
     if world.init.positions is not None:
         return SwarmState(round=0, positions=np.asarray(world.init.positions, dtype=float))
     rng = np.random.default_rng(world.seed)
-    # box sampling additionally rejects an agent on or in a wall; explicit
-    # positions are taken verbatim once WorldConfig has checked them (the
-    # scenario author owns their placement around walls)
     xmin, ymin, xmax, ymax = world.init.box
     for _ in range(_MAX_INIT_ATTEMPTS):
         xy = rng.uniform((xmin, ymin), (xmax, ymax), size=(world.n, 2))
-        if _acceptable_init(xy, world.vis_range, world.min_separation, world.obstacles):
+        if _init_fault(xy, world.vis_range, world.min_separation, world.obstacles) is None:
             return SwarmState(round=0, positions=xy)
     raise ValueError(
         f"no acceptable initial configuration in {_MAX_INIT_ATTEMPTS} samples; "
@@ -189,16 +179,24 @@ def initial_state(world: WorldConfig) -> SwarmState:
     )
 
 
-def _acceptable_init(xy: np.ndarray, vis_range: float, min_separation: float, obstacles) -> bool:
-    """No pair below the separation floor, no agent touching an obstacle, and
-    a connected visibility graph, walls included."""
+def _init_fault(xy: np.ndarray, vis_range: float, min_separation: float, obstacles) -> str | None:
+    """The first condition a start fails, checked in the order separation
+    floor, wall contact, connectivity of the walled visibility graph; None
+    when it fails none."""
     dist = pairwise_distances(xy)
-    if min_separation > 0.0 and pair_distance_range(xy, dist)[0] < min_separation:
-        return False
+    if min_separation > 0.0:
+        closest = pair_distance_range(xy, dist)[0]
+        if closest < min_separation:
+            return (
+                f"must keep every pair at least min_separation ({min_separation!r}) apart, "
+                f"got a pair at {closest!r}"
+            )
     # a zero-length segment is blocked where its point touches a wall
     if segments_blocked(xy, xy, obstacles).any():
-        return False
-    return is_connected(visibility_graph(xy, vis_range, obstacles, dist=dist))
+        return "put an agent on or inside an obstacle"
+    if not is_connected(visibility_graph(xy, vis_range, obstacles, dist=dist)):
+        return "give a disconnected initial visibility graph"
+    return None
 
 
 def _advance_waypoints(state: SwarmState, world: WorldConfig) -> int:
@@ -217,41 +215,35 @@ def _advance_waypoints(state: SwarmState, world: WorldConfig) -> int:
     return k
 
 
-def _edges_safe(pos: np.ndarray, edges: np.ndarray, world: WorldConfig) -> np.ndarray:
-    """Whether each edge keeps its endpoints in range and in sight of each other."""
-    p, q = pos[edges[:, 0]], pos[edges[:, 1]]
-    d = p - q
-    # the arithmetic and the wall test of visibility_graph: an edge this check
-    # accepts is guaranteed to reappear in the next round's visibility graph
-    return (np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]) <= world.vis_range) & ~segments_blocked(
-        p, q, world.obstacles
-    )
-
-
-def _verify_and_revert(
+def _commit(
     old: np.ndarray, proposals: np.ndarray, effective: Graph, world: WorldConfig
-) -> set[int]:
-    """Revert both endpoints of every violated effective edge, to a fixpoint.
+) -> tuple[np.ndarray, Graph, np.ndarray]:
+    """Revert the proposals to a fixpoint over their visibility graph.
 
-    The planner keeps every effective edge by construction, so this is a
-    backstop. One array pass checks every edge; only when one fails are the
-    edges swept in sorted order, reverting as each violated edge is met,
-    until a sweep changes nothing. An edge that stays violated with both
-    endpoints already reverted (a pre-existing line of sight break) cannot
-    be repaired and is left to the trimming dynamics.
+    Each pass builds the distance matrix and visibility graph of the
+    proposals. Every effective edge missing from that graph that still has an
+    endpoint not reverted gets both endpoints reverted to `old`, all at once,
+    and the pass repeats. An edge missing with both endpoints reverted
+    predates the round (a line of sight break) and is left to the trimming
+    dynamics.
+    Mutates `proposals`; returns the last pass's matrix and graph, which are
+    the committed state's, and the mask of reverted agents.
     """
     edges = effective.edges
-    reverted: set[int] = set()
-    changed = not _edges_safe(proposals, edges, world).all()
-    while changed:
-        changed = False
-        for e, (i, j) in enumerate(edges.tolist()):
-            if {i, j} <= reverted or _edges_safe(proposals, edges[e : e + 1], world)[0]:
-                continue
-            proposals[[i, j]] = old[[i, j]]
-            reverted |= {i, j}
-            changed = True
-    return reverted
+    reverted = np.zeros(world.n, dtype=bool)
+    while True:
+        dist = pairwise_distances(proposals)
+        g = visibility_graph(proposals, world.vis_range, world.obstacles, dist=dist)
+        held = g.has_edges(edges)
+        if held.all():
+            return dist, g, reverted
+        broken = edges[~held]
+        broken = broken[~reverted[broken].all(axis=1)]
+        if not len(broken):
+            return dist, g, reverted
+        ends = broken.ravel()
+        proposals[ends] = old[ends]
+        reverted[ends] = True
 
 
 class _Geometry(NamedTuple):
@@ -276,17 +268,8 @@ def _step_core(
     wp_index = _advance_waypoints(state, world)
     if wp_index != state.waypoint_index:
         state = replace(state, waypoint_index=wp_index)
-    old = state.positions
     proposals = apply_motion_law(np.arange(world.n), state, geo.eff, world.behavior, world, dist=geo.dist)
-    # the next visibility graph applies the verify's predicate to every pair:
-    # when it holds every effective edge, no edge needs a revert
-    dist = pairwise_distances(proposals)
-    g2 = visibility_graph(proposals, world.vis_range, world.obstacles, dist=dist)
-    reverted: set[int] = set()
-    if not g2.has_edges(geo.eff.edges).all():
-        reverted = _verify_and_revert(old, proposals, geo.eff, world)
-        dist = pairwise_distances(proposals)
-        g2 = visibility_graph(proposals, world.vis_range, world.obstacles, dist=dist)
+    dist, g2, reverted = _commit(state.positions, proposals, geo.eff, world)
     new_state = SwarmState(round=state.round + 1, positions=proposals, waypoint_index=wp_index)
     eff2 = effective_graph(g2, new_state.positions, world.rng_plus, dist=dist)
     metrics = graph_metrics(g2, eff2, new_state.positions, dist=dist)
@@ -295,7 +278,7 @@ def _step_core(
             f"visibility graph disconnected after round {new_state.round}; positions:\n"
             + np.array2string(new_state.positions, precision=17, threshold=10_000)
         )
-    report = RoundReport(round=new_state.round, metrics=metrics, reverted_agents=len(reverted))
+    report = RoundReport(round=new_state.round, metrics=metrics, reverted_agents=int(reverted.sum()))
     return new_state, report, _Geometry(dist, g2, eff2)
 
 

@@ -108,10 +108,10 @@ def _neighbour_rows(effective: Graph, idx: np.ndarray) -> tuple[np.ndarray, np.n
     return indptr, full_idx[np.repeat(start - indptr[:-1], deg) + np.arange(indptr[-1])]
 
 
-def _row_sums(rows: np.ndarray, indptr: np.ndarray) -> np.ndarray:
-    """Sum of each CSR row of `rows`, adding one neighbour at a time in row
-    order from +0.0: the order, and so the rounding, of `ndarray.sum(axis=0)`."""
-    deg = np.diff(indptr)
+def _row_sums(rows: np.ndarray, indptr: np.ndarray, deg: np.ndarray) -> np.ndarray:
+    """Sum of each CSR row of `rows` (row lengths `deg`), adding one neighbour
+    at a time in row order from +0.0: the order, and so the rounding, of
+    `ndarray.sum(axis=0)`."""
     acc = np.zeros((len(deg), 2))
     for level in range(int(deg.max(initial=0))):
         has = deg > level
@@ -145,10 +145,10 @@ def desired_target(agents, state: "SwarmState", effective: Graph, spec: Behavior
             # a skipped neighbour adds -0.0, which leaves every sum as it was
             pull = np.where(ok[:, None], scale[:, None] * rel, -0.0)
             pulled = np.bincount(owner[ok], minlength=len(idx)) > 0
-            raw[pulled] = p[pulled] + _row_sums(pull, indptr)[pulled]
+            raw[pulled] = p[pulled] + _row_sums(pull, indptr, deg)[pulled]
         else:  # gather, and every non-leader in leader_follow
             has = deg > 0
-            raw[has] = _row_sums(xy[nbr], indptr)[has] / deg[has, None]
+            raw[has] = _row_sums(xy[nbr], indptr, deg)[has] / deg[has, None]
         if spec.kind == "leader_follow":
             k = state.waypoint_index
             lead = idx == spec.leader_index

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import InitSpec, SwarmState, WorldConfig, _acceptable_init, step
+from .engine import InitSpec, SwarmState, WorldConfig, _init_fault, step
 from .geom import clamp_fraction, clamp_point_xy
 from .graphs import effective_graph, is_connected, pair_distance_range, visibility_graph
 from .motion import BehaviorSpec
@@ -41,7 +41,7 @@ def sample_connected_positions(rng: np.random.Generator, n: int, min_sep: float 
     side = max(1.0, 0.7 * math.sqrt(n))
     for _ in range(_SAMPLE_ATTEMPTS):
         xy = rng.uniform(0.0, side, size=(n, 2))
-        if _acceptable_init(xy, 1.0, min_sep, ()):
+        if _init_fault(xy, 1.0, min_sep, ()) is None:
             return xy
     raise RuntimeError(f"no connected sample found for n={n} in {_SAMPLE_ATTEMPTS} attempts")
 

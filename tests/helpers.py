@@ -1,10 +1,10 @@
 """Slow, loop-based reference implementations of the graph layer, the wall
-predicates, the motion law and the verify sweep.
+predicates, the motion law and the commit's revert rule.
 
 The graph references and the wall predicates are written with plain Python
 floats and loops so that they share no code path (and no vectorization
-subtleties) with the library. The motion law and the verify sweep are kept
-here in their per-agent and full-sweep forms, in the library's portable
+subtleties) with the library. The motion law and the revert rule are kept
+here in their per-agent and per-edge forms, in the library's portable
 arithmetic, as the oracles the array kernels must match byte for byte.
 Tests compare the fast implementations against these.
 """
@@ -194,7 +194,7 @@ def edge_set(graph):
 
 
 # ---------------------------------------------------------------------------
-# the per-agent motion law and the full-sweep verify
+# the per-agent motion law and the per-edge revert rule
 # ---------------------------------------------------------------------------
 
 FEASIBILITY_TOL = 1e-9
@@ -347,23 +347,24 @@ def reference_edge_safe(pi, pj, world):
 
 
 def reference_verify(old, proposals, effective, world):
-    """Sweep every effective edge in sorted order, reverting both endpoints of
-    each violated one as it is met, until a sweep changes nothing. Mutates
-    `proposals` and returns the set of reverted agents."""
+    """The commit's revert rule, one edge at a time: each pass collects every
+    effective edge that is not safe and still has an endpoint not reverted,
+    then reverts both endpoints of all of them at once, until a pass collects
+    none. Mutates `proposals` and returns the set of reverted agents."""
     reverted = set()
     edges = effective.edges.tolist()
     while True:
-        changed = False
-        for i, j in edges:
-            if reference_edge_safe(proposals[i], proposals[j], world):
-                continue
-            for a in (i, j):
-                if a not in reverted:
-                    proposals[a] = old[a]
-                    reverted.add(a)
-                    changed = True
-        if not changed:
+        broken = [
+            (i, j)
+            for i, j in edges
+            if not {i, j} <= reverted and not reference_edge_safe(proposals[i], proposals[j], world)
+        ]
+        if not broken:
             return reverted
+        for i, j in broken:
+            for a in (i, j):
+                proposals[a] = old[a]
+                reverted.add(a)
 
 
 # grid values give coincident agents, exact zeros and pairs at exactly the

@@ -13,11 +13,10 @@ from rngswarm.engine import (
     InitSpec,
     SwarmState,
     WorldConfig,
-    _acceptable_init,
-    _edges_safe,
+    _commit,
     _geometry,
+    _init_fault,
     _step_core,
-    _verify_and_revert,
     initial_state,
     run,
     step,
@@ -27,7 +26,15 @@ from rngswarm.graphs import Graph, effective_graph, is_connected, pairwise_dista
 from rngswarm.motion import BehaviorSpec, apply_motion_law
 from rngswarm.properties import sample_connected_positions
 
-from helpers import edge_set, reference_verify, scalar_blocks, scalar_contains, snapshots, walled_snapshots
+from helpers import (
+    edge_set,
+    reference_edge_safe,
+    reference_verify,
+    scalar_blocks,
+    scalar_contains,
+    snapshots,
+    walled_snapshots,
+)
 
 
 def make_world(positions=None, behavior=None, **kw):
@@ -46,6 +53,11 @@ def make_world(positions=None, behavior=None, **kw):
 
 
 LINE3 = [(0.0, 0.0), (0.5, 0.0), (1.0, 0.0)]
+
+
+def commit(old, proposals, effective, world):
+    """`_commit`'s reverted agents as a set; mutates `proposals` like it."""
+    return set(np.flatnonzero(_commit(old, proposals, effective, world)[2]).tolist())
 
 
 class TestInitSpec:
@@ -139,6 +151,19 @@ class TestWorldConfig:
             make_world([(0.0, 0.0), (0.05, 0.0)], min_separation=0.1)
         make_world([(0.0, 0.0), (0.1, 0.0)], min_separation=0.1)  # exactly at the floor is fine
 
+    def test_explicit_init_must_keep_off_the_walls(self):
+        wall = Polygon(((0.2, -0.1), (0.3, -0.1), (0.3, 0.1), (0.2, 0.1)))
+        # a lone agent inside a wall is connected, but still refused
+        with pytest.raises(ValueError, match="init.positions put an agent on or inside an obstacle"):
+            make_world([(0.25, 0.0)], obstacles=(wall,))
+        make_world([(0.5, 0.0)], obstacles=(wall,))
+        # with company, an agent on a wall also sees no one; the wall is named first
+        with pytest.raises(ValueError, match="init.positions put an agent on or inside an obstacle"):
+            make_world([(0.2, 0.0), (0.0, 0.5)], obstacles=(wall,))
+        # the floor is checked before the wall
+        with pytest.raises(ValueError, match="init.positions must keep every pair"):
+            make_world([(0.25, 0.0), (0.26, 0.0)], obstacles=(wall,), min_separation=0.1)
+
 
 class TestInitialState:
     def test_explicit_positions_taken_verbatim(self):
@@ -202,7 +227,8 @@ class TestInitialState:
             for cy in (0.5, 1.5, 2.5)
         )
         rng = np.random.default_rng(0)
-        accepted = sum(_acceptable_init(rng.uniform(0.0, 3.0, (20, 2)), 1.0, 0.1, pillars) for _ in range(400))
+        samples = (rng.uniform(0.0, 3.0, (20, 2)) for _ in range(400))
+        accepted = sum(_init_fault(xy, 1.0, 0.1, pillars) is None for xy in samples)
         assert accepted >= 25
         w = make_world(n=20, init=InitSpec(box=(0.0, 0.0, 3.0, 3.0)), obstacles=pillars, seed=3)
         xy = initial_state(w).positions
@@ -242,7 +268,7 @@ class TestVerifyRevert:
         old = np.array([(0.0, 0.0), (1.0, 0.0)])
         props = np.array([(0.1, 0.0), (1.1, 0.0)])
         eff = Graph(n=2, edges=frozenset({(0, 1)}))
-        reverted = _verify_and_revert(old, props, eff, w)
+        reverted = commit(old, props, eff, w)
         assert reverted == set()
         np.testing.assert_array_equal(props, [(0.1, 0.0), (1.1, 0.0)])
 
@@ -251,7 +277,7 @@ class TestVerifyRevert:
         old = np.array([(0.0, 0.0), (1.0, 0.0)])
         props = np.array([(-0.5, 0.0), (1.6, 0.0)])  # pair would end up 2.1 apart
         eff = Graph(n=2, edges=frozenset({(0, 1)}))
-        reverted = _verify_and_revert(old, props, eff, w)
+        reverted = commit(old, props, eff, w)
         assert reverted == {0, 1}
         np.testing.assert_array_equal(props, old)
 
@@ -263,7 +289,7 @@ class TestVerifyRevert:
         old = np.array([(0.0, 0.0), (0.0, 1.0)])
         props = np.array([(1.2, 0.5), (0.0, 1.0)])  # in range, but behind the wall
         eff = Graph(n=2, edges=frozenset({(0, 1)}))
-        reverted = _verify_and_revert(old, props, eff, w)
+        reverted = commit(old, props, eff, w)
         assert reverted == {0, 1}
         np.testing.assert_array_equal(props, old)
 
@@ -275,7 +301,7 @@ class TestVerifyRevert:
         old = np.array(pts)
         props = np.array([(0.0, 0.0), (2.2, 0.0), (4.1, 0.0)])
         eff = Graph(n=3, edges=frozenset({(0, 1), (1, 2)}))
-        reverted = _verify_and_revert(old, props, eff, w)
+        reverted = commit(old, props, eff, w)
         assert reverted == {0, 1, 2}
         np.testing.assert_array_equal(props, old)
 
@@ -286,8 +312,21 @@ class TestVerifyRevert:
         old = np.array([(0.0, 0.0), (2.1, 0.0)])
         props = np.array([(0.0, 0.0), (2.2, 0.0)])
         eff = Graph(n=2, edges=frozenset({(0, 1)}))
-        reverted = _verify_and_revert(old, props, eff, w)
+        reverted = commit(old, props, eff, w)
         assert reverted == {0, 1}
+        np.testing.assert_array_equal(props, old)
+
+    def test_every_broken_edge_reverts_in_the_same_pass(self):
+        # both edges break: (0,1) at 2.3 and (1,2) at 2.5. Reverting only the
+        # first edge's ends would leave (1,2) at 2.0, in range; the fixpoint
+        # reverts the ends of every broken edge at once, agent 2 included
+        pts = [(0.0, 0.0), (1.8, 0.0), (3.6, 0.0)]
+        w = make_world(pts, vis_range=2.0, min_separation=0.0)
+        old = np.array(pts)
+        props = np.array([(-1.0, 0.0), (1.3, 0.0), (3.8, 0.0)])
+        eff = Graph(n=3, edges=frozenset({(0, 1), (1, 2)}))
+        reverted = commit(old, props, eff, w)
+        assert reverted == {0, 1, 2}
         np.testing.assert_array_equal(props, old)
 
     @settings(max_examples=200)
@@ -300,7 +339,7 @@ class TestVerifyRevert:
         step = data.draw(st.lists(st.floats(-0.6, 0.6), min_size=2 * world.n, max_size=2 * world.n))
         props = old + np.reshape(step, (world.n, 2))
         got_props, want_props = props.copy(), props.copy()
-        got = _verify_and_revert(old, got_props, eff, world)
+        got = commit(old, got_props, eff, world)
         want = reference_verify(old, want_props, eff, world)
         assert got == want
         assert got_props.tobytes() == want_props.tobytes()
@@ -310,7 +349,7 @@ class TestVerifyRevert:
         state, eff, world = snap
         props = apply_motion_law(np.arange(world.n), state, eff, world.behavior, world)
         want_props = props.copy()
-        assert _verify_and_revert(state.positions, props, eff, world) == reference_verify(
+        assert commit(state.positions, props, eff, world) == reference_verify(
             state.positions, want_props, eff, world
         )
         assert props.tobytes() == want_props.tobytes()
@@ -318,7 +357,7 @@ class TestVerifyRevert:
 
 class TestFoldedVerify:
     """The round checks its effective edges by reading the next visibility
-    graph; the sweep runs only when that graph lacks one of them."""
+    graph; agents revert only when that graph lacks one of them."""
 
     @settings(max_examples=300)
     @given(walled_snapshots(), st.data())
@@ -328,7 +367,22 @@ class TestFoldedVerify:
         step = data.draw(st.lists(st.floats(-0.6, 0.6), min_size=2 * world.n, max_size=2 * world.n))
         moved = state.positions + np.reshape(step, (world.n, 2))
         held = visibility_graph(moved, world.vis_range, world.obstacles).has_edges(eff.edges)
-        assert held.tolist() == _edges_safe(moved, eff.edges, world).tolist()
+        safe = [reference_edge_safe(moved[i], moved[j], world) for i, j in eff.edges.tolist()]
+        assert held.tolist() == safe
+
+    @settings(max_examples=200)
+    @given(walled_snapshots(), st.data())
+    def test_every_effective_edge_is_kept_or_fully_reverted(self, snap, data):
+        state, eff, world = snap
+        step = data.draw(st.lists(st.floats(-0.6, 0.6), min_size=2 * world.n, max_size=2 * world.n))
+        props = state.positions + np.reshape(step, (world.n, 2))
+        dist, g, reverted = _commit(state.positions, props, eff, world)
+        kept = g.has_edges(eff.edges)
+        assert (kept | reverted[eff.edges].all(axis=1)).all()
+        # the returned geometry is that of the committed positions
+        np.testing.assert_array_equal(props[reverted], state.positions[reverted])
+        assert dist.tobytes() == pairwise_distances(props).tobytes()
+        assert g.edges.tobytes() == visibility_graph(props, world.vis_range, world.obstacles).edges.tobytes()
 
     @settings(max_examples=100)
     @given(walled_snapshots(), st.data())
@@ -336,7 +390,7 @@ class TestFoldedVerify:
         state, eff, world = snap
         step = data.draw(st.lists(st.floats(-0.6, 0.6), min_size=2 * world.n, max_size=2 * world.n))
         props = state.positions + np.reshape(step, (world.n, 2))
-        assume(not _edges_safe(props, eff.edges, world).all())
+        assume(not all(reference_edge_safe(props[i], props[j], world) for i, j in eff.edges.tolist()))
         want_props = props.copy()
         want = reference_verify(state.positions, want_props, eff, world)
         with mock.patch.object(engine, "apply_motion_law", lambda *args, **kwargs: props.copy()):
@@ -440,12 +494,13 @@ class TestRun:
         assert [rnd for rnd, _ in seen] == list(range(len(reports) + 1))
 
     def test_leader_blocks_quiescence_until_waypoints_done(self):
-        # an agent pinned against a wall never reaches its waypoint, so the
-        # run must burn the whole round budget even though nothing moves
+        # an agent pinned against a wall (closer to it than the sight margin)
+        # never reaches its waypoint, so the run must burn the whole round
+        # budget even though nothing moves
         wall = Polygon(((0.0, -1.0), (1.0, -1.0), (1.0, 1.0), (0.0, 1.0)))
         spec = BehaviorSpec(kind="leader_follow", max_step=0.2, waypoints=((0.5, 0.0),))
         w = make_world(
-            [(0.0, 0.0)], spec, min_separation=0.0, obstacles=(wall,), max_rounds=25
+            [(-1e-7, 0.0)], spec, min_separation=0.0, obstacles=(wall,), max_rounds=25
         )
         waypoint = []
         reports = run(w, observer=lambda state, report: waypoint.append(state.waypoint_index))

@@ -1,7 +1,8 @@
-"""Every name a package module imports is used in that module.
+"""Every name a package module imports is used in that module, and every
+private function the package defines is used by the package.
 
-An AST scan, since no linter is a dependency. `__init__.py` is exempt: its
-imports are the package's re-exports.
+AST scans, since no linter is a dependency. `__init__.py` is exempt from the
+import scan: its imports are the package's re-exports.
 """
 
 import ast
@@ -57,3 +58,49 @@ def test_scanner_finds_unused_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def _private_defs(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if node.name.startswith("_") and not node.name.endswith("__"):
+                yield node
+
+
+def _references(tree) -> list[str]:
+    """Every name read, and every attribute named, anywhere in `tree`."""
+    refs = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            refs.append(node.id)
+        elif isinstance(node, ast.Attribute):
+            refs.append(node.attr)
+    return refs
+
+
+def unreferenced_private_defs(sources: list[str]) -> list[str]:
+    """Private functions and methods that nothing in `sources` refers to,
+    outside their own definitions."""
+    trees = [ast.parse(s) for s in sources]
+    refs = [r for t in trees for r in _references(t)]
+    unused = set()
+    for tree in trees:
+        for node in _private_defs(tree):
+            own = _references(node).count(node.name)
+            if refs.count(node.name) - own <= 0:
+                unused.add(node.name)
+    return sorted(unused)
+
+
+def test_private_scanner_finds_unreferenced_defs():
+    sources = [
+        "def _used():\n    pass\ndef _only_self():\n    return _only_self()\n"
+        "class A:\n    def _method(self):\n        pass\n    def __init__(self):\n        pass\n",
+        "from .a import _used\nx = _used()\n",
+    ]
+    assert unreferenced_private_defs(sources) == ["_method", "_only_self"]
+
+
+def test_every_private_function_is_used_by_the_package():
+    sources = [p.read_text() for p in sorted(SRC.glob("*.py"))]
+    assert unreferenced_private_defs(sources) == []

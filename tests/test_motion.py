@@ -445,7 +445,8 @@ class TestObstacleConstraint:
     def test_holds_when_no_shortened_step_clears(self):
         wall = Polygon(((0.0, -1.0), (1.0, -1.0), (1.0, 1.0), (0.0, 1.0)))
         spec = BehaviorSpec(kind="leader_follow", max_step=1.0, waypoints=((0.5, 0.0),))
-        world = make_world([(0.0, 0.0)], spec, vis_range=1.0, obstacles=(wall,))
+        # the world starts off the wall; the planned snapshot sits on it
+        world = make_world([(-0.5, 0.0)], spec, vis_range=1.0, obstacles=(wall,))
         eff = Graph(n=1, edges=frozenset())
         q = apply_motion_law(0, make_state([(0.0, 0.0)]), eff, spec, world)
         assert tuple(q) == (0.0, 0.0)
