@@ -234,7 +234,7 @@ def _commit(
     while True:
         dist = pairwise_distances(proposals)
         g = visibility_graph(proposals, world.vis_range, world.obstacles, dist=dist)
-        held = g.has_edges(edges)
+        held = g._holds(effective)
         if held.all():
             return dist, g, reverted
         broken = edges[~held]

@@ -11,9 +11,12 @@ Portable arithmetic: nothing that decides a position may go through BLAS
 depend on the kernel a CPU selects, where a fused multiply-add or a libm
 `pow` rounds differently from `x * x`. Dot products and squared norms are
 spelled out as `a[0]*b[0] + a[1]*b[1]`, and lengths as sqrt(dx*dx + dy*dy),
-never hypot. Sums over neighbours run in CSR row order, one neighbour at a
-time, which is the order `ndarray.sum(axis=0)` adds rows in. Every result
-is then correctly rounded the same way on every IEEE platform.
+never hypot. Sums over neighbours are `np.bincount` with weights, which
+adds them one at a time in input (CSR row) order from +0.0: the order
+`ndarray.sum(axis=0)` adds rows in. A flat `add` reduction (`reduce`,
+`reduceat`, `accumulate`) may not replace it, as numpy may add pairwise,
+which rounds differently. Every result is then correctly rounded the same
+way on every IEEE platform.
 """
 
 from __future__ import annotations
@@ -48,10 +51,10 @@ def _disc_rows(cur_xy, tgt_xy, centers, radii, indptr=None):
     ctr = np.asarray(centers, dtype=float).reshape(-1, 2)
     cur = np.asarray(cur_xy, dtype=float).reshape(-1, 2)
     tgt = np.asarray(tgt_xy, dtype=float).reshape(-1, 2)
-    deg = [len(ctr)] if indptr is None else np.diff(indptr)
+    deg = [len(ctr)] if indptr is None else indptr[1:] - indptr[:-1]
     owner = np.repeat(np.arange(len(cur)), deg)
-    r = np.broadcast_to(np.asarray(radii, dtype=float), (len(ctr),))
-    return cur, tgt, ctr, r, owner
+    # one radius per disc, or one for all: either broadcasts in the arithmetic
+    return cur, tgt, ctr, np.asarray(radii, dtype=float), owner
 
 
 def _fractions(cur, tgt, ctr, r, owner) -> np.ndarray:
@@ -123,7 +126,7 @@ def clamp_point_xy(cur_xy, tgt_xy, centers, radii, indptr=None) -> np.ndarray:
     q[rows] = cur[rows] + s[rows, None] * (tgt[rows] - cur[rows])
     # nudge down against float overshoot so the result is inside every disc
     # not just within tolerance (keeps clamped pairs inside visibility range)
-    for _ in range(4):
+    for _ in range(4 if rows.any() else 0):
         w = q[owner] - ctr
         out = np.bincount(owner[np.sqrt(w[:, 0] * w[:, 0] + w[:, 1] * w[:, 1]) > r], minlength=len(q))
         rows &= out > 0
@@ -230,6 +233,8 @@ class Polygon:
         object.__setattr__(self, "_bbox", (*v.min(axis=0).tolist(), *v.max(axis=0).tolist()))
         # one row per edge, (x1, y1, x2, y2), in vertex order
         object.__setattr__(self, "_edges", edges)
+        # the edges' start and end coordinates as (2, 1, k) blocks, for clamp_to_sight
+        object.__setattr__(self, "_ends", (edges[:, 0::2].T[:, None], edges[:, 1::2].T[:, None]))
 
     def contains_xy(self, x, y) -> np.ndarray:
         """Inside or on the boundary; boundary contact counts as contained."""
@@ -307,29 +312,31 @@ def clamp_to_sight(p, q, owner, seg_a, seg_b, obstacles) -> np.ndarray:
     skipped.
     """
     owner = np.concatenate((owner, np.arange(len(p))))
-    seg_a, seg_b = np.concatenate((seg_a, p)), np.concatenate((seg_b, p))
+    # the segments' two ends as one (2, m, 2) block: seg_a, then seg_b
+    ends = np.array((np.concatenate((seg_a, p)), np.concatenate((seg_b, p))))
     d = q - p
     s = np.ones(len(p))
     reach = np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1])[owner] + SIGHT_MARGIN
-    lo, hi = np.minimum(seg_a, seg_b) - reach[:, None], np.maximum(seg_a, seg_b) + reach[:, None]
+    lo, hi = np.minimum(*ends) - reach[:, None], np.maximum(*ends) + reach[:, None]
     for poly in obstacles:
         bx0, by0, bx1, by1 = poly._bbox
         rows = np.flatnonzero((lo[:, 0] <= bx1) & (hi[:, 0] >= bx0) & (lo[:, 1] <= by1) & (hi[:, 1] >= by0))
         if not len(rows):
             continue
-        ax, ay, bx, by = (v[rows, None] for v in (seg_a[:, 0], seg_a[:, 1], seg_b[:, 0], seg_b[:, 1]))
+        sx, sy = ends[:, rows, 0, None], ends[:, rows, 1, None]
+        (ax, bx), (ay, by) = sx, sy
         cx, cy, ex, ey = poly._edges.T
+        tx, ty = poly._ends
         # the gap between two segments that do not cross is the shortest of
         # the four endpoint projections: a and b onto c-e, then c and e onto
-        # a-b; argmin keeps the first of equals
-        sx, sy = np.stack((ax, bx)), np.stack((ay, by))
-        tx, ty = np.stack((cx, ex))[:, None], np.stack((cy, ey))[:, None]
+        # a-b; argmin keeps the first of equals, picked by flat index
         px, py = _project(sx, sy, cx, cy, ex, ey)
         qx, qy = _project(tx, ty, ax, ay, bx, by)
         hx, hy = np.concatenate((sx - px, qx - tx)), np.concatenate((sy - py, qy - ty))
         hh = hx * hx + hy * hy
-        pick = np.argmin(hh, axis=0)[None]
-        gx, gy, gg = (np.take_along_axis(v, pick, axis=0)[0] for v in (hx, hy, hh))
+        cells = hh[0].size
+        pick = np.argmin(hh, axis=0) * cells + np.arange(cells).reshape(hh.shape[1:])
+        gx, gy, gg = hx.take(pick), hy.take(pick), hh.take(pick)
         length = np.sqrt(gg)
         length[length == 0.0] = 1.0  # a zero gap leaves a zero normal, and so a negative slack
         nx, ny = gx / length, gy / length

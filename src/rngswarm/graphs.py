@@ -49,7 +49,7 @@ class Graph:
             e = e.reshape(0, 2)
         if e.ndim != 2 or e.shape[1] != 2:
             raise ValueError(f"edges must be (i, j) pairs, got an array of shape {e.shape}")
-        # the builders' rows already have i < j and need no reordering copy
+        # rows that already have i < j need no reordering copy
         if not (e[:, 0] < e[:, 1]).all():
             e = np.column_stack((e.min(axis=1), e.max(axis=1)))
         bad = (e[:, 0] == e[:, 1]) | (e[:, 0] < 0) | (e[:, 1] >= self.n)
@@ -58,12 +58,23 @@ class Graph:
             msg = f"self-loop on vertex {i}" if i == j else f"edge ({i}, {j}) out of range for n={self.n}"
             raise ValueError(msg)
         key = e[:, 0] * self.n + e[:, 1]
-        # canonical input (the builders' triu rows and their masks) skips the sort
+        # canonical input skips the sort
         if (key[1:] <= key[:-1]).any():
             order = np.argsort(key, kind="stable")
             e = e[order][np.concatenate(([True], np.diff(key[order]) != 0))]
         e.setflags(write=False)
         object.__setattr__(self, "edges", e)
+
+    @classmethod
+    def _built(cls, n: int, edges: np.ndarray) -> "Graph":
+        """A graph on edges that are canonical by construction: an (E, 2)
+        intp array of pairs i < j in lexicographic order, with no repeats.
+        It skips the checks, copy and key pass that outside input gets."""
+        g = object.__new__(cls)
+        edges.setflags(write=False)
+        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "edges", edges)
+        return g
 
     @cached_property
     def _csr(self) -> tuple[np.ndarray, np.ndarray]:
@@ -81,7 +92,7 @@ class Graph:
     def _keys(self) -> np.ndarray:
         """Edge keys i * n + j in ascending order, closed by the sentinel n * n,
         which lies above every valid key, so each lookup lands in range."""
-        return np.append(self.edges[:, 0] * self.n + self.edges[:, 1], self.n * self.n)
+        return np.concatenate((self.edges[:, 0] * self.n + self.edges[:, 1], [self.n * self.n]))
 
     def neighbors(self, i: int) -> np.ndarray:
         """Sorted neighbour indices of i."""
@@ -100,6 +111,12 @@ class Graph:
 
     def has_edge(self, i: int, j: int) -> bool:
         return bool(self.has_edges([(i, j)])[0])
+
+    def _holds(self, other: "Graph") -> np.ndarray:
+        """`has_edges(other.edges)` for a graph `other` on the same n: its
+        keys are already canonical and sorted, so no pair needs normalising."""
+        key = other._keys[:-1]
+        return self._keys[np.searchsorted(self._keys, key)] == key
 
 
 @dataclass(frozen=True)
@@ -146,11 +163,13 @@ def visibility_graph(positions, vis_range: float, obstacles=(), dist: np.ndarray
     xy = coords(positions)
     if dist is None:
         dist = pairwise_distances(xy)
-    # argwhere lists the upper triangle row by row: pairs i < j, lexicographic
-    e = np.argwhere(np.triu(dist <= vis_range, k=1))
+    # argwhere lists the pairs row by row; those with i < j, in that order,
+    # are canonical, and the wall mask keeps a subsequence of them
+    e = np.argwhere(dist <= vis_range)
+    e = e[e[:, 0] < e[:, 1]]
     if obstacles:
         e = e[~segments_blocked(xy[e[:, 0]], xy[e[:, 1]], obstacles)]
-    return Graph(len(xy), e)
+    return Graph._built(len(xy), e)
 
 
 def effective_graph(
@@ -184,7 +203,8 @@ def effective_graph(
     along[rows_i, rows_j] = along[rows_j, rows_i] = d
     d = d[:, None]
     occupied = np.count_nonzero((along[rows_i] < d) & (along[rows_j] < d), axis=1)
-    return Graph(n, graph.edges[occupied <= max_lune_occupants])
+    # a subsequence of canonical edges is canonical
+    return Graph._built(n, graph.edges[occupied <= max_lune_occupants])
 
 
 def _hops(graph: Graph, sources) -> int:
@@ -219,7 +239,7 @@ def is_connected(graph: Graph) -> bool:
 def graph_metrics(graph: Graph, effective: Graph, positions, dist: np.ndarray | None = None) -> GraphMetrics:
     """Summarise one snapshot; `effective` must be a subgraph of `graph`, and
     `dist` is `pairwise_distances` of the positions, computed when not given."""
-    if effective.n != graph.n or not graph.has_edges(effective.edges).all():
+    if effective.n != graph.n or not graph._holds(effective).all():
         raise ValueError("effective graph must be a subgraph of the visibility graph")
     xy = coords(positions)
     n = graph.n

@@ -108,15 +108,13 @@ def _neighbour_rows(effective: Graph, idx: np.ndarray) -> tuple[np.ndarray, np.n
     return indptr, full_idx[np.repeat(start - indptr[:-1], deg) + np.arange(indptr[-1])]
 
 
-def _row_sums(rows: np.ndarray, indptr: np.ndarray, deg: np.ndarray) -> np.ndarray:
-    """Sum of each CSR row of `rows` (row lengths `deg`), adding one neighbour
-    at a time in row order from +0.0: the order, and so the rounding, of
-    `ndarray.sum(axis=0)`."""
-    acc = np.zeros((len(deg), 2))
-    for level in range(int(deg.max(initial=0))):
-        has = deg > level
-        acc[has] += rows[indptr[:-1][has] + level]
-    return acc
+def _row_sums(rows: np.ndarray, owner: np.ndarray, k: int) -> np.ndarray:
+    """(k, 2) sums of the (m, 2) `rows`, row r going to owner[r]. `bincount`
+    adds its weights one at a time in input order from +0.0, so each sum
+    takes its CSR row in order: the rounding of `ndarray.sum(axis=0)`. A
+    flat `add` reduction (`reduceat`, or a sum over a padded block) may add
+    pairwise instead, which rounds differently and would move trajectories."""
+    return np.array((np.bincount(owner, rows[:, 0], k), np.bincount(owner, rows[:, 1], k))).T
 
 
 def desired_target(agents, state: "SwarmState", effective: Graph, spec: BehaviorSpec) -> np.ndarray:
@@ -135,9 +133,9 @@ def desired_target(agents, state: "SwarmState", effective: Graph, spec: Behavior
     raw = p.copy()
     if spec.kind != "idle":
         indptr, nbr = _neighbour_rows(effective, idx)
-        deg = np.diff(indptr)
+        deg = indptr[1:] - indptr[:-1]
+        owner = np.repeat(np.arange(len(idx)), deg)
         if spec.kind == "formation":
-            owner = np.repeat(np.arange(len(idx)), deg)
             rel = xy[nbr] - p[owner]
             dist = np.sqrt(rel[:, 0] * rel[:, 0] + rel[:, 1] * rel[:, 1])
             ok = dist > 0.0  # a coincident neighbour has no direction to pull along
@@ -145,10 +143,10 @@ def desired_target(agents, state: "SwarmState", effective: Graph, spec: Behavior
             # a skipped neighbour adds -0.0, which leaves every sum as it was
             pull = np.where(ok[:, None], scale[:, None] * rel, -0.0)
             pulled = np.bincount(owner[ok], minlength=len(idx)) > 0
-            raw[pulled] = p[pulled] + _row_sums(pull, indptr, deg)[pulled]
+            raw[pulled] = p[pulled] + _row_sums(pull, owner, len(idx))[pulled]
         else:  # gather, and every non-leader in leader_follow
             has = deg > 0
-            raw[has] = _row_sums(xy[nbr], indptr, deg)[has] / deg[has, None]
+            raw[has] = _row_sums(xy[nbr], owner, len(idx))[has] / deg[has, None]
         if spec.kind == "leader_follow":
             k = state.waypoint_index
             lead = idx == spec.leader_index
@@ -219,7 +217,7 @@ def apply_motion_law(
     xy = state.positions
     p = xy[idx]
     indptr, nbr = _neighbour_rows(effective, idx)
-    owner = np.repeat(np.arange(len(idx)), np.diff(indptr))
+    owner = np.repeat(np.arange(len(idx)), indptr[1:] - indptr[:-1])
     nbr_xy = xy[nbr]
     length = pairwise_distances(xy, idx)[owner, nbr] if dist is None else dist[idx[owner], nbr]
     far = length > world.vis_range + FEASIBILITY_TOL

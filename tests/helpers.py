@@ -201,6 +201,17 @@ FEASIBILITY_TOL = 1e-9
 SIGHT_MARGIN = 1e-6
 
 
+def reference_row_sums(rows, indptr, deg):
+    """Sum of each CSR row of `rows` (row lengths `deg`), one level at a
+    time: the k-th neighbour of every row with more than k is added in one
+    pass, so each row adds its neighbours in order from +0.0."""
+    acc = np.zeros((len(deg), 2))
+    for level in range(int(deg.max(initial=0))):
+        has = deg > level
+        acc[has] += rows[indptr[:-1][has] + level]
+    return acc
+
+
 def reference_clamp_point(cur, tgt, centers, radius):
     """Single-point disc clamp: the smallest positive ray-circle root over the
     discs, then a nudge down until the point is inside every disc."""
@@ -402,12 +413,32 @@ def snapshots(draw):
 
 
 @st.composite
+def star_walls(draw):
+    """A wall of 4 to 6 vertices around a centre, vertex k at a random angle
+    inside the k-th of equal sectors and a random radius. Consecutive angles
+    are less than pi apart, so the polygon is star-shaped about the centre
+    and simple by construction."""
+    k = draw(st.integers(4, 6))
+    cx, cy = draw(_COORD), draw(_COORD)
+    vertices = []
+    for sector in range(k):
+        angle = (sector + draw(st.floats(0.1, 0.9))) * 2.0 * math.pi / k
+        radius = draw(st.floats(0.02, 0.4))
+        vertices.append((cx + radius * math.cos(angle), cy + radius * math.sin(angle)))
+    return Polygon(tuple(vertices))
+
+
+@st.composite
 def walled_snapshots(draw):
-    """(state, effective graph, world) among one to three random triangular
-    walls, thin slivers included, with the agents that touch a wall left out;
-    the graphs see the walls."""
+    """(state, effective graph, world) among one to three random walls, with
+    the agents that touch a wall left out; the graphs see the walls. A wall
+    is a triangle, thin slivers included, or a star-shaped polygon of 4 to 6
+    vertices, so the wall predicates and half-planes see more than 3 edges."""
     walls = []
     for _ in range(draw(st.integers(1, 3))):
+        if draw(st.booleans()):
+            walls.append(draw(star_walls()))
+            continue
         try:
             walls.append(Polygon(tuple(draw(st.lists(st.tuples(_COORD, _COORD), min_size=3, max_size=3)))))
         except ValueError:  # a degenerate triangle

@@ -23,6 +23,8 @@ from helpers import (
     naive_effective_edges,
     naive_lune_occupants,
     naive_visibility_edges,
+    snapshots,
+    walled_snapshots,
 )
 
 UNIT_SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
@@ -396,3 +398,65 @@ class TestSharedDistances:
     @given(_grid_positions(12))
     def test_random_snapshots(self, xy):
         self._assert_same_bytes(xy)
+
+
+class TestBuiltGraphs:
+    """`visibility_graph` and `effective_graph` hand their edges to `Graph`
+    without its checks, so they must already be what `Graph` normalises
+    them to; `_holds` must agree with `has_edges`."""
+
+    @staticmethod
+    def _assert_canonical(graph):
+        # reversed pairs in reversed order take every normalising step
+        outside = Graph(graph.n, [(j, i) for i, j in graph.edges.tolist()[::-1]])
+        assert graph.edges.dtype == outside.edges.dtype
+        assert graph.edges.shape == outside.edges.shape
+        assert graph.edges.tobytes() == outside.edges.tobytes()
+        assert not graph.edges.flags.writeable
+
+    def _assert_builders_canonical(self, xy, vis_range=1.0, obstacles=()):
+        g = visibility_graph(xy, vis_range, obstacles)
+        self._assert_canonical(g)
+        for limit in (0, 1, 2):
+            eff = effective_graph(g, xy, limit)
+            self._assert_canonical(eff)
+            assert g._holds(eff).all()
+
+    @pytest.mark.parametrize(
+        "xy",
+        [np.zeros((0, 2)), np.array([[0.3, 0.1]]), np.array([[0.0, 0.0], [0.6, 0.8]]),
+         np.array([[0.0, 0.0], [0.0, 0.0]]), np.array([[0.0, 0.0], [0.5, 0.0], [0.5, 0.0], [0.25, 0.4]])],
+        ids=["n0", "n1", "n2", "coincident-pair", "coincident-in-four"],
+    )
+    def test_small_and_coincident(self, xy):
+        self._assert_builders_canonical(xy)
+
+    @given(snapshots())
+    def test_snapshots(self, snap):
+        state, _, world = snap
+        self._assert_builders_canonical(state.positions, world.vis_range, world.obstacles)
+
+    @given(walled_snapshots())
+    def test_walled_snapshots(self, snap):
+        state, _, world = snap
+        self._assert_builders_canonical(state.positions, world.vis_range, world.obstacles)
+
+    @given(st.data())
+    def test_holds_matches_has_edges(self, data):
+        n = data.draw(st.integers(0, 12))
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        subset = st.lists(st.sampled_from(pairs), max_size=len(pairs)) if pairs else st.just([])
+        a = Graph(n, data.draw(subset))
+        b = Graph(n, data.draw(subset))
+        sub = Graph(n, [tuple(e) for e in a.edges.tolist() if data.draw(st.booleans())])
+        for x, y in ((a, b), (b, a), (a, sub), (sub, a), (a, a), (a, Graph(n))):
+            assert x._holds(y).tolist() == x.has_edges(y.edges).tolist()
+
+    @given(snapshots(), st.data())
+    def test_holds_on_built_graphs(self, snap, data):
+        state, eff, world = snap
+        xy = state.positions
+        moved = xy + data.draw(st.sampled_from((0.0, 0.1, 0.5))) * np.cos(np.arange(2 * len(xy))).reshape(-1, 2)
+        for g in (visibility_graph(xy, world.vis_range, world.obstacles),
+                  visibility_graph(moved, world.vis_range, world.obstacles)):
+            assert g._holds(eff).tolist() == g.has_edges(eff.edges).tolist()

@@ -11,10 +11,10 @@ from hypothesis import strategies as st
 from rngswarm.engine import InitSpec, SwarmState, WorldConfig, _advance_waypoints, run
 from rngswarm.geom import SIGHT_MARGIN, Polygon
 from rngswarm.graphs import Graph, effective_graph, visibility_graph
-from rngswarm.motion import BehaviorSpec, apply_motion_law, desired_target, separation_cap
+from rngswarm.motion import BehaviorSpec, _row_sums, apply_motion_law, desired_target, separation_cap
 from rngswarm.properties import sample_connected_positions
 
-from helpers import dist, reference_motion_law, scalar_blocks, snapshots, walled_snapshots
+from helpers import dist, reference_motion_law, reference_row_sums, scalar_blocks, snapshots, walled_snapshots
 
 
 def make_state(positions, waypoint_index=0):
@@ -519,6 +519,26 @@ class TestArrayKernel:
         got = apply_motion_law(np.arange(world.n), state, eff, world.behavior, world)
         want = np.array([reference_motion_law(i, state, eff, world.behavior, world) for i in range(world.n)])
         assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=200)
+    @given(st.data())
+    def test_row_sums_match_the_level_loop_bytewise(self, data):
+        # signed zeros, empty rows and magnitudes far apart, where the order
+        # of the additions shows in the rounding
+        deg = np.array(data.draw(st.lists(st.integers(0, 12), min_size=0, max_size=8)), dtype=np.intp)
+        indptr = np.zeros(len(deg) + 1, dtype=np.intp)
+        np.cumsum(deg, out=indptr[1:])
+        value = st.one_of(
+            st.sampled_from((0.0, -0.0, 1.0, -1.0, 1e16, -1e16, 0.1)),
+            st.floats(-1e17, 1e17, allow_nan=False),
+        )
+        m = int(indptr[-1])
+        rows = np.array(data.draw(st.lists(st.tuples(value, value), min_size=m, max_size=m)), dtype=float)
+        rows = rows.reshape(m, 2)
+        owner = np.repeat(np.arange(len(deg)), deg)
+        got = _row_sums(rows, owner, len(deg))
+        assert got.shape == (len(deg), 2)
+        assert got.tobytes() == reference_row_sums(rows, indptr, deg).tobytes()
 
     @given(snapshots(), st.data())
     def test_one_index_is_the_one_row_case(self, snap, data):
