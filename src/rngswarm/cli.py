@@ -15,6 +15,18 @@ from .reporting import write_metrics, write_svg_frame
 from .scenario import ScenarioError, load_scenario
 
 
+def _at_least(low: int):
+    """argparse type: an integer no smaller than `low`."""
+
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    return integer
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rngswarm",
@@ -25,14 +37,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run a scenario file, writing metrics and optional frames")
     p_run.add_argument("--scenario", required=True, help="path to a scenario YAML file")
     p_run.add_argument("--out", required=True, help="output directory (created if missing)")
-    p_run.add_argument("--svg-every", type=int, default=0, metavar="K",
+    p_run.add_argument("--svg-every", type=_at_least(0), default=0, metavar="K",
                        help="write an SVG frame every K rounds (0 disables)")
-    p_run.add_argument("--seed", type=int, default=None, help="override the scenario seed")
+    p_run.add_argument("--seed", type=_at_least(0), default=None, help="override the scenario seed")
     p_run.set_defaults(func=_cmd_run)
 
     p_check = sub.add_parser("check", help="run the randomised property suites")
-    p_check.add_argument("--cases", type=int, default=1000, help="cases per suite (default 1000)")
-    p_check.add_argument("--seed", type=int, default=0, help="base seed (default 0)")
+    p_check.add_argument("--cases", type=_at_least(1), default=1000, help="cases per suite (default 1000)")
+    p_check.add_argument("--seed", type=_at_least(0), default=0, help="base seed (default 0)")
     p_check.set_defaults(func=_cmd_check)
 
     p_graph = sub.add_parser("graph", help="one-shot graph construction and metrics for a scenario")
@@ -91,12 +103,12 @@ def _cmd_graph(args: argparse.Namespace) -> int:
     dist, g, eff = _geometry(state.positions, world)
     m = graph_metrics(g, eff, state.positions, dist=dist)
     print(f"n: {world.n}")
-    print(f"edge_count: {m.edge_count}")
-    print(f"effective_edge_count: {m.effective_edge_count}")
-    print(f"connected: {'yes' if m.connected else 'no'}")
-    print(f"diameter_hops: {m.diameter_hops}")
-    print(f"min_pair_distance: {m.min_pair_distance:.9g}")
-    print(f"max_pair_distance: {m.max_pair_distance:.9g}")
+    for name, value in vars(m).items():
+        if isinstance(value, bool):
+            value = "yes" if value else "no"
+        elif isinstance(value, float):
+            value = format(value, ".9g")
+        print(f"{name}: {value}")
     print(f"max_effective_degree: {max(eff.degree(i) for i in range(world.n))}")
     if args.svg:
         write_svg_frame(state, world, eff, args.svg, graph=g)

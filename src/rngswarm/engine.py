@@ -90,20 +90,18 @@ class WorldConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.n, int) and self.n >= 1):
-            raise ValueError(f"n must be an integer >= 1, got {self.n!r}")
+        for name, low in (("n", 1), ("rng_plus", 0), ("max_rounds", 0), ("seed", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) or value < low:
+                raise ValueError(f"{name} must be >= {low} and an integer, got {value!r}")
         if not (math.isfinite(self.vis_range) and self.vis_range > 0.0):
             raise ValueError(f"vis_range must be positive and finite, got {self.vis_range!r}")
-        if not (isinstance(self.rng_plus, int) and self.rng_plus >= 0):
-            raise ValueError(f"rng_plus must be >= 0 and an integer, got {self.rng_plus!r}")
         sep = self.vis_range / 10.0 if self.min_separation is None else float(self.min_separation)
         if not (0.0 <= sep < self.vis_range):
             raise ValueError(
                 f"min_separation must satisfy 0 <= sep < V, got sep={sep!r} with V={self.vis_range!r}"
             )
         object.__setattr__(self, "min_separation", sep)
-        if self.max_rounds < 0:
-            raise ValueError(f"max_rounds must be >= 0, got {self.max_rounds!r}")
         object.__setattr__(self, "obstacles", tuple(self.obstacles))
         spec = self.behavior
         if spec.kind == "leader_follow" and not (0 <= spec.leader_index < self.n):

@@ -43,16 +43,16 @@ SIGHT_MARGIN = 1e-6
 # ---------------------------------------------------------------------------
 
 
-def _disc_rows(cur_xy, tgt_xy, centers, radii, indptr=None):
+def _disc_rows(cur_xy, tgt_xy, centers, radii, owner=None):
     """Normalise the clamp arguments to rows: (cur, tgt, ctr, r, owner).
 
-    Without `indptr` one point owns every disc; with it, row k owns
-    centers[indptr[k]:indptr[k + 1]]. `owner` names each disc's row."""
+    Without `owner` one point owns every disc; with it, disc d belongs to
+    row owner[d], in ascending order."""
     ctr = np.asarray(centers, dtype=float).reshape(-1, 2)
     cur = np.asarray(cur_xy, dtype=float).reshape(-1, 2)
     tgt = np.asarray(tgt_xy, dtype=float).reshape(-1, 2)
-    deg = [len(ctr)] if indptr is None else indptr[1:] - indptr[:-1]
-    owner = np.repeat(np.arange(len(cur)), deg)
+    if owner is None:
+        owner = np.zeros(len(ctr), dtype=np.intp)
     # one radius per disc, or one for all: either broadcasts in the arithmetic
     return cur, tgt, ctr, np.asarray(radii, dtype=float), owner
 
@@ -107,7 +107,7 @@ def clamp_fraction(cur_xy, tgt_xy, centers, radii) -> float:
     return float(_fractions(*_disc_rows(cur_xy, tgt_xy, centers, radii))[0])
 
 
-def clamp_point_xy(cur_xy, tgt_xy, centers, radii, indptr=None) -> np.ndarray:
+def clamp_point_xy(cur_xy, tgt_xy, centers, radii, owner=None) -> np.ndarray:
     """Move from cur toward tgt as far as every disc allows.
 
     Returns cur + s * (tgt - cur) with the largest feasible s in [0, 1]; if
@@ -115,11 +115,12 @@ def clamp_point_xy(cur_xy, tgt_xy, centers, radii, indptr=None) -> np.ndarray:
     must lie inside every disc within the feasibility tolerance (it is the
     mover's own allowable region), else ValueError.
 
-    With `indptr`, cur and tgt are (k, 2) rows, row k is clamped to the discs
-    centers[indptr[k]:indptr[k + 1]], and the result has k rows. A single
-    point is the one-row case and gives one (2,) point.
+    With `owner`, cur and tgt are (k, 2) rows, row owner[d] is clamped to
+    disc d (owner ascending, as in a CSR row order), and the result has k
+    rows. A single point is the one-row case and gives one (2,) point.
     """
-    cur, tgt, ctr, r, owner = _disc_rows(cur_xy, tgt_xy, centers, radii, indptr)
+    single = owner is None
+    cur, tgt, ctr, r, owner = _disc_rows(cur_xy, tgt_xy, centers, radii, owner)
     s = _fractions(cur, tgt, ctr, r, owner)
     q = tgt.copy()
     rows = s < 1.0
@@ -135,7 +136,7 @@ def clamp_point_xy(cur_xy, tgt_xy, centers, radii, indptr=None) -> np.ndarray:
         nudged = s[rows] - 1e-12
         s[rows] = np.where(nudged > 0.0, nudged, 0.0)
         q[rows] = cur[rows] + s[rows, None] * (tgt[rows] - cur[rows])
-    return q[0] if indptr is None else q
+    return q[0] if single else q
 
 
 # ---------------------------------------------------------------------------

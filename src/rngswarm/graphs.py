@@ -77,16 +77,20 @@ class Graph:
         return g
 
     @cached_property
-    def _csr(self) -> tuple[np.ndarray, np.ndarray]:
+    def _csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(indptr, indices, owner): row i lists the neighbours of i as
+        indices[indptr[i]:indptr[i + 1]], and owner[k] is the row of entry k."""
         src = np.concatenate((self.edges[:, 0], self.edges[:, 1]))
         dst = np.concatenate((self.edges[:, 1], self.edges[:, 0]))
         # a stable sort pages in far less code than numpy's default one: about
         # 0.1 against 0.5 MB of peak RSS on first use
-        indices = dst[np.argsort(src * self.n + dst, kind="stable")]
+        order = np.argsort(src * self.n + dst, kind="stable")
+        indices, owner = dst[order], src[order]
         indptr = np.zeros(self.n + 1, dtype=np.intp)
         np.cumsum(np.bincount(src, minlength=self.n), out=indptr[1:])
         indices.setflags(write=False)
-        return indptr, indices
+        owner.setflags(write=False)
+        return indptr, indices, owner
 
     @cached_property
     def _keys(self) -> np.ndarray:
@@ -96,7 +100,7 @@ class Graph:
 
     def neighbors(self, i: int) -> np.ndarray:
         """Sorted neighbour indices of i."""
-        indptr, indices = self._csr
+        indptr, indices, _ = self._csr
         return indices[indptr[i] : indptr[i + 1]]
 
     def degree(self, i: int) -> int:

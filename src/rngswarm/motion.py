@@ -50,8 +50,9 @@ class BehaviorSpec:
             raise ValueError(f"desired_spacing must be >= 0, got {self.desired_spacing!r}")
         if not (0.0 < self.spring_gain <= 1.0):
             raise ValueError(f"spring_gain must lie in (0, 1], got {self.spring_gain!r}")
-        if self.leader_index < 0:
-            raise ValueError(f"leader_index must be >= 0, got {self.leader_index}")
+        index = self.leader_index
+        if isinstance(index, bool) or not isinstance(index, int) or index < 0:
+            raise ValueError(f"leader_index must be >= 0 and an integer, got {index!r}")
         if not (math.isfinite(self.waypoint_tolerance) and self.waypoint_tolerance >= 0.0):
             raise ValueError(f"waypoint_tolerance must be >= 0, got {self.waypoint_tolerance!r}")
         wps = tuple((float(x), float(y)) for x, y in self.waypoints)
@@ -95,17 +96,19 @@ def _as_rows(agents) -> tuple[bool, np.ndarray]:
     return idx.ndim == 0, idx.reshape(-1)
 
 
-def _neighbour_rows(effective: Graph, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _neighbour_rows(effective: Graph, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """CSR rows of the agents `idx`: row k lists the effective neighbours of
-    idx[k], in ascending order, as nbr[indptr[k]:indptr[k + 1]]."""
-    full_ptr, full_idx = effective._csr
+    idx[k], in ascending order, as nbr[indptr[k]:indptr[k + 1]], and
+    owner[e] is the row of entry e."""
+    full_ptr, full_idx, full_owner = effective._csr
     if len(idx) == effective.n and (idx == np.arange(len(idx))).all():
-        return full_ptr, full_idx  # every agent in order: the graph's own rows
+        return full_ptr, full_idx, full_owner  # every agent in order: the graph's own rows
     start = full_ptr[idx]
     deg = full_ptr[idx + 1] - start
     indptr = np.zeros(len(idx) + 1, dtype=np.intp)
     np.cumsum(deg, out=indptr[1:])
-    return indptr, full_idx[np.repeat(start - indptr[:-1], deg) + np.arange(indptr[-1])]
+    owner = np.repeat(np.arange(len(idx)), deg)
+    return indptr, full_idx[(start - indptr[:-1])[owner] + np.arange(indptr[-1])], owner
 
 
 def _row_sums(rows: np.ndarray, owner: np.ndarray, k: int) -> np.ndarray:
@@ -132,9 +135,8 @@ def desired_target(agents, state: "SwarmState", effective: Graph, spec: Behavior
     p = xy[idx]
     raw = p.copy()
     if spec.kind != "idle":
-        indptr, nbr = _neighbour_rows(effective, idx)
+        indptr, nbr, owner = _neighbour_rows(effective, idx)
         deg = indptr[1:] - indptr[:-1]
-        owner = np.repeat(np.arange(len(idx)), deg)
         if spec.kind == "formation":
             rel = xy[nbr] - p[owner]
             dist = np.sqrt(rel[:, 0] * rel[:, 0] + rel[:, 1] * rel[:, 1])
@@ -216,8 +218,7 @@ def apply_motion_law(
     single, idx = _as_rows(agents)
     xy = state.positions
     p = xy[idx]
-    indptr, nbr = _neighbour_rows(effective, idx)
-    owner = np.repeat(np.arange(len(idx)), indptr[1:] - indptr[:-1])
+    _, nbr, owner = _neighbour_rows(effective, idx)
     nbr_xy = xy[nbr]
     length = pairwise_distances(xy, idx)[owner, nbr] if dist is None else dist[idx[owner], nbr]
     far = length > world.vis_range + FEASIBILITY_TOL
@@ -241,7 +242,7 @@ def apply_motion_law(
     # inside it are at most V apart, so a pair that moves into its shared
     # disc keeps its visibility edge
     centers = 0.5 * (nbr_xy + p[owner])
-    q = clamp_point_xy(p, t, centers, 0.5 * world.vis_range, indptr=indptr)
+    q = clamp_point_xy(p, t, centers, 0.5 * world.vis_range, owner=owner)
     if world.obstacles:
         # each edge from its index-ordered pair, so both ends share its half-planes
         seg_a, seg_b = xy[np.minimum(idx[owner], nbr)], xy[np.maximum(idx[owner], nbr)]

@@ -15,7 +15,7 @@ import numpy as np
 from .engine import InitSpec, SwarmState, WorldConfig, _init_fault, step
 from .geom import clamp_fraction, clamp_point_xy
 from .graphs import effective_graph, is_connected, pair_distance_range, visibility_graph
-from .motion import BehaviorSpec
+from .motion import BEHAVIOR_KINDS, BehaviorSpec
 
 CLAMP_ORACLE_TOL = 1e-7
 SEPARATION_TOL = 1e-9
@@ -93,14 +93,13 @@ def check_plus_nesting(cases: int, seed: int) -> SuiteResult:
 def check_separation_floor(cases: int, seed: int) -> SuiteResult:
     """One synchronous round never pushes any pair below the separation floor."""
     rng = np.random.default_rng(seed)
-    kinds = ("gather", "formation", "leader_follow", "idle")
     sep = 0.1
     failures = 0
     detail = ""
     for case in range(cases):
         n = int(rng.integers(2, 21))
         xy = sample_connected_positions(rng, n, min_sep=sep)
-        kind = kinds[int(rng.integers(0, len(kinds)))]
+        kind = BEHAVIOR_KINDS[int(rng.integers(0, len(BEHAVIOR_KINDS)))]
         spec = BehaviorSpec.for_range(
             kind,
             1.0,

@@ -2,49 +2,27 @@
 
 from __future__ import annotations
 
+from dataclasses import fields
 from pathlib import Path
 from typing import Sequence
 
 from .engine import RoundReport, SwarmState, WorldConfig
-from .graphs import Graph, visibility_graph
+from .graphs import Graph, GraphMetrics, visibility_graph
 
-METRICS_COLUMNS = (
-    "round",
-    "edge_count",
-    "effective_edge_count",
-    "connected",
-    "diameter_hops",
-    "min_pair_distance",
-    "max_pair_distance",
-    "reverted_agents",
-)
+METRICS_COLUMNS = ("round", *(f.name for f in fields(GraphMetrics)), "reverted_agents")
 
-
-def _fmt(x: float) -> str:
-    # nine significant digits round-trip reasonably and keep files compact
-    return format(float(x), ".9g")
+# one row template from the GraphMetrics field types: an int as is, a bool as
+# 0/1, a float to nine significant digits, which round-trip reasonably and
+# keep files compact
+_CELL = {"int": "%d", "bool": "%d", "float": "%.9g"}
+_ROW = ",".join(("%d", *(_CELL[f.type] for f in fields(GraphMetrics)), "%d"))
 
 
 def metrics_lines(reports: Sequence[RoundReport]) -> list[str]:
     """CSV lines (header first), one row per committed round."""
-    lines = [",".join(METRICS_COLUMNS)]
-    for rep in reports:
-        m = rep.metrics
-        lines.append(
-            ",".join(
-                (
-                    str(rep.round),
-                    str(m.edge_count),
-                    str(m.effective_edge_count),
-                    str(int(m.connected)),
-                    str(m.diameter_hops),
-                    _fmt(m.min_pair_distance),
-                    _fmt(m.max_pair_distance),
-                    str(rep.reverted_agents),
-                )
-            )
-        )
-    return lines
+    return [",".join(METRICS_COLUMNS)] + [
+        _ROW % (rep.round, *vars(rep.metrics).values(), rep.reverted_agents) for rep in reports
+    ]
 
 
 def write_metrics(reports: Sequence[RoundReport], path) -> None:

@@ -168,30 +168,21 @@ def load_scenario(path) -> WorldConfig:
         raise ScenarioError(_yaml_message(str(exc))) from exc
 
 
+def _plain(value):
+    """Tuples as lists, at every depth: the sequences `yaml.safe_dump` writes."""
+    return [_plain(v) for v in value] if isinstance(value, tuple) else value
+
+
+def _keyed(obj, table: dict) -> dict:
+    return {key: _plain(getattr(obj, field)) for key, (field, _) in table.items()}
+
+
 def save_scenario(world: WorldConfig, path) -> None:
-    """Write a scenario file that load_scenario turns back into this config."""
-    spec = world.behavior
-    doc: dict = {
-        "n": world.n,
-        "V": world.vis_range,
-        "m": world.rng_plus,
-        "sep": world.min_separation,
-        "seed": world.seed,
-        "max_rounds": world.max_rounds,
-        "behavior": {
-            "kind": spec.kind,
-            "spacing": spec.desired_spacing,
-            "gain": spec.spring_gain,
-            "leader_index": spec.leader_index,
-            "waypoints": [list(w) for w in spec.waypoints],
-            "waypoint_tolerance": spec.waypoint_tolerance,
-            "max_step": spec.max_step,
-        },
-    }
+    """Write a scenario file that load_scenario turns back into this config,
+    its keys taken in order from the tables the loader reads."""
+    doc = _keyed(world, _TOP_FIELDS)
+    doc["behavior"] = {"kind": world.behavior.kind, **_keyed(world.behavior, _BEHAVIOR_FIELDS)}
     if world.obstacles:
-        doc["obstacles"] = [[[x, y] for x, y in poly.vertices] for poly in world.obstacles]
-    if world.init.positions is not None:
-        doc["init"] = {"positions": [list(p) for p in world.init.positions]}
-    else:
-        doc["init"] = {"box": list(world.init.box)}
+        doc["obstacles"] = [_plain(poly.vertices) for poly in world.obstacles]
+    doc["init"] = {key: _plain(value) for key, value in vars(world.init).items() if value is not None}
     Path(path).write_text(yaml.safe_dump(doc, sort_keys=False))

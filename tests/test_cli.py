@@ -56,6 +56,25 @@ class TestArgumentErrors:
             main(["run", "--scenario", str(scn)])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--out", "o", "--seed", "-1"],
+            ["run", "--out", "o", "--svg-every", "-1"],
+            ["check", "--seed", "-5"],
+            ["check", "--cases", "-5"],
+            ["check", "--cases", "0"],
+        ],
+    )
+    def test_out_of_range_integers(self, tmp_path, capsys, argv):
+        if argv[0] == "run":
+            argv = argv + ["--scenario", str(write_scenario(tmp_path, idle_doc()))]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err.strip().splitlines()[-1]
+        assert re.search(r"argument --[a-z-]+: must be >= [01], got -?\d+$", err)
+
 
 class TestRunCommand:
     def test_happy_path(self, tmp_path, capsys):
@@ -87,6 +106,13 @@ class TestRunCommand:
         scn = write_scenario(tmp_path, doc)
         assert main(["run", "--scenario", str(scn), "--out", str(tmp_path / "o")]) == 1
         assert "scenario error" in capsys.readouterr().err
+
+    def test_negative_seed_in_scenario(self, tmp_path, capsys):
+        doc = box_doc()
+        doc["seed"] = -3
+        scn = write_scenario(tmp_path, doc)
+        assert main(["run", "--scenario", str(scn), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == "scenario error: 'seed' must be >= 0 and an integer, got -3\n"
 
     def test_reruns_are_byte_identical(self, tmp_path):
         scn = write_scenario(tmp_path, box_doc())
@@ -132,6 +158,19 @@ class TestGraphCommand:
             "max_effective_degree:",
         ):
             assert key in printed
+
+    def test_exact_output(self, capsys):
+        assert main(["graph", "--scenario", str(SCENARIO_DIR / "adhoc_network.yaml")]) == 0
+        assert capsys.readouterr().out == (
+            "n: 25\n"
+            "edge_count: 132\n"
+            "effective_edge_count: 29\n"
+            "connected: yes\n"
+            "diameter_hops: 3\n"
+            "min_pair_distance: 0.101321088\n"
+            "max_pair_distance: 2.55352289\n"
+            "max_effective_degree: 4\n"
+        )
 
     def test_writes_frame_on_request(self, tmp_path, capsys):
         svg = tmp_path / "view.svg"

@@ -117,6 +117,24 @@ class TestWorldConfig:
         with pytest.raises(ValueError, match="max_rounds"):
             make_world(LINE3, max_rounds=-1)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("n", True),
+            ("rng_plus", True),
+            ("max_rounds", 2.5),
+            ("max_rounds", False),
+            ("seed", -1),
+            ("seed", 1.0),
+            ("seed", True),
+        ],
+    )
+    def test_counts_are_integers(self, field, value):
+        # a bool is an int to Python, but no count; a float or a negative
+        # seed would fail only once the run starts
+        with pytest.raises(ValueError, match=f"^{field} must be >= [01] and an integer, got {value!r}$"):
+            make_world(LINE3, **{field: value})
+
     def test_leader_index_must_address_an_agent(self):
         spec = BehaviorSpec(kind="leader_follow", max_step=0.2, desired_spacing=0.1, leader_index=5)
         with pytest.raises(ValueError, match="leader_index"):

@@ -135,8 +135,8 @@ class TestClampFraction:
         tgt = np.array([c[1] for c in cases])
         centers = np.concatenate([c[2] for c in cases])
         radii = np.concatenate([c[3] for c in cases])
-        indptr = np.concatenate(([0], np.cumsum([len(c[2]) for c in cases])))
-        rows = clamp_point_xy(cur, tgt, centers, radii, indptr=indptr)
+        owner = np.repeat(np.arange(len(cases)), [len(c[2]) for c in cases])
+        rows = clamp_point_xy(cur, tgt, centers, radii, owner=owner)
         single = np.array([clamp_point_xy(*c) for c in cases])
         assert rows.tobytes() == single.tobytes()
 

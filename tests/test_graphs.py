@@ -118,6 +118,19 @@ class TestGraph:
                     assert g.neighbors(i).tolist() == sorted(adj[i])
                     assert g.degree(i) == len(adj[i])
 
+    def test_csr_owner_is_each_entrys_row(self, rng):
+        # the owner the CSR keeps is the row expansion the planner would
+        # otherwise rebuild: np.repeat(arange(n), degree)
+        for n in (0, 1, 2, 7, 30):
+            for density in (0.0, 0.2, 0.7):
+                pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < density]
+                indptr, indices, owner = Graph(n, pairs)._csr
+                expected = np.repeat(np.arange(n), indptr[1:] - indptr[:-1])
+                assert owner.dtype == expected.dtype
+                assert owner.tobytes() == expected.tobytes()
+                assert len(owner) == len(indices) == 2 * len(pairs)
+                assert not owner.flags.writeable
+
 
 class TestVisibilityGraph:
     def test_unit_square_with_diagonals(self):

@@ -66,6 +66,11 @@ class TestBehaviorSpec:
         with pytest.raises(ValueError, match="leader_index"):
             BehaviorSpec(kind="leader_follow", max_step=0.2, leader_index=-1)
 
+    @pytest.mark.parametrize("index", [True, 1.0])
+    def test_leader_index_is_an_integer(self, index):
+        with pytest.raises(ValueError, match="^leader_index must be >= 0 and an integer"):
+            BehaviorSpec(kind="leader_follow", max_step=0.2, leader_index=index)
+
     def test_bad_waypoint_tolerance(self):
         with pytest.raises(ValueError, match="waypoint_tolerance"):
             BehaviorSpec(kind="leader_follow", max_step=0.2, waypoint_tolerance=-1.0)

@@ -9,9 +9,11 @@ from rngswarm.geom import Polygon
 from rngswarm.graphs import GraphMetrics, effective_graph, visibility_graph
 from rngswarm.motion import BehaviorSpec
 from rngswarm.reporting import METRICS_COLUMNS, metrics_lines, write_metrics, write_svg_frame
+from rngswarm import scenario
 from rngswarm.scenario import ScenarioError, load_scenario, save_scenario
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
+SAVED_DIR = Path(__file__).resolve().parent / "data" / "saved"
 
 
 def base_doc():
@@ -118,6 +120,13 @@ class TestLoadScenario:
         doc = base_doc()
         doc["m"] = -1
         with pytest.raises(ScenarioError, match="'m' must be >= 0"):
+            load_doc(tmp_path, doc)
+
+    @pytest.mark.parametrize("key, value", [("seed", -3), ("max_rounds", -1)])
+    def test_negative_count(self, tmp_path, key, value):
+        doc = base_doc()
+        doc[key] = value
+        with pytest.raises(ScenarioError, match=f"^'{key}' must be >= 0 and an integer, got {value}$"):
             load_doc(tmp_path, doc)
 
     def test_separation_must_stay_below_range(self, tmp_path):
@@ -230,6 +239,69 @@ class TestLoadScenario:
         assert len(w.behavior.waypoints) == 5
 
 
+def full_featured_world():
+    spec = BehaviorSpec(
+        kind="leader_follow",
+        max_step=0.15,
+        desired_spacing=0.1,
+        spring_gain=0.7,
+        leader_index=1,
+        waypoints=((2.5, 0.25), (3.0, -1.0)),
+        waypoint_tolerance=0.04,
+    )
+    wall = Polygon(((5.0, 0.0), (6.0, 0.0), (6.0, 1.0), (5.0, 1.0)))
+    return WorldConfig(
+        n=3,
+        vis_range=1.0,
+        behavior=spec,
+        init=InitSpec(positions=((0.0, 0.0), (0.5, 0.0), (1.0, 0.0))),
+        rng_plus=2,
+        min_separation=0.1,
+        obstacles=(wall,),
+        max_rounds=750,
+        seed=42,
+    )
+
+
+FULL_FEATURED_TEXT = """\
+n: 3
+V: 1.0
+m: 2
+sep: 0.1
+seed: 42
+max_rounds: 750
+behavior:
+  kind: leader_follow
+  spacing: 0.1
+  gain: 0.7
+  leader_index: 1
+  waypoints:
+  - - 2.5
+    - 0.25
+  - - 3.0
+    - -1.0
+  waypoint_tolerance: 0.04
+  max_step: 0.15
+obstacles:
+- - - 5.0
+    - 0.0
+  - - 6.0
+    - 0.0
+  - - 6.0
+    - 1.0
+  - - 5.0
+    - 1.0
+init:
+  positions:
+  - - 0.0
+    - 0.0
+  - - 0.5
+    - 0.0
+  - - 1.0
+    - 0.0
+"""
+
+
 class TestSaveScenario:
     def test_round_trip_with_box(self, tmp_path):
         w1 = load_doc(tmp_path, base_doc())
@@ -238,27 +310,7 @@ class TestSaveScenario:
         assert load_scenario(out) == w1
 
     def test_round_trip_full_featured(self, tmp_path):
-        spec = BehaviorSpec(
-            kind="leader_follow",
-            max_step=0.15,
-            desired_spacing=0.1,
-            spring_gain=0.7,
-            leader_index=1,
-            waypoints=((2.5, 0.25), (3.0, -1.0)),
-            waypoint_tolerance=0.04,
-        )
-        wall = Polygon(((5.0, 0.0), (6.0, 0.0), (6.0, 1.0), (5.0, 1.0)))
-        w1 = WorldConfig(
-            n=3,
-            vis_range=1.0,
-            behavior=spec,
-            init=InitSpec(positions=((0.0, 0.0), (0.5, 0.0), (1.0, 0.0))),
-            rng_plus=2,
-            min_separation=0.1,
-            obstacles=(wall,),
-            max_rounds=750,
-            seed=42,
-        )
+        w1 = full_featured_world()
         out = tmp_path / "saved.yaml"
         save_scenario(w1, out)
         w2 = load_scenario(out)
@@ -270,6 +322,31 @@ class TestSaveScenario:
         save_scenario(w, p1)
         save_scenario(load_scenario(p1), p2)
         assert p1.read_text() == p2.read_text()
+
+    @pytest.mark.parametrize("name", sorted(p.name for p in SCENARIO_DIR.glob("*.yaml")))
+    def test_bundled_scenario_bytes(self, tmp_path, name):
+        # the text each bundled scenario saves as, pinned file by file
+        out = tmp_path / name
+        save_scenario(load_scenario(SCENARIO_DIR / name), out)
+        assert out.read_text() == (SAVED_DIR / name).read_text()
+
+    def test_full_featured_bytes(self, tmp_path):
+        out = tmp_path / "saved.yaml"
+        save_scenario(full_featured_world(), out)
+        assert out.read_text() == FULL_FEATURED_TEXT
+
+    def test_writes_every_key_the_loader_reads(self, tmp_path):
+        # one world with a box and none with obstacles, one with positions and
+        # walls: between them they write every key, and only keys, load accepts
+        docs = []
+        for i, world in enumerate((load_doc(tmp_path, base_doc()), full_featured_world())):
+            out = tmp_path / f"saved{i}.yaml"
+            save_scenario(world, out)
+            docs.append(yaml.safe_load(out.read_text()))
+        assert set().union(*docs) == scenario._TOP_KEYS
+        for doc in docs:
+            assert set(doc["behavior"]) == set(scenario._BEHAVIOR_FIELDS) | {"kind"}
+        assert set().union(*(doc["init"] for doc in docs)) == scenario._INIT_KEYS
 
 
 def idle_world(positions, max_rounds=30):
