@@ -68,8 +68,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
         def observer(state: SwarmState, report: RoundReport | None) -> None:
             if state.round % every == 0:
-                _, g, eff = _geometry(state.positions, world)
-                write_svg_frame(state, world, eff, outdir / f"frame_{state.round:05d}.svg", graph=g)
+                write_svg_frame(state, world, outdir / f"frame_{state.round:05d}.svg")
 
     reports = run(world, observer=observer)
     write_metrics(reports, outdir / "metrics.csv")
@@ -111,7 +110,7 @@ def _cmd_graph(args: argparse.Namespace) -> int:
         print(f"{name}: {value}")
     print(f"max_effective_degree: {max(eff.degree(i) for i in range(world.n))}")
     if args.svg:
-        write_svg_frame(state, world, eff, args.svg, graph=g)
+        write_svg_frame(state, world, args.svg)
         print(f"frame: {args.svg}")
     return 0
 

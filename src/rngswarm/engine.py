@@ -6,15 +6,15 @@ plans from it, and the verify and the metrics read the next state's.
 All agents plan from the same round-start snapshot, each inside the discs
 and wall half-planes it shares with its effective neighbours, so the planned
 moves keep every effective edge in range and in sight. The commit is a
-backstop: it builds the visibility graph of the proposals and checks that
-it still holds every effective edge of the snapshot. Only when one is
-missing does it revert both endpoints of every missing edge at once to
-their snapshot positions and build the graph again, until every missing
-edge has both endpoints reverted. The rule reads only visibility graphs and no
-edge order. Reverting is monotone, so it reaches its fixpoint after at most
-n passes. Snapshot positions are safe against both old and new neighbour
-positions, which keeps every effective edge inside the next visibility
-graph and hence the swarm connected.
+backstop: it derives the proposals' geometry and checks that their
+visibility graph still holds every effective edge of the snapshot. Only
+when one is missing does it revert both endpoints of every missing edge at
+once to their snapshot positions and derive the geometry again, until every
+missing edge has both endpoints reverted. The rule reads only visibility
+graphs and no edge order. Reverting is monotone, so it reaches its fixpoint
+after at most n passes. Snapshot positions are safe against both old and
+new neighbour positions, which keeps every effective edge inside the next
+visibility graph and hence the swarm connected.
 """
 
 from __future__ import annotations
@@ -166,11 +166,20 @@ def initial_state(world: WorldConfig) -> SwarmState:
     if world.init.positions is not None:
         return SwarmState(round=0, positions=np.asarray(world.init.positions, dtype=float))
     rng = np.random.default_rng(world.seed)
-    xmin, ymin, xmax, ymax = world.init.box
+    xy = _sample_start(rng, world.init.box, world.n, world.vis_range, world.min_separation, world.obstacles)
+    return SwarmState(round=0, positions=xy)
+
+
+def _sample_start(
+    rng: np.random.Generator, box, n: int, vis_range: float, min_separation: float, obstacles
+) -> np.ndarray:
+    """Draw n points uniformly in box = (xmin, ymin, xmax, ymax) until the
+    draw passes `_init_fault`, up to `_MAX_INIT_ATTEMPTS` draws."""
+    xmin, ymin, xmax, ymax = box
     for _ in range(_MAX_INIT_ATTEMPTS):
-        xy = rng.uniform((xmin, ymin), (xmax, ymax), size=(world.n, 2))
-        if _init_fault(xy, world.vis_range, world.min_separation, world.obstacles) is None:
-            return SwarmState(round=0, positions=xy)
+        xy = rng.uniform((xmin, ymin), (xmax, ymax), size=(n, 2))
+        if _init_fault(xy, vis_range, min_separation, obstacles) is None:
+            return xy
     raise ValueError(
         f"no acceptable initial configuration in {_MAX_INIT_ATTEMPTS} samples; "
         "enlarge the box, raise vis_range, or lower n"
@@ -213,37 +222,6 @@ def _advance_waypoints(state: SwarmState, world: WorldConfig) -> int:
     return k
 
 
-def _commit(
-    old: np.ndarray, proposals: np.ndarray, effective: Graph, world: WorldConfig
-) -> tuple[np.ndarray, Graph, np.ndarray]:
-    """Revert the proposals to a fixpoint over their visibility graph.
-
-    Each pass builds the distance matrix and visibility graph of the
-    proposals. Every effective edge missing from that graph that still has an
-    endpoint not reverted gets both endpoints reverted to `old`, all at once,
-    and the pass repeats. An edge missing with both endpoints reverted
-    predates the round (a line of sight break) and is left to the trimming
-    dynamics.
-    Mutates `proposals`; returns the last pass's matrix and graph, which are
-    the committed state's, and the mask of reverted agents.
-    """
-    edges = effective.edges
-    reverted = np.zeros(world.n, dtype=bool)
-    while True:
-        dist = pairwise_distances(proposals)
-        g = visibility_graph(proposals, world.vis_range, world.obstacles, dist=dist)
-        held = g._holds(effective)
-        if held.all():
-            return dist, g, reverted
-        broken = edges[~held]
-        broken = broken[~reverted[broken].all(axis=1)]
-        if not len(broken):
-            return dist, g, reverted
-        ends = broken.ravel()
-        proposals[ends] = old[ends]
-        reverted[ends] = True
-
-
 class _Geometry(NamedTuple):
     """One committed state's geometry, derived once and read by every layer.
     Kept by the engine, not on SwarmState, so that an observer holding states
@@ -260,6 +238,33 @@ def _geometry(positions: np.ndarray, world: WorldConfig) -> _Geometry:
     return _Geometry(dist, g, effective_graph(g, positions, world.rng_plus, dist=dist))
 
 
+def _commit(
+    old: np.ndarray, proposals: np.ndarray, effective: Graph, world: WorldConfig
+) -> tuple[_Geometry, np.ndarray]:
+    """Revert the proposals to a fixpoint over their visibility graph.
+
+    Each pass derives the geometry of the proposals. Every effective edge
+    missing from its visibility graph that still has an endpoint not
+    reverted gets both endpoints reverted to `old`, all at once, and the
+    pass repeats. In a round, `effective` is a subgraph of the visibility
+    graph of `old`, so an edge with both endpoints reverted is never
+    missing; skipping such edges keeps the loop finite for any other input.
+    Mutates `proposals`; returns the last pass's geometry, which is the
+    committed state's, and the mask of reverted agents.
+    """
+    edges = effective.edges
+    reverted = np.zeros(world.n, dtype=bool)
+    while True:
+        geo = _geometry(proposals, world)
+        broken = edges[~geo.g._holds(effective)]
+        broken = broken[~reverted[broken].all(axis=1)]
+        if not len(broken):
+            return geo, reverted
+        ends = broken.ravel()
+        proposals[ends] = old[ends]
+        reverted[ends] = True
+
+
 def _step_core(
     state: SwarmState, world: WorldConfig, geo: _Geometry
 ) -> tuple[SwarmState, RoundReport, _Geometry]:
@@ -267,17 +272,16 @@ def _step_core(
     if wp_index != state.waypoint_index:
         state = replace(state, waypoint_index=wp_index)
     proposals = apply_motion_law(np.arange(world.n), state, geo.eff, world.behavior, world, dist=geo.dist)
-    dist, g2, reverted = _commit(state.positions, proposals, geo.eff, world)
+    geo, reverted = _commit(state.positions, proposals, geo.eff, world)
     new_state = SwarmState(round=state.round + 1, positions=proposals, waypoint_index=wp_index)
-    eff2 = effective_graph(g2, new_state.positions, world.rng_plus, dist=dist)
-    metrics = graph_metrics(g2, eff2, new_state.positions, dist=dist)
+    metrics = graph_metrics(geo.g, geo.eff, new_state.positions, dist=geo.dist)
     if not metrics.connected:
         raise ConnectivityError(
             f"visibility graph disconnected after round {new_state.round}; positions:\n"
             + np.array2string(new_state.positions, precision=17, threshold=10_000)
         )
     report = RoundReport(round=new_state.round, metrics=metrics, reverted_agents=int(reverted.sum()))
-    return new_state, report, _Geometry(dist, g2, eff2)
+    return new_state, report, geo
 
 
 def step(state: SwarmState, world: WorldConfig) -> tuple[SwarmState, RoundReport]:

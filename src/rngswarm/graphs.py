@@ -49,19 +49,16 @@ class Graph:
             e = e.reshape(0, 2)
         if e.ndim != 2 or e.shape[1] != 2:
             raise ValueError(f"edges must be (i, j) pairs, got an array of shape {e.shape}")
-        # rows that already have i < j need no reordering copy
-        if not (e[:, 0] < e[:, 1]).all():
-            e = np.column_stack((e.min(axis=1), e.max(axis=1)))
+        e = np.column_stack((e.min(axis=1), e.max(axis=1)))
         bad = (e[:, 0] == e[:, 1]) | (e[:, 0] < 0) | (e[:, 1] >= self.n)
         if bad.any():
             i, j = e[bad][0]
             msg = f"self-loop on vertex {i}" if i == j else f"edge ({i}, {j}) out of range for n={self.n}"
             raise ValueError(msg)
         key = e[:, 0] * self.n + e[:, 1]
-        # canonical input skips the sort
-        if (key[1:] <= key[:-1]).any():
-            order = np.argsort(key, kind="stable")
-            e = e[order][np.concatenate(([True], np.diff(key[order]) != 0))]
+        order = np.argsort(key, kind="stable")
+        # keys are >= 0, so the -1 in front keeps the first row of a non-empty list
+        e = e[order][np.diff(key[order], prepend=-1) != 0]
         e.setflags(write=False)
         object.__setattr__(self, "edges", e)
 

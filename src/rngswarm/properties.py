@@ -12,14 +12,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import InitSpec, SwarmState, WorldConfig, _init_fault, step
+from .engine import InitSpec, SwarmState, WorldConfig, _sample_start, step
 from .geom import clamp_fraction, clamp_point_xy
 from .graphs import effective_graph, is_connected, pair_distance_range, visibility_graph
 from .motion import BEHAVIOR_KINDS, BehaviorSpec
 
 CLAMP_ORACLE_TOL = 1e-7
 SEPARATION_TOL = 1e-9
-_SAMPLE_ATTEMPTS = 10_000
 
 
 @dataclass(frozen=True)
@@ -39,11 +38,7 @@ def sample_connected_positions(rng: np.random.Generator, n: int, min_sep: float 
     until the unit-range visibility graph is connected (and no pair starts
     below min_sep, when given)."""
     side = max(1.0, 0.7 * math.sqrt(n))
-    for _ in range(_SAMPLE_ATTEMPTS):
-        xy = rng.uniform(0.0, side, size=(n, 2))
-        if _init_fault(xy, 1.0, min_sep, ()) is None:
-            return xy
-    raise RuntimeError(f"no connected sample found for n={n} in {_SAMPLE_ATTEMPTS} attempts")
+    return _sample_start(rng, (0.0, 0.0, side, side), n, 1.0, min_sep, ())
 
 
 def check_connectivity_preservation(cases: int, seed: int) -> SuiteResult:

@@ -6,8 +6,8 @@ from dataclasses import fields
 from pathlib import Path
 from typing import Sequence
 
-from .engine import RoundReport, SwarmState, WorldConfig
-from .graphs import Graph, GraphMetrics, visibility_graph
+from .engine import RoundReport, SwarmState, WorldConfig, _geometry
+from .graphs import GraphMetrics
 
 METRICS_COLUMNS = ("round", *(f.name for f in fields(GraphMetrics)), "reverted_agents")
 
@@ -35,15 +35,13 @@ def write_metrics(reports: Sequence[RoundReport], path) -> None:
 # ---------------------------------------------------------------------------
 
 
-def write_svg_frame(
-    state: SwarmState, world: WorldConfig, effective: Graph, path, graph: Graph | None = None
-) -> None:
-    """One frame: agents as circles, effective edges solid, trimmed edges
-    dashed, obstacles as filled polygons, the leader accented. `graph` is
-    the state's visibility graph, built when not given."""
+def write_svg_frame(state: SwarmState, world: WorldConfig, path) -> None:
+    """One frame: agents as circles, obstacles as filled polygons, the leader
+    accented, and the state's own graphs: effective edges solid, trimmed
+    visibility edges dashed."""
     xy = state.positions
     vis = world.vis_range
-    g = visibility_graph(xy, vis, world.obstacles) if graph is None else graph
+    _, g, effective = _geometry(xy, world)
     xs = [float(v) for v in xy[:, 0]]
     ys = [float(v) for v in xy[:, 1]]
     for poly in world.obstacles:

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import re
 import subprocess
@@ -187,6 +188,37 @@ class TestGraphCommand:
         first = capsys.readouterr().out
         assert main(args) == 0
         assert capsys.readouterr().out == first
+
+
+class TestFramePins:
+    """sha256 of the SVG frames of the bundled scenarios, so a change to how
+    a frame derives its graphs, or draws them, shows."""
+
+    # name: (frame count, digest over each frame's file name then bytes)
+    RUN_FRAMES = {
+        "adhoc_network": (1, "39bd1b56563a3d51096aeefa2d158407b67cdebd011f886483cd5cc9fe9fd95f"),
+        "formation": (21, "236ff97dfb33c73457f1afda28850ef0f08175cff9d342ae902ab340c6c2c6c7"),
+        "leader_line": (8, "547b9fa6a415a21088660223370c63c8d6da5d7b7d6e8d411469127890868bdb"),
+        "narrow_passage": (28, "ec80181e8e3592c3fddeb82eab3f6c6fbfddad4058c2f77b9adef1e3640d4775"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(RUN_FRAMES))
+    def test_run_frames(self, tmp_path, name):
+        out = tmp_path / "out"
+        argv = ["run", "--scenario", str(SCENARIO_DIR / f"{name}.yaml"), "--out", str(out), "--svg-every", "40"]
+        assert main(argv) == 0
+        frames = sorted(out.glob("frame_*.svg"))
+        digest = hashlib.sha256()
+        for frame in frames:
+            digest.update(frame.name.encode())
+            digest.update(frame.read_bytes())
+        assert (len(frames), digest.hexdigest()) == self.RUN_FRAMES[name]
+
+    def test_graph_frame(self, tmp_path):
+        svg = tmp_path / "net.svg"
+        assert main(["graph", "--scenario", str(SCENARIO_DIR / "adhoc_network.yaml"), "--svg", str(svg)]) == 0
+        digest = hashlib.sha256(svg.read_bytes()).hexdigest()
+        assert digest == "3a479afbe850555f213da22bc8ca4120dde693adca5573a8412f1e8428473a98"
 
 
 def test_module_entry_point(tmp_path):

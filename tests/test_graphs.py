@@ -94,6 +94,18 @@ class TestGraph:
         with pytest.raises(ValueError, match="read-only"):
             g.edges[0, 0] = 2
 
+    def test_canonical_input_matches_reversed_and_shuffled(self, rng):
+        # one normalisation path: input already in canonical order comes out
+        # with the same bytes as the same edges reversed and shuffled
+        for n in (0, 1, 2, 7, 30):
+            pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.4]
+            canonical = np.array(pairs, dtype=np.intp).reshape(-1, 2)
+            g = Graph(n, canonical)
+            shuffled = Graph(n, canonical[rng.permutation(len(canonical)), ::-1])
+            assert g.edges.tobytes() == shuffled.edges.tobytes() == canonical.tobytes()
+            assert g.edges.shape == shuffled.edges.shape == canonical.shape
+            assert not g.edges.flags.writeable and canonical.flags.writeable
+
     def test_rejects_non_pairs(self):
         with pytest.raises(ValueError, match="pairs"):
             Graph(4, np.zeros((2, 3), dtype=int))

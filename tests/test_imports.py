@@ -1,5 +1,6 @@
-"""Every name a package module imports is used in that module, and every
-private function the package defines is used by the package.
+"""Every name a package module imports is used in that module, every
+private function the package defines is used by the package, and a state's
+geometry is built in one place.
 
 AST scans, since no linter is a dependency. `__init__.py` is exempt from the
 import scan: its imports are the package's re-exports.
@@ -104,3 +105,48 @@ def test_private_scanner_finds_unreferenced_defs():
 def test_every_private_function_is_used_by_the_package():
     sources = [p.read_text() for p in sorted(SRC.glob("*.py"))]
     assert unreferenced_private_defs(sources) == []
+
+
+# a state's distances and graphs come from `engine._geometry`; `_init_fault`
+# checks a candidate start, which is not a state yet
+GEOMETRY_BUILDERS = {"pairwise_distances", "visibility_graph", "effective_graph"}
+GEOMETRY_OWNERS = {"_geometry", "_init_fault"}
+GEOMETRY_MODULES = ("engine.py", "cli.py", "reporting.py")
+
+
+def stray_geometry_calls(source: str) -> list[tuple[str, str]]:
+    """(innermost enclosing function, callee) for each call to a geometry
+    builder outside `GEOMETRY_OWNERS`; module-level calls name "<module>"."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name in GEOMETRY_BUILDERS and owner not in GEOMETRY_OWNERS:
+                    found.append((owner, name))
+            inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if inner else owner)
+
+    visit(ast.parse(source), "<module>")
+    return sorted(found)
+
+
+def test_geometry_scanner_finds_stray_calls():
+    source = (
+        "def _geometry(p, w):\n    return pairwise_distances(p)\n"
+        "def frame(s, w):\n    def draw():\n        return graphs.effective_graph(g, s)\n"
+        "    return visibility_graph(s, w)\n"
+        "d = pairwise_distances(xy)\n"
+    )
+    assert stray_geometry_calls(source) == [
+        ("<module>", "pairwise_distances"),
+        ("draw", "effective_graph"),
+        ("frame", "visibility_graph"),
+    ]
+
+
+@pytest.mark.parametrize("name", GEOMETRY_MODULES)
+def test_geometry_is_built_in_one_place(name):
+    assert stray_geometry_calls((SRC / name).read_text()) == []

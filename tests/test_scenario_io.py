@@ -413,6 +413,7 @@ class TestMetricsCsv:
 
 
 def svg_for(world, positions):
+    """A state at `positions` and its effective graph, which its frame draws solid."""
     state = SwarmState(round=0, positions=np.asarray(positions, dtype=float))
     g = visibility_graph(state.positions, world.vis_range, world.obstacles)
     eff = effective_graph(g, state.positions, world.rng_plus)
@@ -423,9 +424,9 @@ class TestSvgFrames:
     def test_two_agents_one_solid_edge(self, tmp_path):
         positions = [(0.0, 0.0), (0.5, 0.0)]
         world = idle_world(positions)
-        state, eff = svg_for(world, positions)
+        state, _ = svg_for(world, positions)
         out = tmp_path / "frame.svg"
-        write_svg_frame(state, world, eff, out)
+        write_svg_frame(state, world, out)
         text = out.read_text()
         assert text.startswith("<svg xmlns=")
         assert text.rstrip().endswith("</svg>")
@@ -442,7 +443,7 @@ class TestSvgFrames:
         state, eff = svg_for(world, positions)
         assert len(eff.edges) == 2
         out = tmp_path / "frame.svg"
-        write_svg_frame(state, world, eff, out)
+        write_svg_frame(state, world, out)
         text = out.read_text()
         assert text.count("<line") == 3
         assert text.count("stroke-dasharray") == 1
@@ -461,9 +462,9 @@ class TestSvgFrames:
             min_separation=0.0,
             obstacles=walls,
         )
-        state, eff = svg_for(world, positions)
+        state, _ = svg_for(world, positions)
         out = tmp_path / "frame.svg"
-        write_svg_frame(state, world, eff, out)
+        write_svg_frame(state, world, out)
         assert out.read_text().count("<polygon") == 2
 
     def test_blocked_pair_is_not_drawn(self, tmp_path):
@@ -482,7 +483,7 @@ class TestSvgFrames:
         state, eff = svg_for(world, positions)
         assert eff.edges.tolist() == [[0, 2], [1, 2]]
         out = tmp_path / "frame.svg"
-        write_svg_frame(state, world, eff, out)
+        write_svg_frame(state, world, out)
         text = out.read_text()
         assert text.count("<line") == 2
         assert "stroke-dasharray" not in text
@@ -499,9 +500,9 @@ class TestSvgFrames:
             init=InitSpec(positions=tuple(positions)),
             min_separation=0.0,
         )
-        state, eff = svg_for(world, positions)
+        state, _ = svg_for(world, positions)
         out = tmp_path / "frame.svg"
-        write_svg_frame(state, world, eff, out)
+        write_svg_frame(state, world, out)
         text = out.read_text()
         assert text.count('fill="#c0392b"') == 1  # exactly one accented agent
         assert text.count("<path") == 2  # one cross per waypoint
@@ -509,7 +510,7 @@ class TestSvgFrames:
     def test_no_accent_without_a_leader(self, tmp_path):
         positions = [(0.0, 0.0), (0.5, 0.0)]
         world = idle_world(positions)
-        state, eff = svg_for(world, positions)
+        state, _ = svg_for(world, positions)
         out = tmp_path / "frame.svg"
-        write_svg_frame(state, world, eff, out)
+        write_svg_frame(state, world, out)
         assert 'fill="#c0392b"' not in out.read_text()
