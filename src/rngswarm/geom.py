@@ -17,6 +17,17 @@ adds them one at a time in input (CSR row) order from +0.0: the order
 `reduceat`, `accumulate`) may not replace it, as numpy may add pairwise,
 which rounds differently. Every result is then correctly rounded the same
 way on every IEEE platform.
+
+Layout: the long axis goes innermost. numpy runs one inner loop per element
+of the outer axes, so an array whose innermost axis is short (x and y, or
+one polygon's four edges) costs a loop start per element. The wall kernels
+therefore list the (obstacle edge, segment) pairs that can interact and
+hold each quantity as a row over those pairs, with the edges of every
+obstacle in one table; the distance matrix is built from the x and y
+columns. Such a rewrite keeps the bytes: every element still goes through
+the same IEEE operations in the same order, only the loop around them
+changes. A `np.where` is kept only where its mapping of -0.0 or NaN
+matters; elsewhere `minimum`, `maximum` or a masked write is cheaper.
 """
 
 from __future__ import annotations
@@ -41,6 +52,11 @@ SIGHT_MARGIN = 1e-6
 # ---------------------------------------------------------------------------
 # segment clamping against disc constraints
 # ---------------------------------------------------------------------------
+
+
+def _clip01(t):
+    """min(1, max(0, t)) as `t > 0 ? min(t, 1) : 0`: -0.0 and NaN go to 0."""
+    return np.where(t > 0.0, np.minimum(t, 1.0), 0.0)
 
 
 def _disc_rows(cur_xy, tgt_xy, centers, radii, owner=None):
@@ -88,9 +104,8 @@ def _fractions(cur, tgt, ctr, r, owner) -> np.ndarray:
     )
     starts = np.flatnonzero(np.diff(owner, prepend=-1))  # rows with discs, in order
     smin = np.minimum.reduceat(root, starts)[clamped[owner[starts]]]
-    # min(1, max(0, smin)), ties resolved as Python's min and max resolve them
-    smin = np.where(smin > 0.0, smin, 0.0)
-    s[clamped] = np.where(smin < 1.0, smin, 1.0)
+    # ties resolved as Python's min(1, max(0, smin)) resolves them
+    s[clamped] = _clip01(smin)
     return s
 
 
@@ -194,6 +209,61 @@ def _signed_area(xy: Sequence[tuple[float, float]]) -> float:
     return 0.5 * s
 
 
+# Rows of a polygon's edge table, which holds one column per edge in vertex
+# order. The wall kernels set the tables of all obstacles side by side, so
+# every obstacle edge is one column of one array.
+_EDGE_LO, _EDGE_HI = slice(6, 8), slice(8, 10)  # the edge's box, widened by _EPS
+_BOX_LO, _BOX_HI = slice(10, 12), slice(12, 14)  # the polygon's box
+_NEAR_LO, _NEAR_HI = slice(14, 16), slice(16, 18)  # the polygon's box, widened by _EPS
+_FIRST = 18  # 1 on the polygon's first edge
+
+
+def _edge_table(v: np.ndarray) -> np.ndarray:
+    """The (19, k) edge table of the polygon with (k, 2) vertices v: rows
+    x1, y1, x2, y2, then wx, wy = x2 - x1, y2 - y1, then the rows named
+    above."""
+    (x1, y1), (x2, y2) = v.T, np.roll(v, -1, axis=0).T
+    lo, hi = v.min(axis=0)[:, None], v.max(axis=0)[:, None]
+    k = len(v)
+    return np.vstack((
+        x1, y1, x2, y2, x2 - x1, y2 - y1,
+        np.minimum(x1, x2) - _EPS, np.minimum(y1, y2) - _EPS,
+        np.maximum(x1, x2) + _EPS, np.maximum(y1, y2) + _EPS,
+        np.broadcast_to(lo, (2, k)), np.broadcast_to(hi, (2, k)),
+        np.broadcast_to(lo - _EPS, (2, k)), np.broadcast_to(hi + _EPS, (2, k)),
+        np.arange(k) == 0,
+    ))
+
+
+def _wall_table(obstacles) -> np.ndarray:
+    """The edge tables of all obstacles side by side: (19, edges)."""
+    return np.concatenate([poly._table for poly in obstacles], axis=1)
+
+
+# A wall kernel works on (edge, segment) pairs, one column each. A pair's
+# column holds ax, bx, ay, by, abx, aby (ab = b - a), then its edge's table.
+# `_ENDPOINTS` gathers the pair's four endpoint tests as point (X, Y)
+# against the segment from (Ux, Uy) along (Wx, Wy): a and b against the
+# edge, then the edge's ends against a-b.
+_AX, _BX, _AY, _BY, _ABX, _ABY, _X1, _Y1, _X2, _Y2, _WX, _WY = range(12)
+_TABLE = _X1  # where the edge table starts
+_ENDPOINTS = np.array((
+    (_AX, _BX, _X1, _X2),  # X
+    (_AY, _BY, _Y1, _Y2),  # Y
+    (_X1, _X1, _AX, _AX),  # Ux
+    (_Y1, _Y1, _AY, _AY),  # Uy
+    (_WX, _WX, _ABX, _ABX),  # Wx
+    (_WY, _WY, _ABY, _ABY),  # Wy
+))
+
+
+def _pair_columns(ends, table, edge, row) -> np.ndarray:
+    """The columns of the pairs (edge[k], row[k]), from the segments' ends
+    as a (2, 2, m) array [x | y][a | b], segment, and the wall table."""
+    s = ends.take(row, axis=2).reshape(4, -1)
+    return np.concatenate((s, s[1::2] - s[0::2], table.take(edge, axis=1)))
+
+
 @dataclass(frozen=True)
 class Polygon:
     """Simple polygon used as an obstacle; stored counterclockwise.
@@ -228,61 +298,90 @@ class Polygon:
         if crossing.any():
             first = int(np.argmax(crossing))
             raise ValueError(f"polygon edges {k[first]} and {l[first]} intersect (not simple)")
-        edges = np.column_stack((v, w))
-        edges.setflags(write=False)
+        table = _edge_table(v)
+        table.setflags(write=False)
         object.__setattr__(self, "vertices", tuple(xy))
-        object.__setattr__(self, "_bbox", (*v.min(axis=0).tolist(), *v.max(axis=0).tolist()))
-        # one row per edge, (x1, y1, x2, y2), in vertex order
-        object.__setattr__(self, "_edges", edges)
-        # the edges' start and end coordinates as (2, 1, k) blocks, for clamp_to_sight
-        object.__setattr__(self, "_ends", (edges[:, 0::2].T[:, None], edges[:, 1::2].T[:, None]))
+        object.__setattr__(self, "_table", table)
 
     def contains_xy(self, x, y) -> np.ndarray:
         """Inside or on the boundary; boundary contact counts as contained."""
         x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-        bx0, by0, bx1, by1 = self._bbox
-        out = np.zeros(x.shape, dtype=bool)
-        near = (x >= bx0 - _EPS) & (x <= bx1 + _EPS) & (y >= by0 - _EPS) & (y <= by1 + _EPS)
-        if not near.any():
-            return out
-        px, py = x[near][:, None], y[near][:, None]
-        x1, y1, x2, y2 = self._edges.T
-        on_edge = (np.abs(_cross(x1, y1, x2, y2, px, py)) <= _EPS) & _within_bbox(px, py, x1, y1, x2, y2)
-        spans = (y1 > py) != (y2 > py)
-        xc = x1 + (py - y1) * (x2 - x1) / np.where(spans, y2 - y1, 1.0)
-        crossings = np.count_nonzero(spans & (px < xc), axis=1)
-        out[near] = on_edge.any(axis=1) | (crossings % 2 == 1)
-        return out
+        ends = np.array(((x.ravel(),) * 2, (y.ravel(),) * 2))
+        return _wall_contacts(ends, (self,))[1].reshape(x.shape)
 
     def blocks_segment_xy(self, x1, y1, x2, y2) -> np.ndarray:
         """Whether each segment touches, crosses, or sits inside this polygon."""
         x1, y1, x2, y2 = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (x1, y1, x2, y2)))
-        bx0, by0, bx1, by1 = self._bbox
-        out = np.zeros(x1.shape, dtype=bool)
-        near = ~(
-            (np.maximum(x1, x2) < bx0 - _EPS)
-            | (np.minimum(x1, x2) > bx1 + _EPS)
-            | (np.maximum(y1, y2) < by0 - _EPS)
-            | (np.minimum(y1, y2) > by1 + _EPS)
+        ends = np.array(((x1.ravel(), x2.ravel()), (y1.ravel(), y2.ravel())))
+        return _wall_contacts(ends, (self,))[0].reshape(x1.shape)
+
+
+def _wall_contacts(ends, obstacles) -> tuple[np.ndarray, np.ndarray]:
+    """(blocked, inside) for the segments a -> b given as one (2, 2, m)
+    array [x | y][a | b], segment: whether some obstacle touches, crosses or
+    holds each segment, and whether one holds its start a, boundary included.
+
+    One pass over the (edge, segment) pairs of every obstacle, with the
+    pairs on the inner axis. A pair is tested only where the segment's box
+    meets the edge's polygon's box widened by _EPS. The touching cases of
+    the intersection test and the point-in-polygon ray cast run only where
+    they can hold. Inside a polygon means on one of its edges, which is the
+    touching case of a against that edge, or an odd count of its edges
+    crossing the ray from a toward +x."""
+    m = ends.shape[2]
+    blocked, inside = np.zeros(m, dtype=bool), np.zeros(m, dtype=bool)
+    if not obstacles:
+        return blocked, inside
+    table = _wall_table(obstacles)
+    lo, hi = np.minimum(ends[:, 0], ends[:, 1]), np.maximum(ends[:, 0], ends[:, 1])
+    far = (hi[:, None] < table[_NEAR_LO, :, None]) | (lo[:, None] > table[_NEAR_HI, :, None])
+    edge, row = (~(far[0] | far[1])).nonzero()
+    if not len(row):
+        return blocked, inside
+    cols = _pair_columns(ends, table, edge, row)
+    e, x, y, ux, uy, wx, wy = cols[_TABLE:], *cols.take(_ENDPOINTS, axis=0)
+    # the cross products of the closed-segment intersection test: d1 and d2
+    # place a and b against the edge, d3 and d4 the edge's ends against a-b
+    d = wx * (y - uy) - wy * (x - ux)
+    pos, neg = d > _EPS, d < -_EPS
+    straddle = (pos[0::2] & neg[1::2]) | (neg[0::2] & pos[1::2])
+    hit = straddle[0] & straddle[1]
+    # an end on the other segment's line touches where it lies in the other
+    # segment's box widened by _EPS
+    touch = np.abs(d) <= _EPS
+    if np.count_nonzero(touch):
+        (lox, loy), (hix, hiy) = e[_EDGE_LO], e[_EDGE_HI]
+        touch[:2] &= (lox <= x[:2]) & (x[:2] <= hix) & (loy <= y[:2]) & (y[:2] <= hiy)
+        touch[2:] &= (
+            (np.minimum(x[0], x[1]) - _EPS <= x[2:]) & (x[2:] <= np.maximum(x[0], x[1]) + _EPS)
+            & (np.minimum(y[0], y[1]) - _EPS <= y[2:]) & (y[2:] <= np.maximum(y[0], y[1]) + _EPS)
         )
-        if not near.any():
-            return out
-        ax, ay, bx, by = (v[near][:, None] for v in (x1, y1, x2, y2))
-        hit = segments_intersect_xy(ax, ay, bx, by, *self._edges.T).any(axis=1)
-        # no edge contact: the segment is either fully inside or fully outside
-        hit[~hit] = self.contains_xy(ax[~hit, 0], ay[~hit, 0])
-        out[near] = hit
-        return out
+        hit |= touch.any(axis=0)
+    blocked[row[hit]] = True
+    # a polygon can hold a only where a lies in its box widened by _EPS
+    a = cols[_AX : _BY : 2]
+    in_box = (e[_NEAR_LO] <= a) & (a <= e[_NEAR_HI])
+    in_box = in_box[0] & in_box[1]
+    if np.count_nonzero(in_box):
+        # the abscissa where each edge that spans a's y crosses that line
+        spans = (y[2] > y[0]) != (y[3] > y[0])
+        crosses = spans & (x[0] < x[2] + (y[0] - y[2]) * wx[0] / np.where(spans, wy[0], 1.0))
+        # per (polygon, segment): an odd count of crossings, or a on an edge
+        polygon = np.cumsum(table[_FIRST]).astype(np.intp) - 1
+        cells = (polygon[-1] + 1) * m
+        key = (polygon[edge] * m + row)[in_box]
+        odd = np.bincount(key, crosses[in_box], cells) % 2 == 1
+        held = (odd | (np.bincount(key, touch[0, in_box], cells) > 0)).reshape(-1, m).any(axis=0)
+        inside |= held
+        blocked |= held
+    return blocked, inside
 
 
 def segments_blocked(p, q, obstacles) -> np.ndarray:
     """Whether some obstacle blocks each segment p[k] -> q[k] of the (m, 2)
     arrays p and q; a zero-length segment is blocked where its point touches
     an obstacle."""
-    blocked = np.zeros(len(p), dtype=bool)
-    for poly in obstacles:
-        blocked |= poly.blocks_segment_xy(p[:, 0], p[:, 1], q[:, 0], q[:, 1])
-    return blocked
+    return _wall_contacts(np.concatenate((p, q)).T.reshape(2, 2, -1), obstacles)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -290,63 +389,66 @@ def segments_blocked(p, q, obstacles) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _project(px, py, ux, uy, vx, vy):
-    """Closest point to p on the segment u-v; u itself when u = v."""
-    wx, wy = vx - ux, vy - uy
-    ww = wx * wx + wy * wy
-    t = ((px - ux) * wx + (py - uy) * wy) / np.where(ww > 0.0, ww, 1.0)
-    t = np.where(t > 0.0, np.where(t < 1.0, t, 1.0), 0.0)
-    return ux + t * wx, uy + t * wy
-
-
 def clamp_to_sight(p, q, owner, seg_a, seg_b, obstacles) -> np.ndarray:
     """Shorten each step p -> q as far as needed to keep it on the far side
     of every obstacle edge from each segment seg_a[r]-seg_b[r] it owns, and
-    from its own point p.
+    from its own point p. The shortened steps are written into q in place,
+    and q is returned.
 
-    Each (segment, obstacle edge) row takes the line normal to their
+    Each (segment, obstacle edge) pair takes the line normal to their
     closest-point gap; its offset is the obstacle edge's support along that
     normal plus the margin, so the line clears the edge even when the normal
     is imprecise. The ray bound is s <= slack / (-n . d), and a negative
-    slack (a segment within the margin) holds the agent. A row whose
+    slack (a segment within the margin) holds the agent. A pair whose
     obstacle lies beyond the mover's step plus the margin cannot bind and is
-    skipped.
+    skipped. One pass covers the pairs of every obstacle, with the pairs on
+    the inner axis.
     """
+    if not obstacles:
+        return q
     owner = np.concatenate((owner, np.arange(len(p))))
-    # the segments' two ends as one (2, m, 2) block: seg_a, then seg_b
-    ends = np.array((np.concatenate((seg_a, p)), np.concatenate((seg_b, p))))
+    # the segments' ends as one (2, 2, m) view: [x | y][seg_a | seg_b], row
+    ends = np.concatenate((seg_a, p, seg_b, p)).T.reshape(2, 2, -1)
     d = q - p
-    s = np.ones(len(p))
     reach = np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1])[owner] + SIGHT_MARGIN
-    lo, hi = np.minimum(*ends) - reach[:, None], np.maximum(*ends) + reach[:, None]
-    for poly in obstacles:
-        bx0, by0, bx1, by1 = poly._bbox
-        rows = np.flatnonzero((lo[:, 0] <= bx1) & (hi[:, 0] >= bx0) & (lo[:, 1] <= by1) & (hi[:, 1] >= by0))
-        if not len(rows):
-            continue
-        sx, sy = ends[:, rows, 0, None], ends[:, rows, 1, None]
-        (ax, bx), (ay, by) = sx, sy
-        cx, cy, ex, ey = poly._edges.T
-        tx, ty = poly._ends
-        # the gap between two segments that do not cross is the shortest of
-        # the four endpoint projections: a and b onto c-e, then c and e onto
-        # a-b; argmin keeps the first of equals, picked by flat index
-        px, py = _project(sx, sy, cx, cy, ex, ey)
-        qx, qy = _project(tx, ty, ax, ay, bx, by)
-        hx, hy = np.concatenate((sx - px, qx - tx)), np.concatenate((sy - py, qy - ty))
-        hh = hx * hx + hy * hy
-        cells = hh[0].size
-        pick = np.argmin(hh, axis=0) * cells + np.arange(cells).reshape(hh.shape[1:])
-        gx, gy, gg = hx.take(pick), hy.take(pick), hh.take(pick)
-        length = np.sqrt(gg)
-        length[length == 0.0] = 1.0  # a zero gap leaves a zero normal, and so a negative slack
-        nx, ny = gx / length, gy / length
-        c = np.maximum(nx * cx + ny * cy, nx * ex + ny * ey) + SIGHT_MARGIN
-        mover = owner[rows]
-        slack = (nx * p[mover, 0, None] + ny * p[mover, 1, None]) - c
-        nd = nx * d[mover, 0, None] + ny * d[mover, 1, None]
-        bound = np.where(slack < 0.0, 0.0, np.where(nd < 0.0, slack / np.where(nd < 0.0, -nd, 1.0), 1.0))
-        np.minimum.at(s, mover, bound.min(axis=1))
-    rows = s < 1.0
-    q[rows] = p[rows] + s[rows, None] * d[rows]
+    lo = (np.minimum(ends[:, 0], ends[:, 1]) - reach)[:, None]
+    hi = (np.maximum(ends[:, 0], ends[:, 1]) + reach)[:, None]
+    table = _wall_table(obstacles)
+    near = (lo <= table[_BOX_HI, :, None]) & (hi >= table[_BOX_LO, :, None])
+    edge, row = (near[0] & near[1]).nonzero()
+    if not len(row):
+        return q
+    cols = _pair_columns(ends, table, edge, row)
+    x, y, ux, uy, wx, wy = cols.take(_ENDPOINTS, axis=0)
+    ww = wx * wx + wy * wy
+    ww = np.where(ww > 0.0, ww, 1.0)
+    # the gap between two segments that do not cross is the shortest of the
+    # four endpoint projections; `gap` holds their x, y and squared length
+    u = _clip01(((x - ux) * wx + (y - uy) * wy) / ww)
+    px, py = ux + u * wx, uy + u * wy
+    gap = np.empty((3, 4, len(row)))
+    np.subtract(x[:2], px[:2], out=gap[0, :2])
+    np.subtract(y[:2], py[:2], out=gap[1, :2])
+    np.subtract(px[2:], x[2:], out=gap[0, 2:])
+    np.subtract(py[2:], y[2:], out=gap[1, 2:])
+    sq = gap[:2] * gap[:2]
+    np.add(sq[0], sq[1], out=gap[2])
+    # the first of equal gaps, as argmin picks it
+    g = gap[:, 0]
+    for k in (1, 2, 3):
+        g = np.where(gap[2, k] < g[2], gap[:, k], g)
+    length = np.sqrt(g[2])
+    length[length == 0.0] = 1.0  # a zero gap leaves a zero normal, and so a negative slack
+    n = g[:2] / length
+    support = n[0] * x[2:] + n[1] * y[2:]
+    c = np.maximum(support[0], support[1]) + SIGHT_MARGIN
+    # n . p and n . (p - q) = -(n . d), for the mover of each pair
+    mover = owner[row]
+    along = np.concatenate((p.T, (p - q).T)).take(mover, axis=1).reshape(2, 2, -1) * n
+    slack, back = along[0, 0] + along[0, 1] - c, along[1, 0] + along[1, 1]
+    bound = np.divide(slack, back, out=np.ones_like(slack), where=back > 0.0)
+    bound[slack < 0.0] = 0.0
+    s = np.ones(len(p))
+    np.minimum.at(s, mover, bound)
+    np.copyto(q, p + s[:, None] * d, where=(s < 1.0)[:, None])
     return q

@@ -134,11 +134,17 @@ class GraphMetrics:
 
 def pairwise_distances(xy: np.ndarray, rows=None) -> np.ndarray:
     """Euclidean distance matrix: the full n x n one, or only the rows of the
-    agents `rows`, in the same arithmetic. It is exactly symmetric, since
-    (-x)^2 = x^2."""
+    agents `rows`, in the same arithmetic, sqrt(dx*dx + dy*dy). It is exactly
+    symmetric, since (-x)^2 = x^2. The differences come from the x and y
+    columns, so every array op runs along the agents, and the squares and
+    their sum are taken in place, in dx."""
     src = xy if rows is None else xy[rows]
-    diff = src[:, None, :] - xy[None, :, :]
-    return np.sqrt((diff * diff).sum(axis=2))
+    dx = src[:, 0, None] - xy[:, 0]
+    dy = src[:, 1, None] - xy[:, 1]
+    dx *= dx
+    dy *= dy
+    dx += dy
+    return np.sqrt(dx, out=dx)
 
 
 def pair_distance_range(xy: np.ndarray, dist: np.ndarray | None = None) -> tuple[float, float]:

@@ -180,6 +180,13 @@ def separation_cap(
         raise ValueError(f"min_separation must be >= 0, got {min_separation!r}")
     single, idx = _as_rows(agents)
     d = pairwise_distances(coords(positions), idx) if dist is None else dist[idx]
+    cap = _separation_caps(idx, d, vis_range, min_separation)
+    return float(cap[0]) if single else cap
+
+
+def _separation_caps(idx: np.ndarray, d: np.ndarray, vis_range: float, min_separation: float) -> np.ndarray:
+    """`separation_cap` of the agents idx from their distance rows d, one
+    row per agent; it overwrites each agent's own entry of d with inf."""
     d[np.arange(len(idx)), idx] = math.inf
     nearest = np.where(d <= vis_range, d, math.inf).min(axis=1, initial=math.inf)
     # Agents that have packed down to exactly the floor sit an ulp below it in
@@ -191,8 +198,7 @@ def separation_cap(
             int(below.sum()), float(nearest[below].min()), min_separation,
         )
     half = 0.5 * (nearest - min_separation)
-    cap = np.where(half > 0.0, half, 0.0)
-    return float(cap[0]) if single else cap
+    return np.where(half > 0.0, half, 0.0)
 
 
 def apply_motion_law(
@@ -213,14 +219,19 @@ def apply_motion_law(
     so their edge survives both moves; the engine's verify is the backstop.
     `agents` is an index array, giving (k, 2) proposals, or one index,
     giving one (2,) proposal. `dist` is `pairwise_distances` of the
-    positions; without it only the agents' own rows are computed.
+    positions; without it only the agents' own rows are computed, once.
     """
     single, idx = _as_rows(agents)
     xy = state.positions
     p = xy[idx]
     _, nbr, owner = _neighbour_rows(effective, idx)
     nbr_xy = xy[nbr]
-    length = pairwise_distances(xy, idx)[owner, nbr] if dist is None else dist[idx[owner], nbr]
+    if dist is None:
+        # the agents' distance rows, built once for the edge lengths and the cap
+        rows = pairwise_distances(xy, idx)
+        length = rows[owner, nbr]
+    else:
+        length = dist[idx[owner], nbr]
     far = length > world.vis_range + FEASIBILITY_TOL
     if far.any():
         row = owner[np.argmax(far)]
@@ -230,7 +241,10 @@ def apply_motion_law(
         )
     t = desired_target(idx, state, effective, spec)
     if world.min_separation > 0.0:
-        cap = separation_cap(idx, xy, world.vis_range, world.min_separation, dist=dist)
+        if dist is None:
+            cap = _separation_caps(idx, rows, world.vis_range, world.min_separation)
+        else:
+            cap = separation_cap(idx, xy, world.vis_range, world.min_separation, dist=dist)
         off = t - p
         norm = np.sqrt(off[:, 0] * off[:, 0] + off[:, 1] * off[:, 1])
         over = norm > cap

@@ -193,6 +193,15 @@ def edge_set(graph):
     return {(i, j) for i, j in graph.edges.tolist()}
 
 
+def reference_pairwise_distances(xy, rows=None):
+    """The distance matrix (or the rows `rows` of it) as an (n, n, 2) block
+    of coordinate differences, squared and summed over its last axis: a sum
+    of two terms, so the same bytes as sqrt(dx*dx + dy*dy)."""
+    src = xy if rows is None else xy[rows]
+    diff = src[:, None, :] - xy[None, :, :]
+    return np.sqrt((diff * diff).sum(axis=2))
+
+
 # ---------------------------------------------------------------------------
 # the per-agent motion law and the per-edge revert rule
 # ---------------------------------------------------------------------------
@@ -428,23 +437,9 @@ def star_walls(draw):
     return Polygon(tuple(vertices))
 
 
-@st.composite
-def walled_snapshots(draw):
-    """(state, effective graph, world) among one to three random walls, with
-    the agents that touch a wall left out; the graphs see the walls. A wall
-    is a triangle, thin slivers included, or a star-shaped polygon of 4 to 6
-    vertices, so the wall predicates and half-planes see more than 3 edges."""
-    walls = []
-    for _ in range(draw(st.integers(1, 3))):
-        if draw(st.booleans()):
-            walls.append(draw(star_walls()))
-            continue
-        try:
-            walls.append(Polygon(tuple(draw(st.lists(st.tuples(_COORD, _COORD), min_size=3, max_size=3)))))
-        except ValueError:  # a degenerate triangle
-            pass
-    assume(walls)
-    xy = np.array(draw(st.lists(st.tuples(_COORD, _COORD), min_size=1, max_size=12)), dtype=float)
+def _walled_snapshot(draw, walls, xy):
+    """(state, effective graph, world) for the agents xy among `walls`, with
+    the agents that touch a wall left out; the graphs see the walls."""
     xy = xy[~segments_blocked(xy, xy, walls)]
     assume(len(xy))
     n = len(xy)
@@ -464,3 +459,68 @@ def walled_snapshots(draw):
     state = SwarmState(round=0, positions=xy, waypoint_index=draw(st.integers(0, 2)))
     eff = effective_graph(visibility_graph(xy, world.vis_range, world.obstacles), xy, world.rng_plus)
     return state, eff, world
+
+
+@st.composite
+def walled_snapshots(draw):
+    """(state, effective graph, world) among one to three random walls, with
+    the agents that touch a wall left out; the graphs see the walls. A wall
+    is a triangle, thin slivers included, or a star-shaped polygon of 4 to 6
+    vertices, so the wall predicates and half-planes see more than 3 edges."""
+    walls = []
+    for _ in range(draw(st.integers(1, 3))):
+        if draw(st.booleans()):
+            walls.append(draw(star_walls()))
+            continue
+        try:
+            walls.append(Polygon(tuple(draw(st.lists(st.tuples(_COORD, _COORD), min_size=3, max_size=3)))))
+        except ValueError:  # a degenerate triangle
+            pass
+    assume(walls)
+    xy = np.array(draw(st.lists(st.tuples(_COORD, _COORD), min_size=1, max_size=12)), dtype=float)
+    return _walled_snapshot(draw, walls, xy)
+
+
+# pillar side lengths: a full lattice cell, so neighbours share an edge;
+# half a cell; and one that fits no grid
+_PILLAR_SIDES = (0.25, 0.125, 0.0975)
+
+
+@st.composite
+def pillar_fields(draw):
+    """9 to 16 small square pillars in distinct cells of a lattice of pitch
+    0.25 over [-1, 1]^2, each in its cell's lower-left corner. So pillars in
+    one row share their bottom edge's line, those in one column their left
+    edge's line, and full-cell neighbours touch."""
+    cells = draw(st.lists(st.tuples(st.integers(-4, 3), st.integers(-4, 3)), min_size=9, max_size=16, unique=True))
+    pillars = []
+    for gx, gy in cells:
+        side = draw(st.sampled_from(_PILLAR_SIDES))
+        x0, y0 = gx * 0.25, gy * 0.25
+        pillars.append(Polygon(((x0, y0), (x0 + side, y0), (x0 + side, y0 + side), (x0, y0 + side))))
+    return tuple(pillars)
+
+
+@st.composite
+def margin_points(draw, pillars):
+    """Points SIGHT_MARGIN outside a pillar edge, at its middle or its ends:
+    an agent there has a slack of (nearly) zero against that edge."""
+    pillar = draw(st.sampled_from(pillars))
+    (x0, y0), _, (x1, y1), _ = pillar.vertices
+    along = draw(st.sampled_from((0.0, 0.5, 1.0)))
+    side = draw(st.integers(0, 3))
+    if side < 2:  # below or above
+        return (x0 + along * (x1 - x0), (y0 - SIGHT_MARGIN, y1 + SIGHT_MARGIN)[side])
+    return ((x0 - SIGHT_MARGIN, x1 + SIGHT_MARGIN)[side - 2], y0 + along * (y1 - y0))
+
+
+@st.composite
+def pillar_snapshots(draw):
+    """(state, effective graph, world) in a field of 9 to 16 square pillars
+    (`pillar_fields`): free agents, and agents at exactly SIGHT_MARGIN from
+    a pillar edge, with those that touch a pillar left out."""
+    pillars = draw(pillar_fields())
+    free = draw(st.lists(st.tuples(_COORD, _COORD), min_size=0, max_size=10))
+    at_margin = draw(st.lists(margin_points(pillars), min_size=1, max_size=4))
+    xy = np.array(free + at_margin, dtype=float)
+    return _walled_snapshot(draw, pillars, xy)

@@ -46,7 +46,11 @@ def test_every_wrapped_layer_is_present_and_called_once_per_round():
     assert len(reports) == ROUNDS
     assert t.missing == set()
     metrics = {metric for _, _, metric in tracer.WRAPPED}
-    assert sorted(m for m in metrics if t.calls[m] == 0) == []
+    # The round tests walls in `segments_blocked` and `clamp_to_sight`, one
+    # pass over every obstacle edge, and no longer through the per-polygon
+    # predicates that `geom.polygon` wraps; the tracer is to be re-pointed at
+    # the kernels (ROADMAP). Every other wrapped layer must still be called.
+    assert sorted(m for m in metrics if t.calls[m] == 0) == ["geom.polygon"]
     # the planner and its stages run once per round, over every agent at once
     for metric in ("motion.plan", "motion.target", "motion.sepcap", "geom.clamp"):
         assert t.calls[metric] == ROUNDS, metric

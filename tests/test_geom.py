@@ -15,7 +15,14 @@ from rngswarm.geom import (
 from rngswarm.graphs import effective_graph, pairwise_distances, visibility_graph
 from rngswarm.properties import bisect_clamp_fraction, random_clamp_instance
 
-from helpers import naive_lune_occupants, scalar_blocks, scalar_contains, scalar_segments_intersect
+from helpers import (
+    margin_points,
+    naive_lune_occupants,
+    pillar_fields,
+    scalar_blocks,
+    scalar_contains,
+    scalar_segments_intersect,
+)
 
 finite = st.floats(min_value=-50, max_value=50, allow_nan=False, allow_infinity=False)
 
@@ -279,6 +286,22 @@ class TestElementwisePredicates:
         ]
         blocked = segments_blocked(a[:, :2], a[:, 2:], POLYGONS)
         assert blocked.tolist() == [any(scalar_blocks(p, *s) for p in POLYGONS) for s in segments]
+
+    @settings(max_examples=200)
+    @given(st.data())
+    def test_pillar_fields_match_the_scalar_oracle(self, data):
+        # one pass over 9 to 16 pillars, touching ones and shared edge lines
+        # among them, is the per-polygon scalar test; some ends sit exactly
+        # SIGHT_MARGIN outside a pillar edge, the rest anywhere
+        pillars = data.draw(pillar_fields())
+        point = st.one_of(st.tuples(_COORD, _COORD).map(lambda p: (p[0] - 1.0, p[1] - 1.0)), margin_points(pillars))
+        segments = data.draw(st.lists(st.tuples(point, point), min_size=1, max_size=30))
+        a = np.array(segments, dtype=float)
+        blocked = segments_blocked(a[:, 0], a[:, 1], pillars)
+        assert blocked.tolist() == [any(scalar_blocks(p, *s, *t) for p in pillars) for s, t in segments]
+        # a zero-length segment at each end: a point touching a pillar
+        touched = segments_blocked(a[:, 0], a[:, 0], pillars)
+        assert touched.tolist() == [any(scalar_blocks(p, *s, *s) for p in pillars) for s, _ in segments]
 
     def test_a_scalar_call_is_the_0d_case(self):
         assert SQUARE.contains_xy(1.0, 1.0).shape == ()

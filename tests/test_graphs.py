@@ -23,6 +23,7 @@ from helpers import (
     naive_effective_edges,
     naive_lune_occupants,
     naive_visibility_edges,
+    reference_pairwise_distances,
     snapshots,
     walled_snapshots,
 )
@@ -368,6 +369,33 @@ class TestPairwiseDistances:
                 assert dist[i, j] == pytest.approx(
                     math.hypot(*(xy[i] - xy[j])), abs=1e-12
                 )
+
+    # signed zeros, repeated points, and coordinates from 1e-150 to 1e150,
+    # where squares approach underflow and overflow
+    _COORD = st.one_of(
+        st.sampled_from((0.0, -0.0)),
+        st.builds(
+            lambda m, scale: m * scale,
+            st.floats(-1.0, 1.0, allow_nan=False),
+            st.sampled_from((1e-150, 1e-75, 1e-8, 1.0, 1e8, 1e75, 1e150)),
+        ),
+    )
+
+    @settings(max_examples=300)
+    @given(st.data())
+    def test_matches_the_stacked_oracle_bytewise(self, data):
+        points = data.draw(st.lists(st.tuples(self._COORD, self._COORD), min_size=0, max_size=10))
+        # repeat some of them
+        extra = data.draw(st.lists(st.integers(0, len(points) - 1), max_size=4)) if points else []
+        xy = np.array(points + [points[k] for k in extra], dtype=float).reshape(-1, 2)
+        got = pairwise_distances(xy)
+        assert got.shape == (len(xy), len(xy))
+        assert got.tobytes() == reference_pairwise_distances(xy).tobytes()
+        rows = data.draw(st.lists(st.integers(0, len(xy) - 1), max_size=6)) if len(xy) else []
+        rows = np.array(rows, dtype=np.intp)
+        got = pairwise_distances(xy, rows)
+        assert got.shape == (len(rows), len(xy))
+        assert got.tobytes() == reference_pairwise_distances(xy, rows).tobytes()
 
 
 def _grid_positions(max_n):

@@ -2,19 +2,29 @@ import logging
 import math
 
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rngswarm.motion
 from rngswarm.engine import InitSpec, SwarmState, WorldConfig, _advance_waypoints, run
 from rngswarm.geom import SIGHT_MARGIN, Polygon
-from rngswarm.graphs import Graph, effective_graph, visibility_graph
+from rngswarm.graphs import Graph, effective_graph, pairwise_distances, visibility_graph
 from rngswarm.motion import BehaviorSpec, _row_sums, apply_motion_law, desired_target, separation_cap
 from rngswarm.properties import sample_connected_positions
 
-from helpers import dist, reference_motion_law, reference_row_sums, scalar_blocks, snapshots, walled_snapshots
+from helpers import (
+    dist,
+    pillar_snapshots,
+    reference_motion_law,
+    reference_row_sums,
+    scalar_blocks,
+    snapshots,
+    walled_snapshots,
+)
 
 
 def make_state(positions, waypoint_index=0):
@@ -523,6 +533,27 @@ class TestArrayKernel:
         state, eff, world = snap
         got = apply_motion_law(np.arange(world.n), state, eff, world.behavior, world)
         want = np.array([reference_motion_law(i, state, eff, world.behavior, world) for i in range(world.n)])
+        assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=100)
+    @given(pillar_snapshots())
+    def test_pillar_proposals_match_the_per_agent_law_bytewise(self, snap):
+        # 9 to 16 pillars, touching ones and shared edge lines among them, and
+        # agents whose slack against a pillar edge is (nearly) zero
+        state, eff, world = snap
+        got = apply_motion_law(np.arange(world.n), state, eff, world.behavior, world)
+        want = np.array([reference_motion_law(i, state, eff, world.behavior, world) for i in range(world.n)])
+        assert got.tobytes() == want.tobytes()
+
+    @given(st.one_of(snapshots(), walled_snapshots()))
+    def test_without_dist_the_rows_are_built_once(self, snap):
+        state, eff, world = snap
+        world = replace(world, min_separation=0.1)
+        agents = np.arange(world.n)
+        with mock.patch.object(rngswarm.motion, "pairwise_distances", wraps=pairwise_distances) as built:
+            got = apply_motion_law(agents, state, eff, world.behavior, world)
+        assert built.call_count == 1
+        want = apply_motion_law(agents, state, eff, world.behavior, world, dist=pairwise_distances(state.positions))
         assert got.tobytes() == want.tobytes()
 
     @settings(max_examples=200)
