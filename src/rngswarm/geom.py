@@ -4,7 +4,9 @@ Polygon predicates and the segment clamps, into discs and into the
 half-planes past obstacle edges, are array based: the round evaluates them
 for every agent, and every segment, at once. All feasibility checks share
 an absolute length tolerance of 1e-9, and the intersection tests are
-deliberately conservative: exact touching counts as contact.
+deliberately conservative: exact touching counts as contact. One
+closed-segment test, `_contacts`, serves `segments_intersect_xy`, the
+polygon simplicity check and the wall kernels.
 
 Portable arithmetic: nothing that decides a position may go through BLAS
 (`@`, `np.dot`, `np.matmul`, `np.einsum`) or `pow` (`**`). Their results
@@ -159,44 +161,39 @@ def clamp_point_xy(cur_xy, tgt_xy, centers, radii, owner=None) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _cross(ox, oy, ax, ay, bx, by):
-    # z component of (a - o) x (b - o)
-    return (ax - ox) * (by - oy) - (ay - oy) * (bx - ox)
+# The ends of segments a-b and c-d are held as one (2, 4, ...) array
+# [x | y][a | b | c | d]. Each end is tested against the other segment,
+# c-d for a and b and a-b for c and d; these pick that segment's start and end.
+_START, _END = np.array((2, 2, 0, 0)), np.array((3, 3, 1, 1))
 
 
-def _within_bbox(x, y, x1, y1, x2, y2):
-    return (
-        (np.minimum(x1, x2) - _EPS <= x)
-        & (x <= np.maximum(x1, x2) + _EPS)
-        & (np.minimum(y1, y2) - _EPS <= y)
-        & (y <= np.maximum(y1, y2) + _EPS)
-    )
-
-
-def _straddles(d1, d2):
-    return ((d1 > _EPS) & (d2 < -_EPS)) | ((d1 < -_EPS) & (d2 > _EPS))
+def _contacts(pts) -> tuple[np.ndarray, np.ndarray]:
+    """The closed-segment intersection test of a-b against c-d, from their
+    ends `pts` [x | y][a | b | c | d]: whether the segments meet, touching or
+    collinear overlap included, and whether each end lies on the other
+    segment (within _EPS of its line and in its box widened by _EPS)."""
+    u, v = pts.take(_START, axis=1), pts.take(_END, axis=1)
+    w = v - u
+    # the cross products d1, d2 place a and b against c-d, d3, d4 c and d against a-b
+    d = w[0] * (pts[1] - u[1]) - w[1] * (pts[0] - u[0])
+    pos, neg = d > _EPS, d < -_EPS
+    straddle = (pos[0::2] & neg[1::2]) | (neg[0::2] & pos[1::2])
+    hit = straddle[0] & straddle[1]
+    touch = np.abs(d) <= _EPS
+    if np.count_nonzero(touch):
+        within = (np.minimum(u, v) - _EPS <= pts) & (pts <= np.maximum(u, v) + _EPS)
+        touch &= within[0] & within[1]
+        hit = hit | touch.any(axis=0)
+    return hit, touch
 
 
 def segments_intersect_xy(ax, ay, bx, by, cx, cy, dx, dy) -> np.ndarray:
     """Closed-segment intersection of a-b and c-d, elementwise over arrays
     that broadcast together; touching or collinear overlap counts."""
-    ax, ay, bx, by, cx, cy, dx, dy = (np.asarray(v, dtype=float) for v in (ax, ay, bx, by, cx, cy, dx, dy))
-    d1 = _cross(cx, cy, dx, dy, ax, ay)
-    d2 = _cross(cx, cy, dx, dy, bx, by)
-    d3 = _cross(ax, ay, bx, by, cx, cy)
-    d4 = _cross(ax, ay, bx, by, dx, dy)
-    hit = _straddles(d1, d2) & _straddles(d3, d4)
-    # an end on the other segment's line: the box test decides, where it is needed
-    for d, (x, y, x1, y1, x2, y2) in (
-        (d1, (ax, ay, cx, cy, dx, dy)),
-        (d2, (bx, by, cx, cy, dx, dy)),
-        (d3, (cx, cy, ax, ay, bx, by)),
-        (d4, (dx, dy, ax, ay, bx, by)),
-    ):
-        near = np.abs(d) <= _EPS
-        if near.any():
-            hit = hit | (near & _within_bbox(x, y, x1, y1, x2, y2))
-    return hit
+    ax, ay, bx, by, cx, cy, dx, dy = np.broadcast_arrays(
+        *(np.asarray(v, dtype=float) for v in (ax, ay, bx, by, cx, cy, dx, dy))
+    )
+    return _contacts(np.array(((ax, bx, cx, dx), (ay, by, cy, dy))))[0]
 
 
 def _signed_area(xy: Sequence[tuple[float, float]]) -> float:
@@ -207,61 +204,6 @@ def _signed_area(xy: Sequence[tuple[float, float]]) -> float:
         x2, y2 = xy[(k + 1) % n]
         s += x1 * y2 - x2 * y1
     return 0.5 * s
-
-
-# Rows of a polygon's edge table, which holds one column per edge in vertex
-# order. The wall kernels set the tables of all obstacles side by side, so
-# every obstacle edge is one column of one array.
-_EDGE_LO, _EDGE_HI = slice(6, 8), slice(8, 10)  # the edge's box, widened by _EPS
-_BOX_LO, _BOX_HI = slice(10, 12), slice(12, 14)  # the polygon's box
-_NEAR_LO, _NEAR_HI = slice(14, 16), slice(16, 18)  # the polygon's box, widened by _EPS
-_FIRST = 18  # 1 on the polygon's first edge
-
-
-def _edge_table(v: np.ndarray) -> np.ndarray:
-    """The (19, k) edge table of the polygon with (k, 2) vertices v: rows
-    x1, y1, x2, y2, then wx, wy = x2 - x1, y2 - y1, then the rows named
-    above."""
-    (x1, y1), (x2, y2) = v.T, np.roll(v, -1, axis=0).T
-    lo, hi = v.min(axis=0)[:, None], v.max(axis=0)[:, None]
-    k = len(v)
-    return np.vstack((
-        x1, y1, x2, y2, x2 - x1, y2 - y1,
-        np.minimum(x1, x2) - _EPS, np.minimum(y1, y2) - _EPS,
-        np.maximum(x1, x2) + _EPS, np.maximum(y1, y2) + _EPS,
-        np.broadcast_to(lo, (2, k)), np.broadcast_to(hi, (2, k)),
-        np.broadcast_to(lo - _EPS, (2, k)), np.broadcast_to(hi + _EPS, (2, k)),
-        np.arange(k) == 0,
-    ))
-
-
-def _wall_table(obstacles) -> np.ndarray:
-    """The edge tables of all obstacles side by side: (19, edges)."""
-    return np.concatenate([poly._table for poly in obstacles], axis=1)
-
-
-# A wall kernel works on (edge, segment) pairs, one column each. A pair's
-# column holds ax, bx, ay, by, abx, aby (ab = b - a), then its edge's table.
-# `_ENDPOINTS` gathers the pair's four endpoint tests as point (X, Y)
-# against the segment from (Ux, Uy) along (Wx, Wy): a and b against the
-# edge, then the edge's ends against a-b.
-_AX, _BX, _AY, _BY, _ABX, _ABY, _X1, _Y1, _X2, _Y2, _WX, _WY = range(12)
-_TABLE = _X1  # where the edge table starts
-_ENDPOINTS = np.array((
-    (_AX, _BX, _X1, _X2),  # X
-    (_AY, _BY, _Y1, _Y2),  # Y
-    (_X1, _X1, _AX, _AX),  # Ux
-    (_Y1, _Y1, _AY, _AY),  # Uy
-    (_WX, _WX, _ABX, _ABX),  # Wx
-    (_WY, _WY, _ABY, _ABY),  # Wy
-))
-
-
-def _pair_columns(ends, table, edge, row) -> np.ndarray:
-    """The columns of the pairs (edge[k], row[k]), from the segments' ends
-    as a (2, 2, m) array [x | y][a | b], segment, and the wall table."""
-    s = ends.take(row, axis=2).reshape(4, -1)
-    return np.concatenate((s, s[1::2] - s[0::2], table.take(edge, axis=1)))
 
 
 @dataclass(frozen=True)
@@ -298,10 +240,13 @@ class Polygon:
         if crossing.any():
             first = int(np.argmax(crossing))
             raise ValueError(f"polygon edges {k[first]} and {l[first]} intersect (not simple)")
-        table = _edge_table(v)
-        table.setflags(write=False)
+        # the edges as [x | y][start | end], edge, and the box as [lower | upper][x | y]
+        ends, box = np.stack((v.T, w.T), axis=1), np.array((v.min(axis=0), v.max(axis=0)))
+        ends.setflags(write=False)
+        box.setflags(write=False)
         object.__setattr__(self, "vertices", tuple(xy))
-        object.__setattr__(self, "_table", table)
+        object.__setattr__(self, "_ends", ends)
+        object.__setattr__(self, "_box", box)
 
     def contains_xy(self, x, y) -> np.ndarray:
         """Inside or on the boundary; boundary contact counts as contained."""
@@ -316,6 +261,36 @@ class Polygon:
         return _wall_contacts(ends, (self,))[0].reshape(x1.shape)
 
 
+_last_walls: tuple = (None, None)
+
+
+def _walls(obstacles: tuple[Polygon, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The edges of all obstacles side by side, (2, 2, edges) [x | y][start |
+    end], the obstacle of each edge, and the obstacles' boxes, plain and
+    widened by _EPS, each (2, 2, obstacles, 1) [lower | upper][x | y].
+
+    A run passes its world's tuple every round, so the tables of the last
+    tuple are kept. They are keyed by identity, not equality: polygons equal
+    up to the sign of a zero coordinate would give other bytes."""
+    global _last_walls
+    last = _last_walls
+    if last[0] is not obstacles:
+        edges = np.concatenate([poly._ends for poly in obstacles], axis=2)
+        polygon = np.repeat(np.arange(len(obstacles)), [len(poly.vertices) for poly in obstacles])
+        box = np.array([poly._box for poly in obstacles]).transpose(1, 2, 0)[..., None]
+        widened = np.array((box[0] - _EPS, box[1] + _EPS))
+        for a in (edges, polygon, box, widened):
+            a.setflags(write=False)
+        last = _last_walls = (obstacles, (edges, polygon, box, widened))
+    return last[1]
+
+
+def _pairs(ends, edges, edge, row) -> np.ndarray:
+    """The ends of the pairs (edge[k], segment row[k]) as one (2, 4, k)
+    array for `_contacts`, from the segments' ends [x | y][a | b], segment."""
+    return np.concatenate((ends.take(row, axis=2), edges.take(edge, axis=2)), axis=1)
+
+
 def _wall_contacts(ends, obstacles) -> tuple[np.ndarray, np.ndarray]:
     """(blocked, inside) for the segments a -> b given as one (2, 2, m)
     array [x | y][a | b], segment: whether some obstacle touches, crosses or
@@ -323,57 +298,37 @@ def _wall_contacts(ends, obstacles) -> tuple[np.ndarray, np.ndarray]:
 
     One pass over the (edge, segment) pairs of every obstacle, with the
     pairs on the inner axis. A pair is tested only where the segment's box
-    meets the edge's polygon's box widened by _EPS. The touching cases of
-    the intersection test and the point-in-polygon ray cast run only where
-    they can hold. Inside a polygon means on one of its edges, which is the
-    touching case of a against that edge, or an odd count of its edges
-    crossing the ray from a toward +x."""
+    meets the edge's polygon's box widened by _EPS. Inside a polygon means
+    on one of its edges, which is the touching case of a against that edge,
+    or an odd count of its edges crossing the ray from a toward +x; the ray
+    cast runs only where a lies in the polygon's widened box."""
     m = ends.shape[2]
     blocked, inside = np.zeros(m, dtype=bool), np.zeros(m, dtype=bool)
     if not obstacles:
         return blocked, inside
-    table = _wall_table(obstacles)
-    lo, hi = np.minimum(ends[:, 0], ends[:, 1]), np.maximum(ends[:, 0], ends[:, 1])
-    far = (hi[:, None] < table[_NEAR_LO, :, None]) | (lo[:, None] > table[_NEAR_HI, :, None])
-    edge, row = (~(far[0] | far[1])).nonzero()
+    edges, polygon, _, (lo, hi) = _walls(tuple(obstacles))
+    far = (np.maximum(ends[:, 0], ends[:, 1])[:, None] < lo) | (np.minimum(ends[:, 0], ends[:, 1])[:, None] > hi)
+    edge, row = (~(far[0] | far[1]))[polygon].nonzero()
     if not len(row):
         return blocked, inside
-    cols = _pair_columns(ends, table, edge, row)
-    e, x, y, ux, uy, wx, wy = cols[_TABLE:], *cols.take(_ENDPOINTS, axis=0)
-    # the cross products of the closed-segment intersection test: d1 and d2
-    # place a and b against the edge, d3 and d4 the edge's ends against a-b
-    d = wx * (y - uy) - wy * (x - ux)
-    pos, neg = d > _EPS, d < -_EPS
-    straddle = (pos[0::2] & neg[1::2]) | (neg[0::2] & pos[1::2])
-    hit = straddle[0] & straddle[1]
-    # an end on the other segment's line touches where it lies in the other
-    # segment's box widened by _EPS
-    touch = np.abs(d) <= _EPS
-    if np.count_nonzero(touch):
-        (lox, loy), (hix, hiy) = e[_EDGE_LO], e[_EDGE_HI]
-        touch[:2] &= (lox <= x[:2]) & (x[:2] <= hix) & (loy <= y[:2]) & (y[:2] <= hiy)
-        touch[2:] &= (
-            (np.minimum(x[0], x[1]) - _EPS <= x[2:]) & (x[2:] <= np.maximum(x[0], x[1]) + _EPS)
-            & (np.minimum(y[0], y[1]) - _EPS <= y[2:]) & (y[2:] <= np.maximum(y[0], y[1]) + _EPS)
-        )
-        hit |= touch.any(axis=0)
+    pts = _pairs(ends, edges, edge, row)
+    hit, touch = _contacts(pts)
     blocked[row[hit]] = True
-    # a polygon can hold a only where a lies in its box widened by _EPS
-    a = cols[_AX : _BY : 2]
-    in_box = (e[_NEAR_LO] <= a) & (a <= e[_NEAR_HI])
-    in_box = in_box[0] & in_box[1]
-    if np.count_nonzero(in_box):
+    near = (lo <= ends[:, None, 0]) & (ends[:, None, 0] <= hi)
+    near = near[0] & near[1]
+    if np.count_nonzero(near):
+        poly = polygon[edge]
+        in_box = near[poly, row]
         # the abscissa where each edge that spans a's y crosses that line
-        spans = (y[2] > y[0]) != (y[3] > y[0])
-        crosses = spans & (x[0] < x[2] + (y[0] - y[2]) * wx[0] / np.where(spans, wy[0], 1.0))
-        # per (polygon, segment): an odd count of crossings, or a on an edge
-        polygon = np.cumsum(table[_FIRST]).astype(np.intp) - 1
-        cells = (polygon[-1] + 1) * m
-        key = (polygon[edge] * m + row)[in_box]
-        odd = np.bincount(key, crosses[in_box], cells) % 2 == 1
-        held = (odd | (np.bincount(key, touch[0, in_box], cells) > 0)).reshape(-1, m).any(axis=0)
-        inside |= held
-        blocked |= held
+        (ax, _, x1, x2), (ay, _, y1, y2) = pts
+        spans = (y1 > ay) != (y2 > ay)
+        crosses = spans & (ax < x1 + (ay - y1) * (x2 - x1) / np.where(spans, y2 - y1, 1.0))
+        # per (polygon, segment) cell: an odd count of crossings, or a on an edge
+        cell, key = np.unique(poly[in_box] * m + row[in_box], return_inverse=True)
+        odd = np.bincount(key, crosses[in_box], len(cell)) % 2 == 1
+        held = cell[odd | (np.bincount(key, touch[0, in_box], len(cell)) > 0)] % m
+        inside[held] = True
+        blocked[held] = True
     return blocked, inside
 
 
@@ -407,30 +362,29 @@ def clamp_to_sight(p, q, owner, seg_a, seg_b, obstacles) -> np.ndarray:
     if not obstacles:
         return q
     owner = np.concatenate((owner, np.arange(len(p))))
-    # the segments' ends as one (2, 2, m) view: [x | y][seg_a | seg_b], row
+    # the segments' ends as one (2, 2, m) array: [x | y][seg_a | seg_b], row
     ends = np.concatenate((seg_a, p, seg_b, p)).T.reshape(2, 2, -1)
     d = q - p
     reach = np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1])[owner] + SIGHT_MARGIN
-    lo = (np.minimum(ends[:, 0], ends[:, 1]) - reach)[:, None]
-    hi = (np.maximum(ends[:, 0], ends[:, 1]) + reach)[:, None]
-    table = _wall_table(obstacles)
-    near = (lo <= table[_BOX_HI, :, None]) & (hi >= table[_BOX_LO, :, None])
-    edge, row = (near[0] & near[1]).nonzero()
+    edges, polygon, (lo, hi), _ = _walls(tuple(obstacles))
+    near = ((np.minimum(ends[:, 0], ends[:, 1]) - reach)[:, None] <= hi) & (
+        (np.maximum(ends[:, 0], ends[:, 1]) + reach)[:, None] >= lo
+    )
+    edge, row = (near[0] & near[1])[polygon].nonzero()
     if not len(row):
         return q
-    cols = _pair_columns(ends, table, edge, row)
-    x, y, ux, uy, wx, wy = cols.take(_ENDPOINTS, axis=0)
+    pts = _pairs(ends, edges, edge, row)
+    u = pts.take(_START, axis=1)
+    w = pts.take(_END, axis=1) - u
+    (x, y), (ux, uy), (wx, wy) = pts, u, w
     ww = wx * wx + wy * wy
     ww = np.where(ww > 0.0, ww, 1.0)
     # the gap between two segments that do not cross is the shortest of the
     # four endpoint projections; `gap` holds their x, y and squared length
-    u = _clip01(((x - ux) * wx + (y - uy) * wy) / ww)
-    px, py = ux + u * wx, uy + u * wy
+    closest = u + _clip01(((x - ux) * wx + (y - uy) * wy) / ww) * w
     gap = np.empty((3, 4, len(row)))
-    np.subtract(x[:2], px[:2], out=gap[0, :2])
-    np.subtract(y[:2], py[:2], out=gap[1, :2])
-    np.subtract(px[2:], x[2:], out=gap[0, 2:])
-    np.subtract(py[2:], y[2:], out=gap[1, 2:])
+    np.subtract(pts[:, :2], closest[:, :2], out=gap[:2, :2])
+    np.subtract(closest[:, 2:], pts[:, 2:], out=gap[:2, 2:])
     sq = gap[:2] * gap[:2]
     np.add(sq[0], sq[1], out=gap[2])
     # the first of equal gaps, as argmin picks it

@@ -35,10 +35,17 @@ finally:
 ROUNDS = 4
 
 
-def test_every_wrapped_layer_is_present_and_called_once_per_round():
+def test_every_wrapped_layer_is_present_and_called_once_per_round(monkeypatch):
     # world 1 of the batch: formation, rng_plus 1, separation 0.1 and a wall
     world = replace(workloads.batch_world(1, seed=11), max_rounds=ROUNDS)
     assert world.obstacles and world.min_separation > 0.0
+    walls = {}
+    for module, name in ((rs.graphs, "segments_blocked"), (rs.motion, "clamp_to_sight")):
+        def counted(*args, _f=getattr(module, name), _name=name):
+            walls[_name] = walls.get(_name, 0) + 1
+            return _f(*args)
+
+        monkeypatch.setattr(module, name, counted)
     t = tracer.Tracer()
     with t.installed():
         t.in_rounds = True
@@ -46,11 +53,21 @@ def test_every_wrapped_layer_is_present_and_called_once_per_round():
     assert len(reports) == ROUNDS
     assert t.missing == set()
     metrics = {metric for _, _, metric in tracer.WRAPPED}
-    # The round tests walls in `segments_blocked` and `clamp_to_sight`, one
-    # pass over every obstacle edge, and no longer through the per-polygon
-    # predicates that `geom.polygon` wraps; the tracer is to be re-pointed at
-    # the kernels (ROADMAP). Every other wrapped layer must still be called.
-    assert sorted(m for m in metrics if t.calls[m] == 0) == ["geom.polygon"]
+    uncalled = sorted(m for m in metrics if t.calls[m] == 0)
+    # `geom.polygon` wraps the per-polygon predicates `Polygon.contains_xy`
+    # and `Polygon.blocks_segment_xy`. A round tests its walls in
+    # `segments_blocked` (the visibility wall mask, once per derived
+    # geometry) and `clamp_to_sight` (once per plan), one pass over every
+    # obstacle edge, and calls neither predicate. While the span wraps just
+    # those two, it is the one layer left uncalled, and its metrics
+    # `geom.polygon_ms` and `geom.polygon_tests` read 0 (void, not a gain;
+    # ROADMAP item 5 re-points it). Wrapping anything else, it must be called.
+    polygon_span = {(owner, attr) for owner, attr, metric in tracer.WRAPPED if metric == "geom.polygon"}
+    if polygon_span == {(rs.geom.Polygon, "contains_xy"), (rs.geom.Polygon, "blocks_segment_xy")}:
+        assert uncalled == ["geom.polygon"]
+        assert walls["segments_blocked"] >= ROUNDS and walls["clamp_to_sight"] == ROUNDS, walls
+    else:
+        assert uncalled == []
     # the planner and its stages run once per round, over every agent at once
     for metric in ("motion.plan", "motion.target", "motion.sepcap", "geom.clamp"):
         assert t.calls[metric] == ROUNDS, metric
