@@ -270,8 +270,9 @@ def _walls(obstacles: tuple[Polygon, ...]) -> tuple[np.ndarray, np.ndarray, np.n
     widened by _EPS, each (2, 2, obstacles, 1) [lower | upper][x | y].
 
     A run passes its world's tuple every round, so the tables of the last
-    tuple are kept. They are keyed by identity, not equality: polygons equal
-    up to the sign of a zero coordinate would give other bytes."""
+    tuple are kept, read-only, with the tuple itself (which keeps its id
+    from being reused). They are keyed by identity, not equality: polygons
+    equal up to the sign of a zero coordinate would give other bytes."""
     global _last_walls
     last = _last_walls
     if last[0] is not obstacles:
