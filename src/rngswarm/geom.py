@@ -61,34 +61,28 @@ def _clip01(t):
     return np.where(t > 0.0, np.minimum(t, 1.0), 0.0)
 
 
-def _disc_rows(cur_xy, tgt_xy, centers, radii, owner=None):
-    """Normalise the clamp arguments to rows: (cur, tgt, ctr, r, owner).
+def clamp_fraction(cur, tgt, centers, radii, owner) -> np.ndarray:
+    """Largest s in [0, 1] per row keeping cur + s * (tgt - cur) in its discs.
 
-    Without `owner` one point owns every disc; with it, disc d belongs to
-    row owner[d], in ascending order."""
-    ctr = np.asarray(centers, dtype=float).reshape(-1, 2)
-    cur = np.asarray(cur_xy, dtype=float).reshape(-1, 2)
-    tgt = np.asarray(tgt_xy, dtype=float).reshape(-1, 2)
-    if owner is None:
-        owner = np.zeros(len(ctr), dtype=np.intp)
-    # one radius per disc, or one for all: either broadcasts in the arithmetic
-    return cur, tgt, ctr, np.asarray(radii, dtype=float), owner
-
-
-def _fractions(cur, tgt, ctr, r, owner) -> np.ndarray:
-    """Largest feasible fraction per row: one ray-circle root per disc, then
-    the smallest per row, a minimum that does not depend on the disc order."""
+    The clamp takes rows: cur and tgt are (k, 2), and disc d (centre
+    centers[d], radius radii[d] or one radius for all) belongs to row
+    owner[d], `owner` ascending as in a CSR row order. Per disc, one
+    ray-circle root; per row, the smallest, which is exact since the
+    feasible part of the segment is an interval from cur. A row with no
+    discs takes s = 1. Each cur must lie in its discs within the
+    feasibility tolerance, else ValueError.
+    """
     k = len(cur)
-    w = cur[owner] - ctr
+    w = cur[owner] - centers
     ww = w[:, 0] * w[:, 0] + w[:, 1] * w[:, 1]
     if len(ww):
-        violation = float((np.sqrt(ww) - r).max())
+        violation = float((np.sqrt(ww) - radii).max())
         if violation > FEASIBILITY_TOL:
             raise ValueError(f"current point violates a constraint disc by {violation:.3g}")
     d = tgt - cur
     a = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]
-    wt = tgt[owner] - ctr
-    rr = r * r
+    wt = tgt[owner] - centers
+    rr = radii * radii
     # rows whose target already satisfies every disc, or that do not move, take s = 1
     outside = np.bincount(owner[wt[:, 0] * wt[:, 0] + wt[:, 1] * wt[:, 1] > rr], minlength=k)
     clamped = (outside > 0) & (a != 0.0)
@@ -111,49 +105,27 @@ def _fractions(cur, tgt, ctr, r, owner) -> np.ndarray:
     return s
 
 
-def clamp_fraction(cur_xy, tgt_xy, centers, radii) -> float:
-    """Largest s in [0, 1] keeping cur + s * (tgt - cur) inside every disc.
-
-    Solves the ray-circle quadratic per disc and takes the smallest positive
-    root bound; the feasible set along the segment is an interval starting at
-    the current point, so the minimum over discs is exact. The current point
-    must already satisfy every disc within the feasibility tolerance,
-    otherwise ValueError. This is the one-row case of the clamp that
-    `clamp_point_xy` runs per row.
-    """
-    return float(_fractions(*_disc_rows(cur_xy, tgt_xy, centers, radii))[0])
-
-
-def clamp_point_xy(cur_xy, tgt_xy, centers, radii, owner=None) -> np.ndarray:
-    """Move from cur toward tgt as far as every disc allows.
-
-    Returns cur + s * (tgt - cur) with the largest feasible s in [0, 1]; if
-    the target satisfies all discs it is returned as is. The current point
-    must lie inside every disc within the feasibility tolerance (it is the
-    mover's own allowable region), else ValueError.
-
-    With `owner`, cur and tgt are (k, 2) rows, row owner[d] is clamped to
-    disc d (owner ascending, as in a CSR row order), and the result has k
-    rows. A single point is the one-row case and gives one (2,) point.
-    """
-    single = owner is None
-    cur, tgt, ctr, r, owner = _disc_rows(cur_xy, tgt_xy, centers, radii, owner)
-    s = _fractions(cur, tgt, ctr, r, owner)
+def clamp_point_xy(cur, tgt, centers, radii, owner) -> np.ndarray:
+    """cur + s * (tgt - cur) per row, with `clamp_fraction`'s s nudged down
+    until the point lies inside every disc of its row. Rows as there: row
+    owner[d] is clamped to disc d, `owner` ascending; a row whose target
+    satisfies its discs gets the target as is."""
+    s = clamp_fraction(cur, tgt, centers, radii, owner)
     q = tgt.copy()
     rows = s < 1.0
     q[rows] = cur[rows] + s[rows, None] * (tgt[rows] - cur[rows])
     # nudge down against float overshoot so the result is inside every disc
     # not just within tolerance (keeps clamped pairs inside visibility range)
     for _ in range(4 if rows.any() else 0):
-        w = q[owner] - ctr
-        out = np.bincount(owner[np.sqrt(w[:, 0] * w[:, 0] + w[:, 1] * w[:, 1]) > r], minlength=len(q))
+        w = q[owner] - centers
+        out = np.bincount(owner[np.sqrt(w[:, 0] * w[:, 0] + w[:, 1] * w[:, 1]) > radii], minlength=len(q))
         rows &= out > 0
         if not rows.any():
             break
         nudged = s[rows] - 1e-12
         s[rows] = np.where(nudged > 0.0, nudged, 0.0)
         q[rows] = cur[rows] + s[rows, None] * (tgt[rows] - cur[rows])
-    return q[0] if single else q
+    return q
 
 
 # ---------------------------------------------------------------------------
@@ -167,11 +139,11 @@ def clamp_point_xy(cur_xy, tgt_xy, centers, radii, owner=None) -> np.ndarray:
 _START, _END = np.array((2, 2, 0, 0)), np.array((3, 3, 1, 1))
 
 
-def _contacts(pts) -> tuple[np.ndarray, np.ndarray]:
+def _contacts(pts) -> np.ndarray:
     """The closed-segment intersection test of a-b against c-d, from their
     ends `pts` [x | y][a | b | c | d]: whether the segments meet, touching or
-    collinear overlap included, and whether each end lies on the other
-    segment (within _EPS of its line and in its box widened by _EPS)."""
+    collinear overlap included. An end touches the other segment when it
+    lies within _EPS of its line and in its box widened by _EPS."""
     u, v = pts.take(_START, axis=1), pts.take(_END, axis=1)
     w = v - u
     # the cross products d1, d2 place a and b against c-d, d3, d4 c and d against a-b
@@ -184,7 +156,7 @@ def _contacts(pts) -> tuple[np.ndarray, np.ndarray]:
         within = (np.minimum(u, v) - _EPS <= pts) & (pts <= np.maximum(u, v) + _EPS)
         touch &= within[0] & within[1]
         hit = hit | touch.any(axis=0)
-    return hit, touch
+    return hit
 
 
 def segments_intersect_xy(ax, ay, bx, by, cx, cy, dx, dy) -> np.ndarray:
@@ -193,7 +165,7 @@ def segments_intersect_xy(ax, ay, bx, by, cx, cy, dx, dy) -> np.ndarray:
     ax, ay, bx, by, cx, cy, dx, dy = np.broadcast_arrays(
         *(np.asarray(v, dtype=float) for v in (ax, ay, bx, by, cx, cy, dx, dy))
     )
-    return _contacts(np.array(((ax, bx, cx, dx), (ay, by, cy, dy))))[0]
+    return _contacts(np.array(((ax, bx, cx, dx), (ay, by, cy, dy))))
 
 
 def _signed_area(xy: Sequence[tuple[float, float]]) -> float:
@@ -249,16 +221,16 @@ class Polygon:
         object.__setattr__(self, "_box", box)
 
     def contains_xy(self, x, y) -> np.ndarray:
-        """Inside or on the boundary; boundary contact counts as contained."""
-        x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-        ends = np.array(((x.ravel(),) * 2, (y.ravel(),) * 2))
-        return _wall_contacts(ends, (self,))[1].reshape(x.shape)
+        """Whether this polygon holds each point, boundary included: the
+        zero-length segment at the point is blocked, as `segments_blocked`
+        tests a start."""
+        return self.blocks_segment_xy(x, y, x, y)
 
     def blocks_segment_xy(self, x1, y1, x2, y2) -> np.ndarray:
         """Whether each segment touches, crosses, or sits inside this polygon."""
         x1, y1, x2, y2 = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (x1, y1, x2, y2)))
         ends = np.array(((x1.ravel(), x2.ravel()), (y1.ravel(), y2.ravel())))
-        return _wall_contacts(ends, (self,))[0].reshape(x1.shape)
+        return _wall_contacts(ends, (self,)).reshape(x1.shape)
 
 
 _last_walls: tuple = (None, None)
@@ -292,29 +264,28 @@ def _pairs(ends, edges, edge, row) -> np.ndarray:
     return np.concatenate((ends.take(row, axis=2), edges.take(edge, axis=2)), axis=1)
 
 
-def _wall_contacts(ends, obstacles) -> tuple[np.ndarray, np.ndarray]:
-    """(blocked, inside) for the segments a -> b given as one (2, 2, m)
-    array [x | y][a | b], segment: whether some obstacle touches, crosses or
-    holds each segment, and whether one holds its start a, boundary included.
+def _wall_contacts(ends, obstacles) -> np.ndarray:
+    """Whether some obstacle touches, crosses or holds each segment a -> b,
+    given as one (2, 2, m) array [x | y][a | b], segment.
 
     One pass over the (edge, segment) pairs of every obstacle, with the
     pairs on the inner axis. A pair is tested only where the segment's box
-    meets the edge's polygon's box widened by _EPS. Inside a polygon means
-    on one of its edges, which is the touching case of a against that edge,
-    or an odd count of its edges crossing the ray from a toward +x; the ray
-    cast runs only where a lies in the polygon's widened box."""
+    meets the edge's polygon's box widened by _EPS. A segment that meets no
+    edge is blocked only when a polygon holds it whole, which is when an odd
+    count of that polygon's edges cross the ray from a toward +x (a on an
+    edge already meets that edge); the ray cast runs only where a lies in
+    the polygon's widened box."""
     m = ends.shape[2]
-    blocked, inside = np.zeros(m, dtype=bool), np.zeros(m, dtype=bool)
+    blocked = np.zeros(m, dtype=bool)
     if not obstacles:
-        return blocked, inside
+        return blocked
     edges, polygon, _, (lo, hi) = _walls(tuple(obstacles))
     far = (np.maximum(ends[:, 0], ends[:, 1])[:, None] < lo) | (np.minimum(ends[:, 0], ends[:, 1])[:, None] > hi)
     edge, row = (~(far[0] | far[1]))[polygon].nonzero()
     if not len(row):
-        return blocked, inside
+        return blocked
     pts = _pairs(ends, edges, edge, row)
-    hit, touch = _contacts(pts)
-    blocked[row[hit]] = True
+    blocked[row[_contacts(pts)]] = True
     near = (lo <= ends[:, None, 0]) & (ends[:, None, 0] <= hi)
     near = near[0] & near[1]
     if np.count_nonzero(near):
@@ -324,20 +295,17 @@ def _wall_contacts(ends, obstacles) -> tuple[np.ndarray, np.ndarray]:
         (ax, _, x1, x2), (ay, _, y1, y2) = pts
         spans = (y1 > ay) != (y2 > ay)
         crosses = spans & (ax < x1 + (ay - y1) * (x2 - x1) / np.where(spans, y2 - y1, 1.0))
-        # per (polygon, segment) cell: an odd count of crossings, or a on an edge
+        # per (polygon, segment) cell: an odd count of crossings
         cell, key = np.unique(poly[in_box] * m + row[in_box], return_inverse=True)
-        odd = np.bincount(key, crosses[in_box], len(cell)) % 2 == 1
-        held = cell[odd | (np.bincount(key, touch[0, in_box], len(cell)) > 0)] % m
-        inside[held] = True
-        blocked[held] = True
-    return blocked, inside
+        blocked[cell[np.bincount(key, crosses[in_box], len(cell)) % 2 == 1] % m] = True
+    return blocked
 
 
 def segments_blocked(p, q, obstacles) -> np.ndarray:
     """Whether some obstacle blocks each segment p[k] -> q[k] of the (m, 2)
     arrays p and q; a zero-length segment is blocked where its point touches
     an obstacle."""
-    return _wall_contacts(np.concatenate((p, q)).T.reshape(2, 2, -1), obstacles)[0]
+    return _wall_contacts(np.concatenate((p, q)).T.reshape(2, 2, -1), obstacles)
 
 
 # ---------------------------------------------------------------------------

@@ -90,27 +90,6 @@ class BehaviorSpec:
         )
 
 
-def _as_rows(agents) -> tuple[bool, np.ndarray]:
-    """(single, indices): a scalar index is the one-row case of an index array."""
-    idx = np.asarray(agents, dtype=np.intp)
-    return idx.ndim == 0, idx.reshape(-1)
-
-
-def _neighbour_rows(effective: Graph, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """CSR rows of the agents `idx`: row k lists the effective neighbours of
-    idx[k], in ascending order, as nbr[indptr[k]:indptr[k + 1]], and
-    owner[e] is the row of entry e."""
-    full_ptr, full_idx, full_owner = effective._csr
-    if len(idx) == effective.n and (idx == np.arange(len(idx))).all():
-        return full_ptr, full_idx, full_owner  # every agent in order: the graph's own rows
-    start = full_ptr[idx]
-    deg = full_ptr[idx + 1] - start
-    indptr = np.zeros(len(idx) + 1, dtype=np.intp)
-    np.cumsum(deg, out=indptr[1:])
-    owner = np.repeat(np.arange(len(idx)), deg)
-    return indptr, full_idx[(start - indptr[:-1])[owner] + np.arange(indptr[-1])], owner
-
-
 def _row_sums(rows: np.ndarray, owner: np.ndarray, k: int) -> np.ndarray:
     """(k, 2) sums of the (m, 2) `rows`, row r going to owner[r]. `bincount`
     adds its weights one at a time in input order from +0.0, so each sum
@@ -127,42 +106,39 @@ def desired_target(agents, state: "SwarmState", effective: Graph, spec: Behavior
     applies a spring pull of gain * (d - spacing) along each effective edge;
     leader_follow sends the leader to its current waypoint (holding position
     once the list is exhausted) while everyone else gathers; idle stays put.
-    `agents` is an index array, giving (k, 2) targets, or one index, giving
-    one (2,) target.
+    Every agent is planned, and `agents` selects the rows returned: an index
+    array gives (k, 2) targets, one index one (2,) target.
     """
-    single, idx = _as_rows(agents)
     xy = state.positions
-    p = xy[idx]
-    raw = p.copy()
+    n = len(xy)
+    raw = xy.copy()
     if spec.kind != "idle":
-        indptr, nbr, owner = _neighbour_rows(effective, idx)
-        deg = indptr[1:] - indptr[:-1]
+        indptr, nbr, owner = effective._csr
         if spec.kind == "formation":
-            rel = xy[nbr] - p[owner]
+            rel = xy[nbr] - xy[owner]
             dist = np.sqrt(rel[:, 0] * rel[:, 0] + rel[:, 1] * rel[:, 1])
             ok = dist > 0.0  # a coincident neighbour has no direction to pull along
             scale = spec.spring_gain * (dist - spec.desired_spacing) / np.where(ok, dist, 1.0)
             # a skipped neighbour adds -0.0, which leaves every sum as it was
             pull = np.where(ok[:, None], scale[:, None] * rel, -0.0)
-            pulled = np.bincount(owner[ok], minlength=len(idx)) > 0
-            raw[pulled] = p[pulled] + _row_sums(pull, owner, len(idx))[pulled]
+            pulled = np.bincount(owner[ok], minlength=n) > 0
+            raw[pulled] = xy[pulled] + _row_sums(pull, owner, n)[pulled]
         else:  # gather, and every non-leader in leader_follow
+            deg = indptr[1:] - indptr[:-1]
             has = deg > 0
-            raw[has] = _row_sums(xy[nbr], owner, len(idx))[has] / deg[has, None]
+            raw[has] = _row_sums(xy[nbr], owner, n)[has] / deg[has, None]
         if spec.kind == "leader_follow":
             k = state.waypoint_index
-            lead = idx == spec.leader_index
-            raw[lead] = spec.waypoints[k] if k < len(spec.waypoints) else p[lead]
-    off = raw - p
+            lead = np.arange(n) == spec.leader_index
+            raw[lead] = spec.waypoints[k] if k < len(spec.waypoints) else xy[lead]
+    off = raw - xy
     norm = np.sqrt(off[:, 0] * off[:, 0] + off[:, 1] * off[:, 1])
     over = norm > spec.max_step
-    raw[over] = p[over] + off[over] * (spec.max_step / norm[over])[:, None]
-    return raw[0] if single else raw
+    raw[over] = xy[over] + off[over] * (spec.max_step / norm[over])[:, None]
+    return raw[agents]
 
 
-def separation_cap(
-    agents, positions, vis_range: float, min_separation: float, dist: np.ndarray | None = None
-):
+def separation_cap(agents, positions, vis_range: float, min_separation: float, dist: np.ndarray | None = None):
     """Largest displacement of each agent that cannot break the separation floor.
 
     Each visible pair may close by at most its slack (d - min_separation),
@@ -170,25 +146,19 @@ def separation_cap(
     /2. Pairs beyond vis_range are not inspected; they stay safe as long as
     max_step <= (vis_range - min_separation) / 2, which the world config
     enforces. With nothing visible the cap is unbounded (inf); the behaviour
-    target is already pre-capped at max_step. An index array gives a (k,)
-    array of caps, one index a float. Agents that start below the floor are
-    held still and reported in one warning per call. `dist` is
-    `pairwise_distances` of the positions; without it only the agents' own
-    rows are computed.
+    target is already pre-capped at max_step. Every agent is planned, and
+    `agents` selects the caps returned: an index array gives a (k,) array,
+    one index a float. Agents that start below the floor are held still and
+    reported in one warning per call. `dist` is `pairwise_distances` of the
+    positions, built here when not given.
     """
     if min_separation < 0.0:
         raise ValueError(f"min_separation must be >= 0, got {min_separation!r}")
-    single, idx = _as_rows(agents)
-    d = pairwise_distances(coords(positions), idx) if dist is None else dist[idx]
-    cap = _separation_caps(idx, d, vis_range, min_separation)
-    return float(cap[0]) if single else cap
-
-
-def _separation_caps(idx: np.ndarray, d: np.ndarray, vis_range: float, min_separation: float) -> np.ndarray:
-    """`separation_cap` of the agents idx from their distance rows d, one
-    row per agent; it overwrites each agent's own entry of d with inf."""
-    d[np.arange(len(idx)), idx] = math.inf
-    nearest = np.where(d <= vis_range, d, math.inf).min(axis=1, initial=math.inf)
+    if dist is None:
+        dist = pairwise_distances(coords(positions))
+    d = np.where(dist <= vis_range, dist, math.inf)
+    np.fill_diagonal(d, math.inf)
+    nearest = d.min(axis=1, initial=math.inf)
     # Agents that have packed down to exactly the floor sit an ulp below it in
     # floats; only a materially shorter distance is worth flagging.
     below = nearest < min_separation - 1e-9
@@ -198,7 +168,7 @@ def _separation_caps(idx: np.ndarray, d: np.ndarray, vis_range: float, min_separ
             int(below.sum()), float(nearest[below].min()), min_separation,
         )
     half = 0.5 * (nearest - min_separation)
-    return np.where(half > 0.0, half, 0.0)
+    return np.where(half > 0.0, half, 0.0)[agents]
 
 
 def apply_motion_law(
@@ -217,48 +187,39 @@ def apply_motion_law(
     edge, and the agent's own point, from every obstacle edge. A neighbour
     planning from the same snapshot stays in the same disc and half-planes,
     so their edge survives both moves; the engine's verify is the backstop.
-    `agents` is an index array, giving (k, 2) proposals, or one index,
-    giving one (2,) proposal. `dist` is `pairwise_distances` of the
-    positions; without it only the agents' own rows are computed, once.
+    Every agent is planned, and `agents` selects the rows returned: an index
+    array gives (k, 2) proposals, one index one (2,) proposal. `dist` is
+    `pairwise_distances` of the positions, built here once when not given.
     """
-    single, idx = _as_rows(agents)
     xy = state.positions
-    p = xy[idx]
-    _, nbr, owner = _neighbour_rows(effective, idx)
-    nbr_xy = xy[nbr]
     if dist is None:
-        # the agents' distance rows, built once for the edge lengths and the cap
-        rows = pairwise_distances(xy, idx)
-        length = rows[owner, nbr]
-    else:
-        length = dist[idx[owner], nbr]
+        dist = pairwise_distances(xy)
+    _, nbr, owner = effective._csr
+    length = dist[owner, nbr]
     far = length > world.vis_range + FEASIBILITY_TOL
     if far.any():
         row = owner[np.argmax(far)]
         raise RuntimeError(
-            f"agent {idx[row]} is outside its allowable region: an effective neighbour "
+            f"agent {row} is outside its allowable region: an effective neighbour "
             f"sits {float(length[owner == row].max()):.6g} away with visibility range {world.vis_range:.6g}"
         )
-    t = desired_target(idx, state, effective, spec)
+    t = desired_target(slice(None), state, effective, spec)  # all rows: every agent is planned
     if world.min_separation > 0.0:
-        if dist is None:
-            cap = _separation_caps(idx, rows, world.vis_range, world.min_separation)
-        else:
-            cap = separation_cap(idx, xy, world.vis_range, world.min_separation, dist=dist)
-        off = t - p
+        cap = separation_cap(slice(None), xy, world.vis_range, world.min_separation, dist=dist)
+        off = t - xy
         norm = np.sqrt(off[:, 0] * off[:, 0] + off[:, 1] * off[:, 1])
         over = norm > cap
         held = over & (cap <= 0.0)
-        t[held] = p[held]
+        t[held] = xy[held]
         scaled = over & (cap > 0.0)
-        t[scaled] = p[scaled] + off[scaled] * (cap[scaled] / norm[scaled])[:, None]
+        t[scaled] = xy[scaled] + off[scaled] * (cap[scaled] / norm[scaled])[:, None]
     # allowable disc of a pair: radius V/2 at its midpoint; any two points
     # inside it are at most V apart, so a pair that moves into its shared
     # disc keeps its visibility edge
-    centers = 0.5 * (nbr_xy + p[owner])
-    q = clamp_point_xy(p, t, centers, 0.5 * world.vis_range, owner=owner)
+    centers = 0.5 * (xy[nbr] + xy[owner])
+    q = clamp_point_xy(xy, t, centers, 0.5 * world.vis_range, owner)
     if world.obstacles:
         # each edge from its index-ordered pair, so both ends share its half-planes
-        seg_a, seg_b = xy[np.minimum(idx[owner], nbr)], xy[np.maximum(idx[owner], nbr)]
-        q = clamp_to_sight(p, q, owner, seg_a, seg_b, world.obstacles)
-    return q[0] if single else q
+        seg_a, seg_b = xy[np.minimum(owner, nbr)], xy[np.maximum(owner, nbr)]
+        q = clamp_to_sight(xy, q, owner, seg_a, seg_b, world.obstacles)
+    return q[agents]

@@ -158,23 +158,33 @@ def bisect_clamp_fraction(cur, tgt, centers, radii) -> float:
     return lo
 
 
+def _clamp_rows(instances):
+    """The clamp instances, in order, as the rows (cur, tgt, centers, radii, owner) of one call."""
+    cur = np.array([c[0] for c in instances]).reshape(-1, 2)
+    tgt = np.array([c[1] for c in instances]).reshape(-1, 2)
+    centers = np.concatenate([c[2] for c in instances] + [np.empty((0, 2))])
+    radii = np.concatenate([c[3] for c in instances] + [np.empty(0)])
+    owner = np.repeat(np.arange(len(instances)), [len(c[2]) for c in instances])
+    return cur, tgt, centers, radii, owner
+
+
 def check_clamp_oracle(cases: int, seed: int) -> SuiteResult:
-    """The quadratic clamp agrees with the bisection oracle and stays feasible."""
+    """The quadratic clamp agrees with the bisection oracle and stays feasible,
+    with the cases as the rows of one call, the form the planner calls."""
     rng = np.random.default_rng(seed)
+    instances = [random_clamp_instance(rng) for _ in range(cases)]
+    rows = _clamp_rows(instances)
+    s, q = clamp_fraction(*rows), clamp_point_xy(*rows)
+    _, _, centers, radii, owner = rows
+    w = q[owner] - centers
+    outside = np.bincount(owner[np.sqrt((w * w).sum(axis=1)) > radii + 1e-9], minlength=cases)
     failures = 0
     detail = ""
-    for case in range(cases):
-        cur, tgt, centers, radii = random_clamp_instance(rng)
-        s = clamp_fraction(cur, tgt, centers, radii)
-        s_oracle = bisect_clamp_fraction(cur, tgt, centers, radii)
-        q = clamp_point_xy(cur, tgt, centers, radii)
-        feasible = True
-        if len(centers):
-            w = q - centers
-            feasible = bool(np.all(np.sqrt((w * w).sum(axis=1)) <= radii + 1e-9))
-        if abs(s - s_oracle) > CLAMP_ORACLE_TOL or not feasible:
+    for case, instance in enumerate(instances):
+        s_oracle = bisect_clamp_fraction(*instance)
+        if abs(s[case] - s_oracle) > CLAMP_ORACLE_TOL or outside[case]:
             failures += 1
-            detail = f"case {case}: s={s} oracle={s_oracle}"
+            detail = f"case {case}: s={float(s[case])} oracle={s_oracle}"
     return SuiteResult("clamp-oracle", cases, failures, detail)
 
 

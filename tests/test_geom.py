@@ -13,14 +13,14 @@ from rngswarm.geom import (
     segments_intersect_xy,
 )
 from rngswarm.graphs import effective_graph, pairwise_distances, visibility_graph
-from rngswarm.properties import bisect_clamp_fraction, random_clamp_instance
+from rngswarm.properties import _clamp_rows, bisect_clamp_fraction, random_clamp_instance
 
 from helpers import (
     margin_points,
     naive_lune_occupants,
     pillar_fields,
+    reference_clamp_point,
     scalar_blocks,
-    scalar_contains,
     scalar_segments_intersect,
 )
 
@@ -44,8 +44,11 @@ class TestPoints:
     def test_disc_contains_is_closed(self):
         # a clamp disc includes its rim: a target on it is reached, one just
         # beyond it is cut back to the rim
-        assert clamp_fraction((0, 0), (1.0, 0.0), [(0.0, 0.0)], [1.0]) == 1.0
-        assert clamp_fraction((0, 0), (1.0 + 1e-6, 0.0), [(0.0, 0.0)], [1.0]) < 1.0
+        cur, centers = np.zeros((2, 2)), np.zeros((2, 2))
+        tgt = np.array([[1.0, 0.0], [1.0 + 1e-6, 0.0]])
+        s = clamp_fraction(cur, tgt, centers, np.ones(2), np.arange(2))
+        assert s[0] == 1.0
+        assert s[1] < 1.0
 
 
 class TestLune:
@@ -80,72 +83,79 @@ class TestLune:
         assert in_lens(k, a, b) == in_lens(k, b, a)
 
 
+ORIGIN = np.zeros((1, 2))
+ONE_DISC = np.zeros(1, dtype=np.intp)
+
+
 class TestClampFraction:
+    """The clamp takes rows; each example is a one-row call, or one row per case."""
+
     def test_single_disc_frozen_example(self):
         # ray (0,0)->(3,0) leaves the disc centred (0.5,0) r=1 at x=1.5
-        s = clamp_fraction((0, 0), (3, 0), [(0.5, 0.0)], [1.0])
-        assert s == pytest.approx(0.5, abs=1e-12)
-        q = clamp_point_xy((0, 0), (3, 0), [(0.5, 0.0)], [1.0])
-        assert q == pytest.approx((1.5, 0.0), abs=1e-9)
+        tgt, centers, radii = np.array([[3.0, 0.0]]), np.array([[0.5, 0.0]]), np.array([1.0])
+        s = clamp_fraction(ORIGIN, tgt, centers, radii, ONE_DISC)
+        assert s.shape == (1,)
+        assert s[0] == pytest.approx(0.5, abs=1e-12)
+        q = clamp_point_xy(ORIGIN, tgt, centers, radii, ONE_DISC)
+        assert q.shape == (1, 2)
+        assert q[0] == pytest.approx((1.5, 0.0), abs=1e-9)
 
     def test_no_constraints_returns_target(self):
-        assert clamp_fraction((0, 0), (3, 7), np.empty((0, 2)), []) == 1.0
-        q = clamp_point_xy((0, 0), (3, 7), np.empty((0, 2)), [])
-        assert tuple(q) == (3.0, 7.0)
+        tgt, centers, radii, owner = np.array([[3.0, 7.0]]), np.empty((0, 2)), np.empty(0), np.empty(0, np.intp)
+        assert clamp_fraction(ORIGIN, tgt, centers, radii, owner).tolist() == [1.0]
+        assert clamp_point_xy(ORIGIN, tgt, centers, radii, owner).tolist() == [[3.0, 7.0]]
 
     def test_target_already_feasible(self):
-        assert clamp_fraction((0, 0), (0.2, 0.0), [(0.0, 0.0)], [1.0]) == 1.0
+        s = clamp_fraction(ORIGIN, np.array([[0.2, 0.0]]), ORIGIN, np.array([1.0]), ONE_DISC)
+        assert s.tolist() == [1.0]
 
     def test_zero_length_segment(self):
-        assert clamp_fraction((0.5, 0.5), (0.5, 0.5), [(0.0, 0.0)], [1.0]) == 1.0
+        cur = np.array([[0.5, 0.5]])
+        assert clamp_fraction(cur, cur, ORIGIN, np.array([1.0]), ONE_DISC).tolist() == [1.0]
 
     def test_two_discs_take_the_tighter_one(self):
-        s = clamp_fraction((0, 0), (4, 0), [(0.0, 0.0), (1.0, 0.0)], [3.0, 1.5])
+        centers = np.array([[0.0, 0.0], [1.0, 0.0]])
+        s = clamp_fraction(ORIGIN, np.array([[4.0, 0.0]]), centers, np.array([3.0, 1.5]), np.zeros(2, np.intp))
         # second disc exits at x=2.5, first at x=3
-        assert s == pytest.approx(2.5 / 4.0, abs=1e-12)
+        assert s[0] == pytest.approx(2.5 / 4.0, abs=1e-12)
 
     def test_infeasible_start_raises(self):
         with pytest.raises(ValueError, match="violates"):
-            clamp_fraction((5, 5), (0, 0), [(0.0, 0.0)], [1.0])
+            clamp_fraction(np.array([[5.0, 5.0]]), ORIGIN, ORIGIN, np.array([1.0]), ONE_DISC)
 
     def test_start_on_boundary_gives_zero_forward_motion(self):
-        s = clamp_fraction((1.0, 0.0), (2.0, 0.0), [(0.0, 0.0)], [1.0])
-        assert s == pytest.approx(0.0, abs=1e-9)
+        s = clamp_fraction(np.array([[1.0, 0.0]]), np.array([[2.0, 0.0]]), ORIGIN, np.array([1.0]), ONE_DISC)
+        assert s[0] == pytest.approx(0.0, abs=1e-9)
 
     def test_agrees_with_bisection_oracle(self, rng):
-        for _ in range(1000):
-            cur, tgt, centers, radii = random_clamp_instance(rng)
-            s = clamp_fraction(cur, tgt, centers, radii)
-            s_ref = bisect_clamp_fraction(cur, tgt, centers, radii)
-            assert abs(s - s_ref) <= 1e-7
+        cases = [random_clamp_instance(rng) for _ in range(1000)]
+        s = clamp_fraction(*_clamp_rows(cases))
+        for row, case in zip(s.tolist(), cases):
+            assert abs(row - bisect_clamp_fraction(*case)) <= 1e-7
 
     def test_clamped_point_feasible_and_maximal(self, rng):
-        for _ in range(500):
-            cur, tgt, centers, radii = random_clamp_instance(rng)
-            if len(centers) == 0:
-                continue
-            s = clamp_fraction(cur, tgt, centers, radii)
-            q = clamp_point_xy(cur, tgt, centers, radii)
-            d = np.sqrt(((q - centers) ** 2).sum(axis=1))
-            assert np.all(d <= np.asarray(radii) + 1e-9)
-            if s < 1.0 - 1e-9:
+        cases = [c for c in (random_clamp_instance(rng) for _ in range(500)) if len(c[2])]
+        rows = _clamp_rows(cases)
+        s, q = clamp_fraction(*rows), clamp_point_xy(*rows)
+        for row, (cur, tgt, centers, radii) in enumerate(cases):
+            d = np.sqrt(((q[row] - centers) ** 2).sum(axis=1))
+            assert np.all(d <= radii + 1e-9)
+            if s[row] < 1.0 - 1e-9:
                 # one part in 1e6 further along the segment breaks some disc
-                q2 = cur + (s + 1e-6) * (np.asarray(tgt, float) - cur)
+                q2 = cur + (s[row] + 1e-6) * (tgt - cur)
                 d2 = np.sqrt(((q2 - centers) ** 2).sum(axis=1))
-                assert np.any(d2 > np.asarray(radii))
+                assert np.any(d2 > radii)
 
     def test_rows_match_single_point_calls(self, rng):
         # one call over many rows, each with its own discs (some with none),
-        # gives each row's single-point clamp byte for byte
-        cases = [random_clamp_instance(rng) for _ in range(300)]
-        cur = np.array([c[0] for c in cases])
-        tgt = np.array([c[1] for c in cases])
-        centers = np.concatenate([c[2] for c in cases])
-        radii = np.concatenate([c[3] for c in cases])
-        owner = np.repeat(np.arange(len(cases)), [len(c[2]) for c in cases])
-        rows = clamp_point_xy(cur, tgt, centers, radii, owner=owner)
-        single = np.array([clamp_point_xy(*c) for c in cases])
-        assert rows.tobytes() == single.tobytes()
+        # gives each row the single-point reference clamp byte for byte; a
+        # row with no discs keeps its target
+        cases = [random_clamp_instance(rng) for _ in range(3000)]
+        rows = clamp_point_xy(*_clamp_rows(cases))
+        assert any(len(c[2]) == 0 for c in cases)
+        for q, (cur, tgt, centers, radii) in zip(rows, cases):
+            want = reference_clamp_point(cur, tgt, centers, radii) if len(centers) else tgt
+            assert q.tobytes() == want.tobytes()
 
 
 class TestSegmentIntersection:
@@ -222,6 +232,16 @@ class TestPolygon:
         assert SQUARE.contains_xy(0.0, 0.0)  # vertex
         assert SQUARE.contains_xy(1.0, 2.0)
 
+    def test_a_point_by_a_vertex_is_held_by_every_wall_test(self):
+        # (-1e-12, -1e-12) is off the square's edge lines by more than the
+        # cross-product cutoff allows, but the vertex (0, 0) lies in its
+        # 1e-12 box: containment, the zero-length segment and the start
+        # check of the engine agree that the wall holds it
+        x = y = -1e-12
+        assert SQUARE.contains_xy(x, y)
+        assert SQUARE.blocks_segment_xy(x, y, x, y)
+        assert segments_blocked(np.array([[x, y]]), np.array([[x, y]]), (SQUARE,)).tolist() == [True]
+
     def test_concave_polygon_containment(self):
         # L-shape: the notch around (1.5, 1.5) is outside
         ell = Polygon(((0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)))
@@ -279,7 +299,8 @@ class TestElementwisePredicates:
     def test_arrays_match_the_scalar_oracle(self, poly, segments):
         a = np.array(segments)
         other = np.roll(a, 1, axis=0)
-        assert poly.contains_xy(a[:, 0], a[:, 1]).tolist() == [scalar_contains(poly, *s[:2]) for s in segments]
+        # a point is held where the zero-length segment at it is blocked
+        assert poly.contains_xy(a[:, 0], a[:, 1]).tolist() == [scalar_blocks(poly, *s[:2], *s[:2]) for s in segments]
         assert poly.blocks_segment_xy(*a.T).tolist() == [scalar_blocks(poly, *s) for s in segments]
         assert segments_intersect_xy(*a.T, *other.T).tolist() == [
             scalar_segments_intersect(*s, *t) for s, t in zip(segments, other.tolist())

@@ -576,17 +576,25 @@ class TestArrayKernel:
         assert got.shape == (len(deg), 2)
         assert got.tobytes() == reference_row_sums(rows, indptr, deg).tobytes()
 
-    @given(snapshots(), st.data())
+    @given(st.one_of(snapshots(), walled_snapshots()), st.data())
     def test_one_index_is_the_one_row_case(self, snap, data):
+        # every agent is planned and `agents` selects rows: one index, or an
+        # index array unsorted, repeated or empty, reads the all-agent rows
         state, eff, world = snap
-        i = data.draw(st.integers(0, world.n - 1))
-        rows = apply_motion_law(np.array([i]), state, eff, world.behavior, world)
-        one = apply_motion_law(i, state, eff, world.behavior, world)
-        assert one.shape == (2,)
-        assert one.tobytes() == rows[0].tobytes()
-        assert desired_target(i, state, eff, world.behavior).tobytes() == (
-            desired_target(np.array([i]), state, eff, world.behavior)[0].tobytes()
+        xy, spec = state.positions, world.behavior
+        plans = (
+            lambda agents: apply_motion_law(agents, state, eff, spec, world),
+            lambda agents: desired_target(agents, state, eff, spec),
+            lambda agents: separation_cap(agents, xy, world.vis_range, world.min_separation),
         )
+        i = data.draw(st.integers(0, world.n - 1))
+        picked = np.array(data.draw(st.lists(st.integers(0, world.n - 1), max_size=2 * world.n)), dtype=np.intp)
+        for plan in plans:
+            every = plan(np.arange(world.n))
+            assert np.asarray(plan(i)).tobytes() == every[i].tobytes()
+            assert plan(picked).tobytes() == every[picked].tobytes()
+        assert apply_motion_law(i, state, eff, spec, world).shape == (2,)
+        assert desired_target(picked, state, eff, spec).shape == (len(picked), 2)
 
     @pytest.mark.parametrize("kind", ["gather", "formation", "leader_follow"])
     def test_whole_runs_match_the_per_agent_law(self, kind):
