@@ -3,6 +3,10 @@
 Each committed state's geometry (its distance matrix, visibility graph and
 effective graph) is derived once and read by every layer: the motion law
 plans from it, and the verify and the metrics read the next state's.
+Both graphs are built in full every round, but one whose edges equal the
+round before's is that round's Graph, so its adjacency rows, edge keys and
+hop diameter (pure functions of n and the edges of an immutable Graph) are
+derived once per distinct graph and no byte can move.
 All agents plan from the same round-start snapshot, each inside the discs
 and wall half-planes it shares with its effective neighbours, so the planned
 moves keep every effective edge in range and in sight. The commit is a
@@ -225,38 +229,49 @@ def _advance_waypoints(state: SwarmState, world: WorldConfig) -> int:
 class _Geometry(NamedTuple):
     """One committed state's geometry, derived once and read by every layer.
     Kept by the engine, not on SwarmState, so that an observer holding states
-    holds no n x n matrices."""
+    holds no n x n matrices. An unchanged graph is the previous state's own
+    Graph, so its cached values are derived once per distinct graph."""
 
     dist: np.ndarray  # pairwise_distances of the positions
     g: Graph  # visibility graph
     eff: Graph  # effective graph
 
 
-def _geometry(positions: np.ndarray, world: WorldConfig) -> _Geometry:
+def _geometry(positions: np.ndarray, world: WorldConfig, prev: _Geometry | None = None) -> _Geometry:
+    """The geometry of `positions`; `prev` is that of the state they follow,
+    None at a start. A graph whose n and edges equal prev's is prev's own
+    Graph: its caches are pure functions of n and the edges, so no byte moves."""
     dist = pairwise_distances(positions)
     g = visibility_graph(positions, world.vis_range, world.obstacles, dist=dist)
-    return _Geometry(dist, g, effective_graph(g, positions, world.rng_plus, dist=dist))
+    eff = effective_graph(g, positions, world.rng_plus, dist=dist)
+    if prev is not None:
+        g, eff = _kept(g, prev.g), _kept(eff, prev.eff)
+    return _Geometry(dist, g, eff)
+
+
+def _kept(new: Graph, old: Graph) -> Graph:
+    return old if old.n == new.n and old.edges.tobytes() == new.edges.tobytes() else new
 
 
 def _commit(
-    old: np.ndarray, proposals: np.ndarray, effective: Graph, world: WorldConfig
+    old: np.ndarray, proposals: np.ndarray, snap: _Geometry, world: WorldConfig
 ) -> tuple[_Geometry, np.ndarray]:
     """Revert the proposals to a fixpoint over their visibility graph.
 
-    Each pass derives the geometry of the proposals. Every effective edge
-    missing from its visibility graph that still has an endpoint not
-    reverted gets both endpoints reverted to `old`, all at once, and the
-    pass repeats. In a round, `effective` is a subgraph of the visibility
-    graph of `old`, so an edge with both endpoints reverted is never
+    Each pass derives the geometry of the proposals after `snap`, that of
+    `old`. Every edge of `snap.eff` missing from its visibility graph that
+    still has an endpoint not reverted gets both endpoints reverted to
+    `old`, all at once, and the pass repeats. In a round, `snap.eff` is a
+    subgraph of `snap.g`, so an edge with both endpoints reverted is never
     missing; skipping such edges keeps the loop finite for any other input.
     Mutates `proposals`; returns the last pass's geometry, which is the
     committed state's, and the mask of reverted agents.
     """
-    edges = effective.edges
+    edges = snap.eff.edges
     reverted = np.zeros(world.n, dtype=bool)
     while True:
-        geo = _geometry(proposals, world)
-        broken = edges[~geo.g._holds(effective)]
+        geo = _geometry(proposals, world, snap)
+        broken = edges[~geo.g._holds(snap.eff)]
         broken = broken[~reverted[broken].all(axis=1)]
         if not len(broken):
             return geo, reverted
@@ -272,7 +287,7 @@ def _step_core(
     if wp_index != state.waypoint_index:
         state = replace(state, waypoint_index=wp_index)
     proposals = apply_motion_law(np.arange(world.n), state, geo.eff, world.behavior, world, dist=geo.dist)
-    geo, reverted = _commit(state.positions, proposals, geo.eff, world)
+    geo, reverted = _commit(state.positions, proposals, geo, world)
     new_state = SwarmState(round=state.round + 1, positions=proposals, waypoint_index=wp_index)
     metrics = graph_metrics(geo.g, geo.eff, new_state.positions, dist=geo.dist)
     if not metrics.connected:

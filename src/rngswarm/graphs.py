@@ -95,6 +95,11 @@ class Graph:
         which lies above every valid key, so each lookup lands in range."""
         return np.concatenate((self.edges[:, 0] * self.n + self.edges[:, 1], [self.n * self.n]))
 
+    @cached_property
+    def _diameter(self) -> int:
+        """Hop diameter: `_hops` from every vertex, -1 when disconnected."""
+        return _hops(self, np.arange(self.n))
+
     def neighbors(self, i: int) -> np.ndarray:
         """Sorted neighbour indices of i."""
         indptr, indices, _ = self._csr
@@ -253,7 +258,7 @@ def graph_metrics(graph: Graph, effective: Graph, positions, dist: np.ndarray | 
     if n != len(xy):
         raise ValueError(f"graph has {graph.n} vertices but {len(xy)} positions given")
     dmin, dmax = pair_distance_range(xy, dist)
-    diameter = _hops(graph, np.arange(n))
+    diameter = graph._diameter
     return GraphMetrics(
         edge_count=len(graph.edges),
         effective_edge_count=len(effective.edges),

@@ -1,6 +1,7 @@
 import hashlib
 import logging
 import math
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -26,6 +27,7 @@ from rngswarm.geom import Polygon, segments_blocked
 from rngswarm.graphs import Graph, effective_graph, is_connected, pairwise_distances, visibility_graph
 from rngswarm.motion import BehaviorSpec, apply_motion_law
 from rngswarm.properties import sample_connected_positions
+from rngswarm.scenario import load_scenario
 
 from helpers import (
     edge_set,
@@ -54,11 +56,14 @@ def make_world(positions=None, behavior=None, **kw):
 
 
 LINE3 = [(0.0, 0.0), (0.5, 0.0), (1.0, 0.0)]
+SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
 
 
 def commit(old, proposals, effective, world):
-    """`_commit`'s reverted agents as a set; mutates `proposals` like it."""
-    return set(np.flatnonzero(_commit(old, proposals, effective, world)[1]).tolist())
+    """`_commit`'s reverted agents as a set, from the geometry of `old` with
+    `effective` as its effective graph; mutates `proposals` like it."""
+    snap = _geometry(old, world)._replace(eff=effective)
+    return set(np.flatnonzero(_commit(old, proposals, snap, world)[1]).tolist())
 
 
 class TestInitSpec:
@@ -401,7 +406,7 @@ class TestFoldedVerify:
         state, eff, world = snap
         step = data.draw(st.lists(st.floats(-0.6, 0.6), min_size=2 * world.n, max_size=2 * world.n))
         props = state.positions + np.reshape(step, (world.n, 2))
-        geo, reverted = _commit(state.positions, props, eff, world)
+        geo, reverted = _commit(state.positions, props, _geometry(state.positions, world), world)
         kept = geo.g.has_edges(eff.edges)
         assert (kept | reverted[eff.edges].all(axis=1)).all()
         # the returned geometry is that of the committed positions
@@ -434,6 +439,66 @@ class TestFoldedVerify:
         assert geo.dist.tobytes() == fresh.dist.tobytes()
         assert geo.g.edges.tobytes() == fresh.g.edges.tobytes()
         assert geo.eff.edges.tobytes() == fresh.eff.edges.tobytes()
+
+
+def assert_fresh(geo, positions, world):
+    """`geo` equals a fresh `_geometry` of `positions` in its distances and in
+    every value derived from each graph's edges, byte for byte."""
+    fresh = _geometry(positions, world)
+    assert geo.dist.tobytes() == fresh.dist.tobytes()
+    for got, want in ((geo.g, fresh.g), (geo.eff, fresh.eff)):
+        assert got.n == want.n
+        assert got.edges.tobytes() == want.edges.tobytes()
+        assert [a.tobytes() for a in got._csr] == [a.tobytes() for a in want._csr]
+        assert got._keys.tobytes() == want._keys.tobytes()
+        assert got._diameter == want._diameter
+
+
+class TestCarriedGraphs:
+    """A committed state whose visibility or effective edges equal the
+    snapshot's keeps the snapshot's own Graph, caches and all; what a round
+    hands on must still equal the geometry built afresh."""
+
+    @pytest.mark.parametrize("name", ["adhoc_network", "formation", "leader_line", "narrow_passage"])
+    def test_bundled_scenarios(self, name):
+        world = load_scenario(SCENARIO_DIR / f"{name}.yaml")
+        state = initial_state(world)
+        geo = _geometry(state.positions, world)
+        carried = 0
+        for _ in range(min(world.max_rounds, 200)):
+            snap = geo
+            state, _, geo = _step_core(state, world, geo)
+            assert_fresh(geo, state.positions, world)
+            carried += geo.eff is snap.eff
+        assert carried
+
+    @settings(max_examples=100)
+    @given(walled_snapshots(), st.data())
+    def test_walled_snapshots_with_random_moves(self, snap, data):
+        # no move, small moves that seldom change an edge, and moves that break many
+        state, _, world = snap
+        scale = data.draw(st.sampled_from((0.0, 0.01, 0.6)))
+        step = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=2 * world.n, max_size=2 * world.n))
+        props = state.positions + scale * np.reshape(step, (world.n, 2))
+        geo = _geometry(state.positions, world)
+        assert_fresh(geo, state.positions, world)  # derives every cached value before the round
+        with mock.patch.object(engine, "apply_motion_law", lambda *args, **kwargs: props.copy()):
+            try:
+                new_state, _, new = _step_core(state, world, geo)
+            except ConnectivityError:
+                return  # a snapshot that starts disconnected may stay so
+        assert_fresh(new, new_state.positions, world)
+        if scale == 0.0:
+            assert new.g is geo.g and new.eff is geo.eff
+
+    def test_an_idle_run_keeps_the_snapshots_graphs(self):
+        world = load_scenario(SCENARIO_DIR / "adhoc_network.yaml")
+        state = initial_state(world)
+        geo = _geometry(state.positions, world)
+        for _ in range(world.max_rounds):
+            snap = geo
+            state, _, geo = _step_core(state, world, geo)
+            assert geo.g is snap.g and geo.eff is snap.eff
 
 
 class TestStep:

@@ -1,10 +1,13 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rngswarm import graphs
+from rngswarm.engine import run
 from rngswarm.graphs import (
     Graph,
     coords,
@@ -15,6 +18,7 @@ from rngswarm.graphs import (
     visibility_graph,
 )
 from rngswarm.motion import separation_cap
+from rngswarm.scenario import load_scenario
 
 from helpers import (
     edge_set,
@@ -451,6 +455,44 @@ class TestSharedDistances:
     @given(_grid_positions(12))
     def test_random_snapshots(self, xy):
         self._assert_same_bytes(xy)
+
+
+class TestDiameter:
+    """`Graph._diameter` is the cached hop diameter that `graph_metrics`
+    reports: 0 for n <= 1 and -1 for a disconnected graph."""
+
+    @given(st.data())
+    def test_matches_naive_bfs(self, data):
+        n = data.draw(st.integers(0, 12))
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        edges = data.draw(st.lists(st.sampled_from(pairs), max_size=len(pairs))) if pairs else []
+        g = Graph(n, edges)
+        assert g._diameter == naive_hop_diameter(n, edge_set(g))
+
+    @pytest.mark.parametrize(
+        "n, edges, want",
+        [(0, [], 0), (1, [], 0), (2, [], -1), (2, [(0, 1)], 1), (4, [(0, 1), (2, 3)], -1),
+         (5, [(0, 1), (1, 2), (2, 3), (3, 4)], 4), (5, [(0, 1), (0, 2), (0, 3), (0, 4)], 2)],
+        ids=["n0", "n1", "two-apart", "one-edge", "two-pieces", "path", "star"],
+    )
+    def test_small_and_disconnected(self, n, edges, want):
+        assert Graph(n, edges)._diameter == want == naive_hop_diameter(n, edges)
+
+    def test_an_idle_run_searches_from_every_vertex_once(self, monkeypatch):
+        # the agents never move, so every round keeps the start's graph, and
+        # only the first round's metrics derive its diameter
+        world = load_scenario(Path(__file__).resolve().parents[1] / "scenarios" / "adhoc_network.yaml")
+        sources = []
+        real = graphs._hops
+
+        def counted(graph, src):
+            sources.append(len(src))
+            return real(graph, src)
+
+        monkeypatch.setattr(graphs, "_hops", counted)
+        reports = run(world)
+        assert world.n == 25 and len(reports) > 1
+        assert sources.count(world.n) == 1
 
 
 class TestBuiltGraphs:

@@ -1,6 +1,6 @@
 """Every name a package module imports is used in that module, every
-private function the package defines is used by the package, and a state's
-geometry is built in one place.
+private function the package defines is used by the package, a state's
+geometry is built in one place, and so is a graph's hop diameter.
 
 AST scans, since no linter is a dependency. `__init__.py` is exempt from the
 import scan: its imports are the package's re-exports.
@@ -113,10 +113,15 @@ GEOMETRY_BUILDERS = {"pairwise_distances", "visibility_graph", "effective_graph"
 GEOMETRY_OWNERS = {"_geometry", "_init_fault"}
 GEOMETRY_MODULES = ("engine.py", "cli.py", "reporting.py")
 
+# a graph's hop diameter is derived by its cached `Graph._diameter`;
+# `is_connected` searches from one vertex only
+DIAMETER_BUILDERS = {"_hops"}
+DIAMETER_OWNERS = {"_diameter", "is_connected"}
 
-def stray_geometry_calls(source: str) -> list[tuple[str, str]]:
-    """(innermost enclosing function, callee) for each call to a geometry
-    builder outside `GEOMETRY_OWNERS`; module-level calls name "<module>"."""
+
+def stray_calls(source: str, builders, owners) -> list[tuple[str, str]]:
+    """(innermost enclosing function, callee) for each call to one of
+    `builders` outside `owners`; module-level calls name "<module>"."""
     found = []
 
     def visit(node, owner):
@@ -124,7 +129,7 @@ def stray_geometry_calls(source: str) -> list[tuple[str, str]]:
             if isinstance(child, ast.Call):
                 func = child.func
                 name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-                if name in GEOMETRY_BUILDERS and owner not in GEOMETRY_OWNERS:
+                if name in builders and owner not in owners:
                     found.append((owner, name))
             inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
             visit(child, child.name if inner else owner)
@@ -140,7 +145,7 @@ def test_geometry_scanner_finds_stray_calls():
         "    return visibility_graph(s, w)\n"
         "d = pairwise_distances(xy)\n"
     )
-    assert stray_geometry_calls(source) == [
+    assert stray_calls(source, GEOMETRY_BUILDERS, GEOMETRY_OWNERS) == [
         ("<module>", "pairwise_distances"),
         ("draw", "effective_graph"),
         ("frame", "visibility_graph"),
@@ -149,4 +154,25 @@ def test_geometry_scanner_finds_stray_calls():
 
 @pytest.mark.parametrize("name", GEOMETRY_MODULES)
 def test_geometry_is_built_in_one_place(name):
-    assert stray_geometry_calls((SRC / name).read_text()) == []
+    assert stray_calls((SRC / name).read_text(), GEOMETRY_BUILDERS, GEOMETRY_OWNERS) == []
+
+
+def test_diameter_scanner_finds_stray_calls():
+    source = (
+        "class Graph:\n    @cached_property\n    def _diameter(self):\n"
+        "        return _hops(self, np.arange(self.n))\n"
+        "def is_connected(g):\n    return _hops(g, [0]) >= 0\n"
+        "def graph_metrics(g):\n    return graphs._hops(g, np.arange(g.n))\n"
+        "class Other:\n    def span(self):\n        return _hops(self.g, [0, 1])\n"
+        "d = _hops(g, [0])\n"
+    )
+    assert stray_calls(source, DIAMETER_BUILDERS, DIAMETER_OWNERS) == [
+        ("<module>", "_hops"),
+        ("graph_metrics", "_hops"),
+        ("span", "_hops"),
+    ]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_the_diameter_is_derived_in_one_place(path):
+    assert stray_calls(path.read_text(), DIAMETER_BUILDERS, DIAMETER_OWNERS) == []
