@@ -196,7 +196,7 @@ def _init_fault(xy: np.ndarray, vis_range: float, min_separation: float, obstacl
     when it fails none."""
     dist = pairwise_distances(xy)
     if min_separation > 0.0:
-        closest = pair_distance_range(xy, dist)[0]
+        closest = pair_distance_range(dist)[0]
         if closest < min_separation:
             return (
                 f"must keep every pair at least min_separation ({min_separation!r}) apart, "
@@ -316,7 +316,8 @@ def run(
     in a row; a leader must additionally have exhausted its waypoints).
     Identical configs produce identical reports. `observer`, when given, is
     called with the initial state (report None) and after every commit.
-    Rounds that end with coincident agents are logged once, as a count.
+    Rounds that end with coincident agents, or below the separation floor,
+    are logged once each, as a count.
     """
     state = initial_state(world)
     # connected by construction: WorldConfig checks explicit positions and
@@ -329,11 +330,15 @@ def run(
     reports: list[RoundReport] = []
     quiescent = 0
     coincident = 0
+    below, closest = 0, math.inf
     for _ in range(world.max_rounds):
         prev = state.positions
         state, report, geo = _step_core(state, world, geo)
         reports.append(report)
-        coincident += report.metrics.min_pair_distance == 0.0
+        dmin = report.metrics.min_pair_distance
+        coincident += dmin == 0.0
+        if dmin < world.min_separation - 1e-9:  # a pair packed to the floor may sit an ulp below it
+            below, closest = below + 1, min(closest, dmin)
         if observer is not None:
             observer(state, report)
         moved = state.positions - prev
@@ -345,5 +350,10 @@ def run(
     if coincident:
         log.warning(
             "coincident agents (a pair at zero distance) in %d of %d rounds", coincident, len(reports)
+        )
+    if below:
+        log.warning(
+            "a pair below the separation floor in %d of %d rounds (closest at %.6g < %.6g); "
+            "the separation cap holds such agents still", below, len(reports), closest, world.min_separation,
         )
     return reports

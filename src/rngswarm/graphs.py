@@ -137,29 +137,25 @@ class GraphMetrics:
     max_pair_distance: float  # 0 when there is no pair
 
 
-def pairwise_distances(xy: np.ndarray, rows=None) -> np.ndarray:
-    """Euclidean distance matrix: the full n x n one, or only the rows of the
-    agents `rows`, in the same arithmetic, sqrt(dx*dx + dy*dy). It is exactly
+def pairwise_distances(xy: np.ndarray) -> np.ndarray:
+    """Euclidean distance matrix, sqrt(dx*dx + dy*dy). It is exactly
     symmetric, since (-x)^2 = x^2. The differences come from the x and y
     columns, so every array op runs along the agents, and the squares and
     their sum are taken in place, in dx."""
-    src = xy if rows is None else xy[rows]
-    dx = src[:, 0, None] - xy[:, 0]
-    dy = src[:, 1, None] - xy[:, 1]
+    dx = xy[:, 0, None] - xy[:, 0]
+    dy = xy[:, 1, None] - xy[:, 1]
     dx *= dx
     dy *= dy
     dx += dy
     return np.sqrt(dx, out=dx)
 
 
-def pair_distance_range(xy: np.ndarray, dist: np.ndarray | None = None) -> tuple[float, float]:
-    """Smallest and largest distance between two agents, read from `dist`
-    (default `pairwise_distances(xy)`); (inf, 0) with fewer than two agents."""
-    n = len(xy)
+def pair_distance_range(dist: np.ndarray) -> tuple[float, float]:
+    """Smallest and largest distance between two agents, read from their
+    `pairwise_distances`; (inf, 0) with fewer than two agents."""
+    n = len(dist)
     if n < 2:
         return math.inf, 0.0
-    if dist is None:
-        dist = pairwise_distances(xy)
     # every pair sits twice off the diagonal and the n diagonal zeros sort
     # first, so the n-th smallest entry is the closest pair: exact selections
     ranked = np.partition(dist, (n, n * n - 1), axis=None)
@@ -257,7 +253,9 @@ def graph_metrics(graph: Graph, effective: Graph, positions, dist: np.ndarray | 
     n = graph.n
     if n != len(xy):
         raise ValueError(f"graph has {graph.n} vertices but {len(xy)} positions given")
-    dmin, dmax = pair_distance_range(xy, dist)
+    if dist is None:
+        dist = pairwise_distances(xy)
+    dmin, dmax = pair_distance_range(dist)
     diameter = graph._diameter
     return GraphMetrics(
         edge_count=len(graph.edges),

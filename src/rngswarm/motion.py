@@ -1,17 +1,17 @@
 """Motion: behaviour targets and the step constrained to the allowable region.
 
 Every step is planned against the round-start snapshot only, for all agents
-at once: each stage is one array pass over the agents and their effective
-edges, in the portable arithmetic of `geom`. The proposal pipeline is:
-behaviour target, pre-cap at max_step, separation cap, clamp into the
-intersection of the allowable discs of all effective neighbours, then (with
-obstacles) shorten the same segment into the half-planes that separate each
-effective edge, and the agent's own point, from every obstacle edge.
+at once: each stage reads the round's arrays, returns one row per agent and
+is one array pass in the portable arithmetic of `geom`. The proposal
+pipeline is: behaviour target, pre-cap at max_step, separation cap (one
+step-length cap with two limits), clamp into the intersection of the
+allowable discs of all effective neighbours, then (with obstacles) shorten
+the same segment into the half-planes that separate each effective edge,
+and the agent's own point, from every obstacle edge.
 """
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
@@ -19,12 +19,10 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from .geom import FEASIBILITY_TOL, clamp_point_xy, clamp_to_sight
-from .graphs import Graph, coords, pairwise_distances
+from .graphs import Graph, pairwise_distances
 
 if TYPE_CHECKING:  # pragma: no cover
     from .engine import SwarmState, WorldConfig
-
-log = logging.getLogger(__name__)
 
 BEHAVIOR_KINDS = ("gather", "formation", "leader_follow", "idle")
 
@@ -99,15 +97,24 @@ def _row_sums(rows: np.ndarray, owner: np.ndarray, k: int) -> np.ndarray:
     return np.array((np.bincount(owner, rows[:, 0], k), np.bincount(owner, rows[:, 1], k))).T
 
 
-def desired_target(agents, state: "SwarmState", effective: Graph, spec: BehaviorSpec) -> np.ndarray:
-    """Behaviour target of each agent, pre-capped at max_step from its position.
+def _cap_steps(xy: np.ndarray, t: np.ndarray, limit: np.ndarray) -> np.ndarray:
+    """Shorten in place every step xy -> t longer than its agent's `limit`
+    to that length along its own ray, xy + off * (limit / norm); returns
+    the mask of the shortened steps."""
+    off = t - xy
+    norm = np.sqrt(off[:, 0] * off[:, 0] + off[:, 1] * off[:, 1])
+    over = norm > limit
+    t[over] = xy[over] + off[over] * (limit[over] / norm[over])[:, None]
+    return over
+
+
+def desired_target(state: "SwarmState", effective: Graph, spec: BehaviorSpec) -> np.ndarray:
+    """(n, 2) behaviour targets, each pre-capped at max_step from its agent.
 
     gather moves toward the centroid of the effective neighbours; formation
     applies a spring pull of gain * (d - spacing) along each effective edge;
     leader_follow sends the leader to its current waypoint (holding position
     once the list is exhausted) while everyone else gathers; idle stays put.
-    Every agent is planned, and `agents` selects the rows returned: an index
-    array gives (k, 2) targets, one index one (2,) target.
     """
     xy = state.positions
     n = len(xy)
@@ -131,44 +138,29 @@ def desired_target(agents, state: "SwarmState", effective: Graph, spec: Behavior
             k = state.waypoint_index
             lead = np.arange(n) == spec.leader_index
             raw[lead] = spec.waypoints[k] if k < len(spec.waypoints) else xy[lead]
-    off = raw - xy
-    norm = np.sqrt(off[:, 0] * off[:, 0] + off[:, 1] * off[:, 1])
-    over = norm > spec.max_step
-    raw[over] = xy[over] + off[over] * (spec.max_step / norm[over])[:, None]
-    return raw[agents]
+    _cap_steps(xy, raw, np.full(n, spec.max_step))
+    return raw
 
 
-def separation_cap(agents, positions, vis_range: float, min_separation: float, dist: np.ndarray | None = None):
-    """Largest displacement of each agent that cannot break the separation floor.
+def separation_cap(dist: np.ndarray, vis_range: float, min_separation: float) -> np.ndarray:
+    """(n,) largest displacement of each agent that cannot break the separation
+    floor, read from `dist`, the `pairwise_distances` of the positions.
 
     Each visible pair may close by at most its slack (d - min_separation),
     and under simultaneous motion both endpoints spend half of it, hence the
     /2. Pairs beyond vis_range are not inspected; they stay safe as long as
     max_step <= (vis_range - min_separation) / 2, which the world config
     enforces. With nothing visible the cap is unbounded (inf); the behaviour
-    target is already pre-capped at max_step. Every agent is planned, and
-    `agents` selects the caps returned: an index array gives a (k,) array,
-    one index a float. Agents that start below the floor are held still and
-    reported in one warning per call. `dist` is `pairwise_distances` of the
-    positions, built here when not given.
+    target is already pre-capped at max_step. An agent at or below the floor
+    gets 0 and is held still; `run` counts the rounds that end below it.
     """
     if min_separation < 0.0:
         raise ValueError(f"min_separation must be >= 0, got {min_separation!r}")
-    if dist is None:
-        dist = pairwise_distances(coords(positions))
     d = np.where(dist <= vis_range, dist, math.inf)
     np.fill_diagonal(d, math.inf)
     nearest = d.min(axis=1, initial=math.inf)
-    # Agents that have packed down to exactly the floor sit an ulp below it in
-    # floats; only a materially shorter distance is worth flagging.
-    below = nearest < min_separation - 1e-9
-    if below.any():
-        log.warning(
-            "%d agent(s) start the round below the separation floor (closest at %.6g < %.6g); holding them still",
-            int(below.sum()), float(nearest[below].min()), min_separation,
-        )
     half = 0.5 * (nearest - min_separation)
-    return np.where(half > 0.0, half, 0.0)[agents]
+    return np.where(half > 0.0, half, 0.0)
 
 
 def apply_motion_law(
@@ -203,16 +195,11 @@ def apply_motion_law(
             f"agent {row} is outside its allowable region: an effective neighbour "
             f"sits {float(length[owner == row].max()):.6g} away with visibility range {world.vis_range:.6g}"
         )
-    t = desired_target(slice(None), state, effective, spec)  # all rows: every agent is planned
+    t = desired_target(state, effective, spec)
     if world.min_separation > 0.0:
-        cap = separation_cap(slice(None), xy, world.vis_range, world.min_separation, dist=dist)
-        off = t - xy
-        norm = np.sqrt(off[:, 0] * off[:, 0] + off[:, 1] * off[:, 1])
-        over = norm > cap
-        held = over & (cap <= 0.0)
+        cap = separation_cap(dist, world.vis_range, world.min_separation)
+        held = _cap_steps(xy, t, cap) & (cap <= 0.0)  # a zero cap holds its agent exactly
         t[held] = xy[held]
-        scaled = over & (cap > 0.0)
-        t[scaled] = xy[scaled] + off[scaled] * (cap[scaled] / norm[scaled])[:, None]
     # allowable disc of a pair: radius V/2 at its midpoint; any two points
     # inside it are at most V apart, so a pair that moves into its shared
     # disc keeps its visibility edge

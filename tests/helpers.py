@@ -193,12 +193,11 @@ def edge_set(graph):
     return {(i, j) for i, j in graph.edges.tolist()}
 
 
-def reference_pairwise_distances(xy, rows=None):
-    """The distance matrix (or the rows `rows` of it) as an (n, n, 2) block
-    of coordinate differences, squared and summed over its last axis: a sum
-    of two terms, so the same bytes as sqrt(dx*dx + dy*dy)."""
-    src = xy if rows is None else xy[rows]
-    diff = src[:, None, :] - xy[None, :, :]
+def reference_pairwise_distances(xy):
+    """The distance matrix as an (n, n, 2) block of coordinate differences,
+    squared and summed over its last axis: a sum of two terms, so the same
+    bytes as sqrt(dx*dx + dy*dy)."""
+    diff = xy[:, None, :] - xy[None, :, :]
     return np.sqrt((diff * diff).sum(axis=2))
 
 

@@ -25,7 +25,7 @@ from rngswarm.engine import (
 )
 from rngswarm.geom import Polygon, segments_blocked
 from rngswarm.graphs import Graph, effective_graph, is_connected, pairwise_distances, visibility_graph
-from rngswarm.motion import BehaviorSpec, apply_motion_law
+from rngswarm.motion import BehaviorSpec, apply_motion_law, separation_cap
 from rngswarm.properties import sample_connected_positions
 from rngswarm.scenario import load_scenario
 
@@ -638,6 +638,37 @@ class TestRun:
         assert f"coincident agents (a pair at zero distance) in {len(reports)} of {len(reports)} rounds" in (
             caplog.records[0].message
         )
+
+    def test_rounds_below_the_floor_are_one_line_per_run(self, caplog):
+        # a start below the floor is refused, so a patched planner puts agents
+        # 0 and 1 below 0.1 for the first k rounds, then back at the start
+        gaps = (0.05, 0.03, 0.07)
+        k = len(gaps)
+        plans = iter([np.array([(0.0, 0.0), (gap, 0.0), (1.0, 0.0)]) for gap in gaps] + [np.array(LINE3)] * 2)
+        w = make_world(LINE3, BehaviorSpec.for_range("idle", 1.0), min_separation=0.1, max_rounds=k + 2)
+        states = []
+        with mock.patch.object(engine, "apply_motion_law", lambda *args, **kwargs: next(plans).copy()):
+            with caplog.at_level(logging.WARNING):
+                reports = run(w, observer=lambda state, report: states.append(state))
+        assert [r.metrics.min_pair_distance < 0.1 for r in reports] == [True] * k + [False] * 2
+        assert [r.name for r in caplog.records] == ["rngswarm.engine"]  # and none from rngswarm.motion
+        assert f"below the separation floor in {k} of {k + 2} rounds (closest at 0.03 < 0.1)" in (
+            caplog.records[0].getMessage()
+        )
+        # the cap holds both agents of the pair still when they plan from there
+        caps = separation_cap(pairwise_distances(states[1].positions), w.vis_range, w.min_separation)
+        assert caps[:2].tolist() == [0.0, 0.0]
+
+    def test_one_ulp_below_the_floor_logs_nothing(self, caplog):
+        # agents packed down to exactly the floor may sit an ulp below it
+        gap = np.nextafter(0.1, 0.0)
+        packed = np.array([(0.0, 0.0), (gap, 0.0), (1.0, 0.0)])
+        w = make_world(LINE3, BehaviorSpec.for_range("idle", 1.0), min_separation=0.1, max_rounds=3)
+        with mock.patch.object(engine, "apply_motion_law", lambda *args, **kwargs: packed.copy()):
+            with caplog.at_level(logging.WARNING):
+                reports = run(w)
+        assert [r.metrics.min_pair_distance for r in reports] == [gap] * 3
+        assert caplog.records == []
 
     def test_obstacle_world_stays_connected(self):
         wall = Polygon(((0.9, 0.5), (1.1, 0.5), (1.1, 1.5), (0.9, 1.5)))

@@ -14,6 +14,7 @@ from rngswarm.graphs import (
     effective_graph,
     graph_metrics,
     is_connected,
+    pair_distance_range,
     pairwise_distances,
     visibility_graph,
 )
@@ -28,6 +29,7 @@ from helpers import (
     naive_lune_occupants,
     naive_visibility_edges,
     reference_pairwise_distances,
+    reference_separation_cap,
     snapshots,
     walled_snapshots,
 )
@@ -395,11 +397,6 @@ class TestPairwiseDistances:
         got = pairwise_distances(xy)
         assert got.shape == (len(xy), len(xy))
         assert got.tobytes() == reference_pairwise_distances(xy).tobytes()
-        rows = data.draw(st.lists(st.integers(0, len(xy) - 1), max_size=6)) if len(xy) else []
-        rows = np.array(rows, dtype=np.intp)
-        got = pairwise_distances(xy, rows)
-        assert got.shape == (len(rows), len(xy))
-        assert got.tobytes() == reference_pairwise_distances(xy, rows).tobytes()
 
 
 def _grid_positions(max_n):
@@ -412,7 +409,8 @@ def _grid_positions(max_n):
 
 class TestSharedDistances:
     """Every layer that takes the distance matrix as `dist=` gives the same
-    bytes with it as without it."""
+    bytes with it as without it; the pair range and the separation cap take
+    the matrix itself."""
 
     @staticmethod
     def _assert_same_bytes(xy):
@@ -435,12 +433,14 @@ class TestSharedDistances:
                 float(dist[iu, ju].min()),
                 float(dist[iu, ju].max()),
             )
+        # the pair range and the separation cap read the matrix itself
+        got = np.float64(pair_distance_range(dist))
+        assert got.tobytes() == np.float64((without.min_pair_distance, without.max_pair_distance)).tobytes()
         for sep in (0.0, 0.1):
-            rows = separation_cap(np.arange(n), xy, 1.0, sep)
-            assert separation_cap(np.arange(n), xy, 1.0, sep, dist=dist).tobytes() == rows.tobytes()
+            rows = separation_cap(dist, 1.0, sep)
+            assert rows.shape == (n,)
             for i in range(n):
-                want = np.float64(separation_cap(i, xy, 1.0, sep))
-                assert np.float64(separation_cap(i, xy, 1.0, sep, dist=dist)).tobytes() == want.tobytes()
+                want = np.float64(reference_separation_cap(i, xy, 1.0, sep))
                 assert want.tobytes() == rows[i].tobytes()
 
     def test_one_agent(self):

@@ -1,6 +1,7 @@
 """Every name a package module imports is used in that module, every
 private function the package defines is used by the package, a state's
-geometry is built in one place, and so is a graph's hop diameter.
+geometry is built in one place, so is a graph's hop diameter, and every
+builder of the distance matrix is named.
 
 AST scans, since no linter is a dependency. `__init__.py` is exempt from the
 import scan: its imports are the package's re-exports.
@@ -118,6 +119,21 @@ GEOMETRY_MODULES = ("engine.py", "cli.py", "reporting.py")
 DIAMETER_BUILDERS = {"_hops"}
 DIAMETER_OWNERS = {"_diameter", "is_connected"}
 
+# the distance matrix is built by the engine's geometry and its start check,
+# by the `dist=None` fallbacks of the planner and of the three graph layers
+# that perfbench's sweep calls from positions alone, and by the property
+# suite's floor check; every other layer takes the matrix itself
+MATRIX_BUILDERS = {"pairwise_distances"}
+MATRIX_OWNERS = {
+    "_geometry",
+    "_init_fault",
+    "apply_motion_law",
+    "visibility_graph",
+    "effective_graph",
+    "graph_metrics",
+    "check_separation_floor",
+}
+
 
 def stray_calls(source: str, builders, owners) -> list[tuple[str, str]]:
     """(innermost enclosing function, callee) for each call to one of
@@ -176,3 +192,24 @@ def test_diameter_scanner_finds_stray_calls():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_the_diameter_is_derived_in_one_place(path):
     assert stray_calls(path.read_text(), DIAMETER_BUILDERS, DIAMETER_OWNERS) == []
+
+
+def test_matrix_scanner_finds_stray_calls():
+    source = (
+        "def graph_metrics(g, eff, xy, dist=None):\n"
+        "    if dist is None:\n        dist = pairwise_distances(xy)\n"
+        "def pair_distance_range(xy, dist=None):\n"
+        "    return graphs.pairwise_distances(xy) if dist is None else dist\n"
+        "def separation_cap(dist, v, sep):\n    f = lambda xy: pairwise_distances(xy)\n"
+        "d = pairwise_distances(xy)\n"
+    )
+    assert stray_calls(source, MATRIX_BUILDERS, MATRIX_OWNERS) == [
+        ("<module>", "pairwise_distances"),
+        ("pair_distance_range", "pairwise_distances"),
+        ("separation_cap", "pairwise_distances"),
+    ]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_every_builder_of_the_matrix_is_named(path):
+    assert stray_calls(path.read_text(), MATRIX_BUILDERS, MATRIX_OWNERS) == []

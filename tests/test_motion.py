@@ -21,6 +21,7 @@ from helpers import (
     pillar_snapshots,
     reference_motion_law,
     reference_row_sums,
+    reference_separation_cap,
     scalar_blocks,
     snapshots,
     walled_snapshots,
@@ -198,28 +199,28 @@ class TestDesiredTarget:
         state = make_state([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)])
         eff = Graph(n=3, edges=frozenset({(0, 1), (0, 2)}))
         spec = BehaviorSpec(kind="gather", max_step=1.0)
-        t = desired_target(0, state, eff, spec)
+        t = desired_target(state, eff, spec)[0]
         assert tuple(t) == (0.5, 0.5)
 
     def test_gather_capped_at_max_step(self):
         state = make_state([(0.0, 0.0), (1.0, 0.0)])
         eff = Graph(n=2, edges=frozenset({(0, 1)}))
         spec = BehaviorSpec(kind="gather", max_step=0.2)
-        t = desired_target(0, state, eff, spec)
+        t = desired_target(state, eff, spec)[0]
         assert tuple(t) == (0.2, 0.0)
 
     def test_gather_with_no_neighbours_holds(self):
         state = make_state([(0.3, 0.7), (5.0, 5.0)])
         eff = Graph(n=2, edges=frozenset())
         spec = BehaviorSpec(kind="gather", max_step=0.2)
-        t = desired_target(0, state, eff, spec)
+        t = desired_target(state, eff, spec)[0]
         assert tuple(t) == (0.3, 0.7)
 
     def test_idle_holds(self):
         state = make_state([(0.3, 0.7), (0.5, 0.5)])
         eff = Graph(n=2, edges=frozenset({(0, 1)}))
         spec = BehaviorSpec(kind="idle", max_step=0.2)
-        t = desired_target(0, state, eff, spec)
+        t = desired_target(state, eff, spec)[0]
         assert tuple(t) == (0.3, 0.7)
 
     def test_formation_spring_pull(self):
@@ -227,7 +228,7 @@ class TestDesiredTarget:
         state = make_state([(0.0, 0.0), (0.75, 0.0)])
         eff = Graph(n=2, edges=frozenset({(0, 1)}))
         spec = BehaviorSpec(kind="formation", max_step=10.0, desired_spacing=0.25, spring_gain=0.5)
-        t = desired_target(0, state, eff, spec)
+        t = desired_target(state, eff, spec)[0]
         assert t[0] == pytest.approx(0.25, abs=1e-12)
         assert t[1] == 0.0
 
@@ -235,14 +236,14 @@ class TestDesiredTarget:
         state = make_state([(0.0, 0.0), (0.25, 0.0)])
         eff = Graph(n=2, edges=frozenset({(0, 1)}))
         spec = BehaviorSpec(kind="formation", max_step=10.0, desired_spacing=0.25, spring_gain=0.5)
-        t = desired_target(0, state, eff, spec)
+        t = desired_target(state, eff, spec)[0]
         assert tuple(t) == (0.0, 0.0)
 
     def test_formation_pushes_apart_when_too_close(self):
         state = make_state([(0.0, 0.0), (0.1, 0.0)])
         eff = Graph(n=2, edges=frozenset({(0, 1)}))
         spec = BehaviorSpec(kind="formation", max_step=10.0, desired_spacing=0.25, spring_gain=0.5)
-        t = desired_target(0, state, eff, spec)
+        t = desired_target(state, eff, spec)[0]
         assert t[0] < 0.0  # negative slack pushes away from the neighbour
         assert t[1] == 0.0
 
@@ -250,7 +251,7 @@ class TestDesiredTarget:
         state = make_state([(0.0, 0.0), (0.0, 0.0), (0.75, 0.0)])
         eff = Graph(n=3, edges=frozenset({(0, 1), (0, 2)}))
         spec = BehaviorSpec(kind="formation", max_step=10.0, desired_spacing=0.25, spring_gain=0.5)
-        t = desired_target(0, state, eff, spec)
+        t = desired_target(state, eff, spec)[0]
         assert math.isfinite(t[0]) and math.isfinite(t[1])
         assert t[0] == pytest.approx(0.25, abs=1e-12)  # only the distinct neighbour pulls
 
@@ -260,7 +261,7 @@ class TestDesiredTarget:
         spec = BehaviorSpec(
             kind="leader_follow", max_step=0.25, waypoints=((2.0, 0.0), (5.0, 5.0))
         )
-        t = desired_target(0, state, eff, spec)
+        t = desired_target(state, eff, spec)[0]
         assert tuple(t) == (0.25, 0.0)
 
     def test_leader_tracks_waypoint_progress(self):
@@ -269,7 +270,7 @@ class TestDesiredTarget:
         spec = BehaviorSpec(
             kind="leader_follow", max_step=0.25, waypoints=((2.0, 0.0), (5.0, 5.0))
         )
-        t = desired_target(0, state, eff, spec)
+        t = desired_target(state, eff, spec)[0]
         assert t[0] == pytest.approx(t[1], abs=1e-12)  # toward (5, 5) now
         assert t[0] > 0.0
 
@@ -279,7 +280,7 @@ class TestDesiredTarget:
         spec = BehaviorSpec(
             kind="leader_follow", max_step=0.25, waypoints=((2.0, 0.0), (5.0, 5.0))
         )
-        t = desired_target(0, state, eff, spec)
+        t = desired_target(state, eff, spec)[0]
         assert tuple(t) == (0.1, 0.2)
 
     def test_followers_gather(self):
@@ -288,7 +289,7 @@ class TestDesiredTarget:
         spec = BehaviorSpec(
             kind="leader_follow", max_step=0.25, waypoints=((2.0, 0.0),)
         )
-        t = desired_target(1, state, eff, spec)
+        t = desired_target(state, eff, spec)[1]
         assert tuple(t) == (0.25, 0.0)  # toward the leader, capped at max_step
 
     def test_never_exceeds_max_step(self, rng):
@@ -299,44 +300,41 @@ class TestDesiredTarget:
             g = visibility_graph(xy, 2.0)
             eff = effective_graph(g, xy, 1)
             state = make_state(xy)
-            targets = desired_target(np.arange(n), state, eff, spec)
+            targets = desired_target(state, eff, spec)
             for i, t in enumerate(targets):
                 step = math.sqrt((t[0] - xy[i, 0]) ** 2 + (t[1] - xy[i, 1]) ** 2)
                 assert step <= 0.2 + 1e-12
 
 
+def cap_of(xy, vis_range, min_separation):
+    return separation_cap(pairwise_distances(np.asarray(xy, dtype=float)), vis_range, min_separation)
+
+
 class TestSeparationCap:
     def test_half_the_slack_of_the_nearest_neighbour(self):
         xy = [(0.0, 0.0), (0.5, 0.0), (0.75, 0.0)]
-        assert separation_cap(0, xy, vis_range=1.0, min_separation=0.1) == 0.2
-        assert separation_cap(0, xy, vis_range=1.0, min_separation=0.0) == 0.25
+        assert cap_of(xy, vis_range=1.0, min_separation=0.1)[0] == 0.2
+        assert cap_of(xy, vis_range=1.0, min_separation=0.0)[0] == 0.25
 
     def test_zero_at_exactly_the_floor(self, caplog):
         xy = [(0.0, 0.0), (0.25, 0.0)]
         with caplog.at_level(logging.WARNING, logger="rngswarm.motion"):
-            cap = separation_cap(0, xy, vis_range=1.0, min_separation=0.25)
+            cap = cap_of(xy, vis_range=1.0, min_separation=0.25)[0]
         assert cap == 0.0
-        assert caplog.records == []  # at the floor is fine, only below it warns
-
-    def test_warns_below_the_floor(self, caplog):
-        xy = [(0.0, 0.0), (0.2, 0.0)]
-        with caplog.at_level(logging.WARNING, logger="rngswarm.motion"):
-            cap = separation_cap(0, xy, vis_range=1.0, min_separation=0.25)
-        assert cap == 0.0
-        assert any("below the separation floor" in r.message for r in caplog.records)
+        assert caplog.records == []  # the cap logs nothing; `run` counts rounds below the floor
 
     def test_unbounded_with_nothing_visible(self):
         xy = [(0.0, 0.0), (5.0, 0.0)]
-        assert separation_cap(0, xy, vis_range=1.0, min_separation=0.1) == math.inf
+        assert cap_of(xy, vis_range=1.0, min_separation=0.1)[0] == math.inf
 
     def test_pairs_beyond_range_not_inspected(self):
         # the far agent is closer than the visible one would allow, but out of range
         xy = [(0.0, 0.0), (0.5, 0.0), (1.5, 0.0)]
-        assert separation_cap(0, xy, vis_range=1.0, min_separation=0.0) == 0.25
+        assert cap_of(xy, vis_range=1.0, min_separation=0.0)[0] == 0.25
 
     def test_negative_floor_rejected(self):
         with pytest.raises(ValueError, match="min_separation"):
-            separation_cap(0, [(0.0, 0.0), (1.0, 0.0)], vis_range=2.0, min_separation=-0.1)
+            cap_of([(0.0, 0.0), (1.0, 0.0)], vis_range=2.0, min_separation=-0.1)
 
 
 class TestApplyMotionLaw:
@@ -423,7 +421,7 @@ class TestApplyMotionLaw:
             eff = effective_graph(g, xy, rng_plus)
             state = make_state(xy)
             proposals = apply_motion_law(np.arange(n), state, eff, spec, world)
-            caps = separation_cap(np.arange(n), xy, 1.0, 0.1)
+            caps = separation_cap(pairwise_distances(xy), 1.0, 0.1)
             for i, q in enumerate(proposals):
                 step = math.sqrt((q[0] - xy[i, 0]) ** 2 + (q[1] - xy[i, 1]) ** 2)
                 assert step <= spec.max_step + 1e-9
@@ -581,20 +579,15 @@ class TestArrayKernel:
         # every agent is planned and `agents` selects rows: one index, or an
         # index array unsorted, repeated or empty, reads the all-agent rows
         state, eff, world = snap
-        xy, spec = state.positions, world.behavior
-        plans = (
-            lambda agents: apply_motion_law(agents, state, eff, spec, world),
-            lambda agents: desired_target(agents, state, eff, spec),
-            lambda agents: separation_cap(agents, xy, world.vis_range, world.min_separation),
-        )
+        spec = world.behavior
         i = data.draw(st.integers(0, world.n - 1))
         picked = np.array(data.draw(st.lists(st.integers(0, world.n - 1), max_size=2 * world.n)), dtype=np.intp)
-        for plan in plans:
-            every = plan(np.arange(world.n))
-            assert np.asarray(plan(i)).tobytes() == every[i].tobytes()
-            assert plan(picked).tobytes() == every[picked].tobytes()
-        assert apply_motion_law(i, state, eff, spec, world).shape == (2,)
-        assert desired_target(picked, state, eff, spec).shape == (len(picked), 2)
+        every = apply_motion_law(np.arange(world.n), state, eff, spec, world)
+        one, rows = (apply_motion_law(a, state, eff, spec, world) for a in (i, picked))
+        assert one.tobytes() == every[i].tobytes()
+        assert rows.tobytes() == every[picked].tobytes()
+        assert one.shape == (2,)
+        assert rows.shape == (len(picked), 2)
 
     @pytest.mark.parametrize("kind", ["gather", "formation", "leader_follow"])
     def test_whole_runs_match_the_per_agent_law(self, kind):
@@ -618,15 +611,5 @@ class TestArrayKernel:
     def test_separation_cap_rows_match_scalar_calls(self, rng):
         for _ in range(20):
             xy = rng.uniform(0.0, 1.5, size=(9, 2))
-            caps = separation_cap(np.arange(9), xy, 1.0, 0.0)
-            assert caps.tolist() == [separation_cap(i, xy, 1.0, 0.0) for i in range(9)]
-
-    def test_floor_warning_is_one_record_per_call(self, caplog):
-        # agents 0, 1 and 2 are pairwise closer than the floor; agent 3 is clear
-        xy = [(0.0, 0.0), (0.05, 0.0), (0.0, 0.08), (1.0, 0.0)]
-        with caplog.at_level(logging.WARNING, logger="rngswarm.motion"):
-            caps = separation_cap(np.arange(4), xy, vis_range=1.0, min_separation=0.1)
-        assert caps[:3].tolist() == [0.0, 0.0, 0.0]
-        assert len(caplog.records) == 1
-        assert "below the separation floor" in caplog.records[0].message
-        assert caplog.records[0].message.startswith("3 agent(s)")
+            caps = separation_cap(pairwise_distances(xy), 1.0, 0.0)
+            assert caps.tolist() == [reference_separation_cap(i, xy, 1.0, 0.0) for i in range(9)]
