@@ -108,7 +108,8 @@ def _cmd_graph(args: argparse.Namespace) -> int:
         elif isinstance(value, float):
             value = format(value, ".9g")
         print(f"{name}: {value}")
-    print(f"max_effective_degree: {max(eff.degree(i) for i in range(world.n))}")
+    indptr = eff._csr[0]
+    print(f"max_effective_degree: {(indptr[1:] - indptr[:-1]).max()}")
     if args.svg:
         write_svg_frame(state, world, args.svg)
         print(f"frame: {args.svg}")

@@ -36,8 +36,8 @@ class Graph:
     """Undirected graph on agent indices 0..n-1.
 
     `edges` is a read-only (E, 2) intp array of pairs i < j in lexicographic
-    order; any iterable of pairs is normalised to it. `neighbors` and
-    `degree` read a CSR adjacency built on first use.
+    order; any iterable of pairs is normalised to it. `neighbors`, the
+    planner and the hop search read a CSR adjacency built on first use.
     """
 
     n: int
@@ -105,18 +105,12 @@ class Graph:
         indptr, indices, _ = self._csr
         return indices[indptr[i] : indptr[i + 1]]
 
-    def degree(self, i: int) -> int:
-        return len(self.neighbors(i))
-
     def has_edges(self, pairs) -> np.ndarray:
         """Boolean mask: is each (i, j) pair, in either order, an edge?"""
         p = np.asarray(pairs if isinstance(pairs, np.ndarray) else list(pairs), dtype=np.intp).reshape(-1, 2)
         lo, hi = p.min(axis=1), p.max(axis=1)
         key = np.where((lo >= 0) & (lo < hi) & (hi < self.n), lo * self.n + hi, -1)
         return self._keys[np.searchsorted(self._keys, key)] == key
-
-    def has_edge(self, i: int, j: int) -> bool:
-        return bool(self.has_edges([(i, j)])[0])
 
     def _holds(self, other: "Graph") -> np.ndarray:
         """`has_edges(other.edges)` for a graph `other` on the same n: its
@@ -219,24 +213,29 @@ def _hops(graph: Graph, sources) -> int:
     """Largest hop count from any of `sources` to any vertex; -1 when some
     vertex is unreached from some source.
 
-    One level-synchronous search expands every source at once: each level
-    multiplies the float32 reached set by adjacency plus identity, which numpy
-    hands to BLAS. Its entries are sums of at most n ones, exact in float32.
+    One level-synchronous bit-parallel search over the CSR expands every
+    source at once (Akiba, Iwata & Yoshida, SIGMOD 2013): row v of `reach`
+    packs, as uint64 words, the sources that have reached v, and each level
+    ORs in the words of v's neighbours. OR and popcount are integer
+    operations, so the count is exact whatever their order or the CPU.
     """
     n = graph.n
-    step = np.eye(n, dtype=np.float32)  # the diagonal keeps reached vertices reached
-    i, j = graph.edges.T
-    step[i, j] = step[j, i] = 1.0
+    if n < 2:
+        return 0
+    indptr, nbr, _ = graph._csr
+    if (indptr[1:] == indptr[:-1]).any():
+        return -1  # an isolated vertex; from here on no CSR row is empty, as reduceat needs
     src = np.asarray(sources, dtype=np.intp)
-    reach = np.zeros((len(src), n), dtype=np.float32)
-    reach[np.arange(len(src)), src] = 1.0
-    hops, seen = 0, len(src)
+    k = np.arange(len(src))
+    reach = np.zeros((n, -(-len(src) // 64)), dtype=np.uint64)
+    reach[src, k >> 6] = np.uint64(1) << (k & 63).astype(np.uint64)
+    hops = 0
     while True:
-        reach = np.minimum(reach @ step, 1.0)
-        count = np.count_nonzero(reach)
-        if count == seen:
-            return hops if count == reach.size else -1
-        hops, seen = hops + 1, count
+        # take() gathers rows faster than reach[nbr]; a bytes compare is cheaper than array_equal
+        grown = reach | np.bitwise_or.reduceat(reach.take(nbr, axis=0), indptr[:-1])
+        if grown.tobytes() == reach.tobytes():
+            return hops if np.bitwise_count(reach).sum() == n * len(src) else -1
+        reach, hops = grown, hops + 1
 
 
 def is_connected(graph: Graph) -> bool:

@@ -8,12 +8,9 @@ chosen per CPU, and `**` goes through libm `pow`; either would tie the
 trajectories to the machine. Neighbour sums are `bincount`s, which add in
 input order; a flat `add` reduction (`np.add.reduce`, `reduceat`,
 `accumulate`) in their place may add pairwise, which rounds differently and
-would move every golden. An AST scan, like `tests/test_imports.py`.
-
-One construct is allowed, by the function that uses it: `graphs._hops`
-multiplies float32 0/1 matrices with `@`. Each entry is a sum of at most n
-ones, exact in float32 whatever kernel BLAS picks, and the result only
-counts hops.
+would move every golden. The hop search in `graphs` ORs and counts bits,
+integer operations whose result no order or CPU can change. So the scan
+allows nothing. An AST scan, like `tests/test_imports.py`.
 """
 
 import ast
@@ -23,8 +20,6 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "rngswarm"
 MODULES = [SRC / "engine.py", SRC / "geom.py", SRC / "graphs.py", SRC / "motion.py"]
-# (module, function, construct) that may appear; see the module docstring
-ALLOWED = {("graphs.py", "_hops", "@")}
 BLAS_NAMES = {"dot", "matmul", "einsum", "vdot", "inner"}
 ADD_REDUCTIONS = {"reduce", "reduceat", "accumulate"}
 
@@ -90,12 +85,6 @@ def test_functions_by_line_names_the_innermost_function():
     assert functions_by_line(source) == {2: "f", 3: "f", 4: "g", 5: "g", 6: "f"}
 
 
-def test_the_allowed_constructs_are_still_used():
-    # an allowance that nothing uses any more only widens the scan
-    for module, function, what in ALLOWED:
-        assert (function, what) in {(f, w) for f, w, _ in constructs(SRC / module)}, (module, function, what)
-
-
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_blas_or_pow(path):
-    assert [f"{entry} in {f}" for f, w, entry in constructs(path) if (path.name, f, w) not in ALLOWED] == []
+    assert [f"{entry} in {f}" for f, _, entry in constructs(path)] == []

@@ -31,7 +31,7 @@ def in_lens(k, i, j):
     """Whether point k lies strictly inside the lens of the pair (i, j): the
     trim then drops the edge (i, j)."""
     xy = np.array([i, j, k], dtype=float)
-    return not effective_graph(visibility_graph(xy, 100.0), xy, 0).has_edge(0, 1)
+    return not effective_graph(visibility_graph(xy, 100.0), xy, 0).has_edges([(0, 1)])[0]
 
 
 class TestPoints:

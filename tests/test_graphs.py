@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -86,13 +87,12 @@ class TestGraph:
     def test_neighbors_sorted(self):
         g = Graph(4, frozenset({(0, 3), (0, 1), (0, 2)}))
         assert g.neighbors(0).tolist() == [1, 2, 3]
-        assert g.degree(0) == 3
-        assert g.degree(1) == 1
+        assert len(g.neighbors(0)) == 3
+        assert len(g.neighbors(1)) == 1
 
     def test_has_edge_either_order(self):
         g = Graph(3, frozenset({(0, 2)}))
-        assert g.has_edge(0, 2) and g.has_edge(2, 0)
-        assert not g.has_edge(0, 1)
+        assert g.has_edges([(0, 2), (2, 0), (0, 1)]).tolist() == [True, True, False]
 
     def test_unsorted_array_with_duplicate_and_reversed_pair(self):
         g = Graph(4, np.array([[3, 1], [0, 2], [1, 3], [0, 1]]))
@@ -135,7 +135,7 @@ class TestGraph:
                     adj[j].add(i)
                 for i in range(n):
                     assert g.neighbors(i).tolist() == sorted(adj[i])
-                    assert g.degree(i) == len(adj[i])
+                    assert len(g.neighbors(i)) == len(adj[i])
 
     def test_csr_owner_is_each_entrys_row(self, rng):
         # the owner the CSR keeps is the row expansion the planner would
@@ -184,7 +184,7 @@ def lune_occupants(i, j, pts):
     pair in sight."""
     xy = np.asarray(pts, dtype=float)
     g = visibility_graph(xy, 100.0)
-    return next(m for m in range(len(xy)) if effective_graph(g, xy, m).has_edge(i, j))
+    return next(m for m in range(len(xy)) if effective_graph(g, xy, m).has_edges([(i, j)])[0])
 
 
 class TestLuneCount:
@@ -238,13 +238,13 @@ class TestEffectiveGraph:
         pts = [(0.0, 0.0), (5.0, 0.0), (3.0, 4.0)]
         g = visibility_graph(pts, 6.0)
         eff = effective_graph(g, pts, 0)
-        assert eff.has_edge(0, 1)
+        assert eff.has_edges([(0, 1)])[0]
 
     def test_coincident_pair_edge_is_kept(self):
         pts = [(0.0, 0.0), (0.0, 0.0), (0.4, 0.0)]
         g = visibility_graph(pts, 1.0)
         eff = effective_graph(g, pts, 0)
-        assert eff.has_edge(0, 1)
+        assert eff.has_edges([(0, 1)])[0]
 
     def test_rejects_negative_limit(self):
         g = visibility_graph(UNIT_SQUARE, 1.5)
@@ -457,26 +457,60 @@ class TestSharedDistances:
         self._assert_same_bytes(xy)
 
 
+def _path(n):
+    return [(i, i + 1) for i in range(n - 1)]
+
+
 class TestDiameter:
     """`Graph._diameter` is the cached hop diameter that `graph_metrics`
     reports: 0 for n <= 1 and -1 for a disconnected graph."""
 
     @given(st.data())
     def test_matches_naive_bfs(self, data):
-        n = data.draw(st.integers(0, 12))
-        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-        edges = data.draw(st.lists(st.sampled_from(pairs), max_size=len(pairs))) if pairs else []
+        # up to 150 vertices, so the search spans up to three uint64 words: a
+        # random spanning path, cut at up to two places, plus sparse chords
+        n = data.draw(st.integers(0, 150))
+        order = data.draw(st.permutations(range(n)))
+        cuts = data.draw(st.sets(st.integers(1, max(n - 1, 1)), max_size=2))
+        edges = [(order[k - 1], order[k]) for k in range(1, n) if k not in cuts]
+        if n >= 2:
+            vertex = st.integers(0, n - 1)
+            chords = data.draw(st.lists(st.tuples(vertex, vertex).filter(lambda p: p[0] != p[1]), max_size=n // 8))
+            edges += chords
         g = Graph(n, edges)
-        assert g._diameter == naive_hop_diameter(n, edge_set(g))
+        want = naive_hop_diameter(n, edge_set(g))
+        assert g._diameter == want
+        assert is_connected(g) == (want >= 0)
 
     @pytest.mark.parametrize(
         "n, edges, want",
         [(0, [], 0), (1, [], 0), (2, [], -1), (2, [(0, 1)], 1), (4, [(0, 1), (2, 3)], -1),
-         (5, [(0, 1), (1, 2), (2, 3), (3, 4)], 4), (5, [(0, 1), (0, 2), (0, 3), (0, 4)], 2)],
-        ids=["n0", "n1", "two-apart", "one-edge", "two-pieces", "path", "star"],
+         (5, _path(5), 4), (5, [(0, 1), (0, 2), (0, 3), (0, 4)], 2),
+         (63, _path(63), 62), (64, _path(64), 63), (65, _path(65), 64), (129, [(0, 128)] + _path(128), 128),
+         (130, _path(65) + [(65 + i, 65 + j) for i, j in _path(65)], -1)],
+        ids=["n0", "n1", "two-apart", "one-edge", "two-pieces", "path", "star",
+             "path63", "path64", "path65", "path129", "two-pieces130"],
     )
     def test_small_and_disconnected(self, n, edges, want):
+        # path129 runs 128, 0, 1, ..., 127: both its ends lie past the first
+        # uint64 word, so a search from the first 64 sources alone falls short
         assert Graph(n, edges)._diameter == want == naive_hop_diameter(n, edges)
+
+    def test_no_n_by_n_array(self):
+        # a 32 x 32 king's-move grid: n = 1024, diameter 31. The search's
+        # peak stays below one float32 n x n matrix (4 MiB)
+        k = 32
+        cell = np.arange(k * k).reshape(k, k)
+        pairs = [(cell[:, :-1], cell[:, 1:]), (cell[:-1], cell[1:]), (cell[:-1, :-1], cell[1:, 1:]),
+                 (cell[:-1, 1:], cell[1:, :-1])]
+        g = Graph(k * k, np.concatenate([np.column_stack((a.ravel(), b.ravel())) for a, b in pairs]))
+        tracemalloc.start()
+        try:
+            assert g._diameter == k - 1
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * g.n * g.n
 
     def test_an_idle_run_searches_from_every_vertex_once(self, monkeypatch):
         # the agents never move, so every round keeps the start's graph, and
