@@ -37,7 +37,7 @@ from .graphs import (
     effective_graph,
     graph_metrics,
     is_connected,
-    pair_distance_range,
+    nearest_distances,
     pairwise_distances,
     visibility_graph,
 )
@@ -196,7 +196,7 @@ def _init_fault(xy: np.ndarray, vis_range: float, min_separation: float, obstacl
     when it fails none."""
     dist = pairwise_distances(xy)
     if min_separation > 0.0:
-        closest = pair_distance_range(dist)[0]
+        closest = float(nearest_distances(dist).min(initial=math.inf))
         if closest < min_separation:
             return (
                 f"must keep every pair at least min_separation ({min_separation!r}) apart, "

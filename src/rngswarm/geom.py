@@ -5,8 +5,8 @@ half-planes past obstacle edges, are array based: the round evaluates them
 for every agent, and every segment, at once. All feasibility checks share
 an absolute length tolerance of 1e-9, and the intersection tests are
 deliberately conservative: exact touching counts as contact. One
-closed-segment test, `_contacts`, serves `segments_intersect_xy`, the
-polygon simplicity check and the wall kernels.
+closed-segment test, `_contacts`, serves the polygon simplicity check and
+the wall kernels.
 
 Portable arithmetic: nothing that decides a position may go through BLAS
 (`@`, `np.dot`, `np.matmul`, `np.einsum`) or `pow` (`**`). Their results
@@ -159,15 +159,6 @@ def _contacts(pts) -> np.ndarray:
     return hit
 
 
-def segments_intersect_xy(ax, ay, bx, by, cx, cy, dx, dy) -> np.ndarray:
-    """Closed-segment intersection of a-b and c-d, elementwise over arrays
-    that broadcast together; touching or collinear overlap counts."""
-    ax, ay, bx, by, cx, cy, dx, dy = np.broadcast_arrays(
-        *(np.asarray(v, dtype=float) for v in (ax, ay, bx, by, cx, cy, dx, dy))
-    )
-    return _contacts(np.array(((ax, bx, cx, dx), (ay, by, cy, dy))))
-
-
 def _signed_area(xy: Sequence[tuple[float, float]]) -> float:
     s = 0.0
     n = len(xy)
@@ -208,7 +199,7 @@ class Polygon:
         # simplicity: no two non-adjacent edges may meet; pairs k < l in order
         k, l = np.triu_indices(n, 2)
         k, l = k[(l + 1) % n != k], l[(l + 1) % n != k]
-        crossing = segments_intersect_xy(*v[k].T, *w[k].T, *v[l].T, *w[l].T)
+        crossing = _contacts(np.stack((v[k].T, w[k].T, v[l].T, w[l].T), axis=1))
         if crossing.any():
             first = int(np.argmax(crossing))
             raise ValueError(f"polygon edges {k[first]} and {l[first]} intersect (not simple)")

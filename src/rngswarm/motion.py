@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from .geom import FEASIBILITY_TOL, clamp_point_xy, clamp_to_sight
-from .graphs import Graph, pairwise_distances
+from .graphs import Graph, nearest_distances, pairwise_distances
 
 if TYPE_CHECKING:  # pragma: no cover
     from .engine import SwarmState, WorldConfig
@@ -148,17 +148,17 @@ def separation_cap(dist: np.ndarray, vis_range: float, min_separation: float) ->
 
     Each visible pair may close by at most its slack (d - min_separation),
     and under simultaneous motion both endpoints spend half of it, hence the
-    /2. Pairs beyond vis_range are not inspected; they stay safe as long as
-    max_step <= (vis_range - min_separation) / 2, which the world config
-    enforces. With nothing visible the cap is unbounded (inf); the behaviour
+    /2, so the cap reads each agent's `nearest_distances`. Pairs beyond
+    vis_range are not inspected, so a nearest one beyond it counts as none;
+    they stay safe as long as max_step <= (vis_range - min_separation) / 2,
+    which the world config enforces. With nothing visible the cap is unbounded (inf); the behaviour
     target is already pre-capped at max_step. An agent at or below the floor
     gets 0 and is held still; `run` counts the rounds that end below it.
     """
     if min_separation < 0.0:
         raise ValueError(f"min_separation must be >= 0, got {min_separation!r}")
-    d = np.where(dist <= vis_range, dist, math.inf)
-    np.fill_diagonal(d, math.inf)
-    nearest = d.min(axis=1, initial=math.inf)
+    nearest = nearest_distances(dist)
+    nearest[nearest > vis_range] = math.inf
     half = 0.5 * (nearest - min_separation)
     return np.where(half > 0.0, half, 0.0)
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from .engine import InitSpec, SwarmState, WorldConfig, _sample_start, step
 from .geom import clamp_fraction, clamp_point_xy
-from .graphs import effective_graph, is_connected, pair_distance_range, pairwise_distances, visibility_graph
+from .graphs import effective_graph, is_connected, nearest_distances, pairwise_distances, visibility_graph
 from .motion import BEHAVIOR_KINDS, BehaviorSpec
 
 CLAMP_ORACLE_TOL = 1e-7
@@ -111,7 +111,7 @@ def check_separation_floor(cases: int, seed: int) -> SuiteResult:
             seed=int(rng.integers(0, 2**31)),
         )
         new_state, _ = step(SwarmState(round=0, positions=xy), world)
-        dmin = pair_distance_range(pairwise_distances(new_state.positions))[0]
+        dmin = float(nearest_distances(pairwise_distances(new_state.positions)).min(initial=math.inf))
         if dmin < sep - SEPARATION_TOL:
             failures += 1
             detail = f"case {case}: min pair {dmin}"

@@ -277,6 +277,18 @@ def reference_target(i, state, effective, spec):
     return np.array(raw, dtype=float)
 
 
+def naive_nearest_distances(dist):
+    """Each row's least entry off the diagonal, by a loop over j != i; inf
+    for a lone agent."""
+    n = len(dist)
+    out = np.full(n, math.inf)
+    for i in range(n):
+        for j in range(n):
+            if j != i and dist[i, j] < out[i]:
+                out[i] = dist[i, j]
+    return out
+
+
 def reference_separation_cap(i, xy, vis_range, min_separation):
     rel = xy - xy[i]
     d = np.sqrt((rel * rel).sum(axis=1))

@@ -175,6 +175,13 @@ class TestWorldConfig:
             make_world([(0.0, 0.0), (0.05, 0.0)], min_separation=0.1)
         make_world([(0.0, 0.0), (0.1, 0.0)], min_separation=0.1)  # exactly at the floor is fine
 
+    def test_floor_message_names_the_closest_pair_as_a_float(self):
+        with pytest.raises(ValueError) as err:
+            make_world([(0.0, 0.0), (0.05, 0.0), (0.5, 0.0)], min_separation=0.1)
+        assert str(err.value) == (
+            "init.positions must keep every pair at least min_separation (0.1) apart, got a pair at 0.05"
+        )
+
     def test_explicit_init_must_keep_off_the_walls(self):
         wall = Polygon(((0.2, -0.1), (0.3, -0.1), (0.3, 0.1), (0.2, 0.1)))
         # a lone agent inside a wall is connected, but still refused

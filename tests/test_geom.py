@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 
 from rngswarm.geom import (
     Polygon,
+    _contacts,
     clamp_fraction,
     clamp_point_xy,
     segments_blocked,
-    segments_intersect_xy,
 )
 from rngswarm.graphs import effective_graph, pairwise_distances, visibility_graph
 from rngswarm.properties import _clamp_rows, bisect_clamp_fraction, random_clamp_instance
@@ -158,31 +158,38 @@ class TestClampFraction:
             assert q.tobytes() == want.tobytes()
 
 
+def meet(ax, ay, bx, by, cx, cy, dx, dy):
+    """`_contacts` of a-b against c-d, their ends stacked [x | y][a | b | c | d]
+    as `Polygon` stacks its edge pairs."""
+    return _contacts(np.array(((ax, bx, cx, dx), (ay, by, cy, dy)), dtype=float))
+
+
 class TestSegmentIntersection:
     def test_proper_crossing(self):
-        assert segments_intersect_xy(0, 0, 1, 1, 0, 1, 1, 0)
+        assert meet(0, 0, 1, 1, 0, 1, 1, 0)
 
     def test_disjoint(self):
-        assert not segments_intersect_xy(0, 0, 1, 0, 0, 1, 1, 1)
+        assert not meet(0, 0, 1, 0, 0, 1, 1, 1)
 
     def test_shared_endpoint_counts(self):
-        assert segments_intersect_xy(0, 0, 1, 0, 1, 0, 2, 5)
+        assert meet(0, 0, 1, 0, 1, 0, 2, 5)
 
     def test_t_junction_counts(self):
-        assert segments_intersect_xy(0, 0, 2, 0, 1, 0, 1, 1)
+        assert meet(0, 0, 2, 0, 1, 0, 1, 1)
 
     def test_collinear_overlap_counts(self):
-        assert segments_intersect_xy(0, 0, 2, 0, 1, 0, 3, 0)
+        assert meet(0, 0, 2, 0, 1, 0, 3, 0)
 
     def test_collinear_disjoint(self):
-        assert not segments_intersect_xy(0, 0, 1, 0, 2, 0, 3, 0)
+        assert not meet(0, 0, 1, 0, 2, 0, 3, 0)
 
     @given(finite, finite, finite, finite, finite, finite, finite, finite)
     @settings(max_examples=200)
     def test_symmetric_in_argument_order(self, ax, ay, bx, by, cx, cy, dx, dy):
-        first = segments_intersect_xy(ax, ay, bx, by, cx, cy, dx, dy)
-        second = segments_intersect_xy(cx, cy, dx, dy, ax, ay, bx, by)
+        first = meet(ax, ay, bx, by, cx, cy, dx, dy)
+        second = meet(cx, cy, dx, dy, ax, ay, bx, by)
         assert first == second
+        assert first == scalar_segments_intersect(ax, ay, bx, by, cx, cy, dx, dy)
 
 
 SQUARE = Polygon(((0, 0), (2, 0), (2, 2), (0, 2)))
@@ -302,7 +309,7 @@ class TestElementwisePredicates:
         # a point is held where the zero-length segment at it is blocked
         assert poly.contains_xy(a[:, 0], a[:, 1]).tolist() == [scalar_blocks(poly, *s[:2], *s[:2]) for s in segments]
         assert poly.blocks_segment_xy(*a.T).tolist() == [scalar_blocks(poly, *s) for s in segments]
-        assert segments_intersect_xy(*a.T, *other.T).tolist() == [
+        assert meet(*a.T, *other.T).tolist() == [
             scalar_segments_intersect(*s, *t) for s, t in zip(segments, other.tolist())
         ]
         blocked = segments_blocked(a[:, :2], a[:, 2:], POLYGONS)
@@ -327,7 +334,6 @@ class TestElementwisePredicates:
     def test_a_scalar_call_is_the_0d_case(self):
         assert SQUARE.contains_xy(1.0, 1.0).shape == ()
         assert SQUARE.blocks_segment_xy(-1.0, 1.0, 3.0, 1.0).shape == ()
-        assert segments_intersect_xy(0, 0, 1, 1, 0, 1, 1, 0).shape == ()
 
     def test_no_obstacles_block_nothing(self):
         assert segments_blocked(np.zeros((3, 2)), np.ones((3, 2)), ()).tolist() == [False] * 3

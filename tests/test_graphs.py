@@ -15,7 +15,7 @@ from rngswarm.graphs import (
     effective_graph,
     graph_metrics,
     is_connected,
-    pair_distance_range,
+    nearest_distances,
     pairwise_distances,
     visibility_graph,
 )
@@ -28,6 +28,7 @@ from helpers import (
     naive_hop_diameter,
     naive_effective_edges,
     naive_lune_occupants,
+    naive_nearest_distances,
     naive_visibility_edges,
     reference_pairwise_distances,
     reference_separation_cap,
@@ -409,8 +410,8 @@ def _grid_positions(max_n):
 
 class TestSharedDistances:
     """Every layer that takes the distance matrix as `dist=` gives the same
-    bytes with it as without it; the pair range and the separation cap take
-    the matrix itself."""
+    bytes with it as without it; the nearest distances and the separation
+    cap take the matrix itself."""
 
     @staticmethod
     def _assert_same_bytes(xy):
@@ -427,15 +428,15 @@ class TestSharedDistances:
             got, want = getattr(with_dist, field), getattr(without, field)
             assert np.float64(got).tobytes() == np.float64(want).tobytes()
         assert with_dist == without
-        if n >= 2:  # the pairs of the upper triangle, as the range was read before
-            iu, ju = np.triu_indices(n, k=1)
-            assert (without.min_pair_distance, without.max_pair_distance) == (
-                float(dist[iu, ju].min()),
-                float(dist[iu, ju].max()),
-            )
-        # the pair range and the separation cap read the matrix itself
-        got = np.float64(pair_distance_range(dist))
-        assert got.tobytes() == np.float64((without.min_pair_distance, without.max_pair_distance)).tobytes()
+        # the pair range is that of the upper triangle's pairs: (inf, 0) with none
+        iu, ju = np.triu_indices(n, k=1)
+        pairs = dist[iu, ju]
+        want = np.float64((pairs.min(initial=math.inf), pairs.max(initial=0.0)))
+        assert np.float64((without.min_pair_distance, without.max_pair_distance)).tobytes() == want.tobytes()
+        # the nearest distances and the separation cap read the matrix itself
+        nearest = nearest_distances(dist)
+        assert nearest.tobytes() == naive_nearest_distances(dist).tobytes()
+        assert np.float64(without.min_pair_distance).tobytes() == nearest.min(initial=math.inf).tobytes()
         for sep in (0.0, 0.1):
             rows = separation_cap(dist, 1.0, sep)
             assert rows.shape == (n,)
@@ -455,6 +456,43 @@ class TestSharedDistances:
     @given(_grid_positions(12))
     def test_random_snapshots(self, xy):
         self._assert_same_bytes(xy)
+
+
+class TestNearestDistances:
+    """Each agent's distance to its closest other agent is the naive loop's
+    over j != i, byte for byte, and the matrix is left as it was."""
+
+    @staticmethod
+    def _assert_naive(xy):
+        dist = pairwise_distances(np.asarray(xy, dtype=float).reshape(-1, 2))
+        before = dist.tobytes()
+        got = nearest_distances(dist)
+        assert got.shape == (len(dist),) and got.dtype == np.float64
+        assert got.tobytes() == naive_nearest_distances(dist).tobytes()
+        assert dist.tobytes() == before
+        return got
+
+    def test_no_agent(self):
+        assert self._assert_naive([]).tolist() == []
+
+    def test_one_agent_has_no_nearest(self):
+        assert self._assert_naive([(0.3, -0.2)]).tolist() == [math.inf]
+
+    def test_two_agents_share_their_distance(self):
+        assert self._assert_naive([(0.0, 0.0), (0.6, 0.8)]).tolist() == [1.0, 1.0]
+
+    def test_coincident_groups(self):
+        # a triple and a pair each at one point, and an agent on its own
+        xy = [(0.0, 0.0), (1.0, 0.0), (0.0, 0.0), (1.0, 0.0), (0.0, 0.0), (0.3, 0.4)]
+        assert self._assert_naive(xy).tolist() == [0.0, 0.0, 0.0, 0.0, 0.0, 0.5]
+
+    @given(snapshots())
+    def test_snapshots(self, snap):
+        self._assert_naive(snap[0].positions)
+
+    @given(walled_snapshots())
+    def test_walled_snapshots(self, snap):
+        self._assert_naive(snap[0].positions)
 
 
 def _path(n):

@@ -198,14 +198,14 @@ def test_matrix_scanner_finds_stray_calls():
     source = (
         "def graph_metrics(g, eff, xy, dist=None):\n"
         "    if dist is None:\n        dist = pairwise_distances(xy)\n"
-        "def pair_distance_range(xy, dist=None):\n"
+        "def nearest_distances(xy, dist=None):\n"
         "    return graphs.pairwise_distances(xy) if dist is None else dist\n"
         "def separation_cap(dist, v, sep):\n    f = lambda xy: pairwise_distances(xy)\n"
         "d = pairwise_distances(xy)\n"
     )
     assert stray_calls(source, MATRIX_BUILDERS, MATRIX_OWNERS) == [
         ("<module>", "pairwise_distances"),
-        ("pair_distance_range", "pairwise_distances"),
+        ("nearest_distances", "pairwise_distances"),
         ("separation_cap", "pairwise_distances"),
     ]
 
