@@ -99,8 +99,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
 def _cmd_graph(args: argparse.Namespace) -> int:
     world = load_scenario(args.scenario)
     state = initial_state(world)
-    dist, g, eff = _geometry(state.positions, world)
-    m = graph_metrics(g, eff, state.positions, dist=dist)
+    distances, g, eff = _geometry(state.positions, world)
+    m = graph_metrics(g, eff, state.positions, distances=distances)
     print(f"n: {world.n}")
     for name, value in vars(m).items():
         if isinstance(value, bool):
@@ -108,8 +108,7 @@ def _cmd_graph(args: argparse.Namespace) -> int:
         elif isinstance(value, float):
             value = format(value, ".9g")
         print(f"{name}: {value}")
-    indptr = eff._csr[0]
-    print(f"max_effective_degree: {(indptr[1:] - indptr[:-1]).max()}")
+    print(f"max_effective_degree: {eff._plan[1].max(initial=0)}")
     if args.svg:
         write_svg_frame(state, world, args.svg)
         print(f"frame: {args.svg}")

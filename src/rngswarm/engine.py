@@ -1,12 +1,12 @@
 """Synchronous round engine: snapshot, propose, verify, commit.
 
-Each committed state's geometry (its distance matrix, visibility graph and
-effective graph) is derived once and read by every layer: the motion law
-plans from it, and the verify and the metrics read the next state's.
-Both graphs are built in full every round, but one whose edges equal the
-round before's is that round's Graph, so its adjacency rows, edge keys and
-hop diameter (pure functions of n and the edges of an immutable Graph) are
-derived once per distinct graph and no byte can move.
+Each committed state's geometry (its distance matrix and nearest distances,
+visibility graph and effective graph) is derived once and read by every
+layer: the motion law plans from it, and the verify and the metrics read the
+next state's. Both graphs are built in full every round, but one whose edges
+equal the round before's is that round's Graph, so its adjacency rows, edge
+keys, planner indices and hop diameter (pure functions of n and the edges of
+an immutable Graph) are derived once per distinct graph and no byte moves.
 All agents plan from the same round-start snapshot, each inside the discs
 and wall half-planes it shares with its effective neighbours, so the planned
 moves keep every effective edge in range and in sight. The commit is a
@@ -232,7 +232,7 @@ class _Geometry(NamedTuple):
     holds no n x n matrices. An unchanged graph is the previous state's own
     Graph, so its cached values are derived once per distinct graph."""
 
-    dist: np.ndarray  # pairwise_distances of the positions
+    distances: tuple  # the positions' pairwise_distances, and their nearest_distances read-only
     g: Graph  # visibility graph
     eff: Graph  # effective graph
 
@@ -242,15 +242,16 @@ def _geometry(positions: np.ndarray, world: WorldConfig, prev: _Geometry | None 
     None at a start. A graph whose n and edges equal prev's is prev's own
     Graph: its caches are pure functions of n and the edges, so no byte moves."""
     dist = pairwise_distances(positions)
-    g = visibility_graph(positions, world.vis_range, world.obstacles, dist=dist)
-    eff = effective_graph(g, positions, world.rng_plus, dist=dist)
-    if prev is not None:
-        g, eff = _kept(g, prev.g), _kept(eff, prev.eff)
-    return _Geometry(dist, g, eff)
+    # kept before the trim, which then reads the kept graph's edge keys
+    g = _kept(visibility_graph(positions, world.vis_range, world.obstacles, dist=dist), prev and prev.g)
+    eff = _kept(effective_graph(g, positions, world.rng_plus, dist=dist), prev and prev.eff)
+    nearest = nearest_distances(dist)
+    nearest.setflags(write=False)
+    return _Geometry((dist, nearest), g, eff)
 
 
-def _kept(new: Graph, old: Graph) -> Graph:
-    return old if old.n == new.n and old.edges.tobytes() == new.edges.tobytes() else new
+def _kept(new: Graph, old: Graph | None) -> Graph:
+    return new if old is None or old.n != new.n or old.edges.tobytes() != new.edges.tobytes() else old
 
 
 def _commit(
@@ -271,7 +272,7 @@ def _commit(
     reverted = np.zeros(world.n, dtype=bool)
     while True:
         geo = _geometry(proposals, world, snap)
-        broken = edges[~geo.g._holds(snap.eff)]
+        broken = edges.take((~geo.g._holds(snap.eff)).nonzero()[0], axis=0)
         broken = broken[~reverted[broken].all(axis=1)]
         if not len(broken):
             return geo, reverted
@@ -286,10 +287,10 @@ def _step_core(
     wp_index = _advance_waypoints(state, world)
     if wp_index != state.waypoint_index:
         state = replace(state, waypoint_index=wp_index)
-    proposals = apply_motion_law(np.arange(world.n), state, geo.eff, world.behavior, world, dist=geo.dist)
+    proposals = apply_motion_law(np.arange(world.n), state, geo.eff, world.behavior, world, geo.distances)
     geo, reverted = _commit(state.positions, proposals, geo, world)
     new_state = SwarmState(round=state.round + 1, positions=proposals, waypoint_index=wp_index)
-    metrics = graph_metrics(geo.g, geo.eff, new_state.positions, dist=geo.dist)
+    metrics = graph_metrics(geo.g, geo.eff, new_state.positions, distances=geo.distances)
     if not metrics.connected:
         raise ConnectivityError(
             f"visibility graph disconnected after round {new_state.round}; positions:\n"

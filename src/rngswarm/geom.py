@@ -26,9 +26,12 @@ one polygon's four edges) costs a loop start per element. The wall kernels
 therefore list the (obstacle edge, segment) pairs that can interact and
 hold each quantity as a row over those pairs, with the edges of every
 obstacle in one table; the distance matrix is built from the x and y
-columns. Such a rewrite keeps the bytes: every element still goes through
-the same IEEE operations in the same order, only the loop around them
-changes. A `np.where` is kept only where its mapping of -0.0 or NaN
+columns. Rows are gathered by integer `take` (a copy, so no byte moves) and
+written by index, cheaper a call than fancy or boolean indexing, with index
+arrays each graph derives once: its CSR, edge keys and planner indices
+(`Graph._plan`). Such a rewrite keeps the bytes: every element still goes
+through the same IEEE operations in the same order, only the loop around
+them changes. A `np.where` is kept only where its mapping of -0.0 or NaN
 matters; elsewhere `minimum`, `maximum` or a masked write is cheaper.
 """
 
@@ -73,7 +76,7 @@ def clamp_fraction(cur, tgt, centers, radii, owner) -> np.ndarray:
     feasibility tolerance, else ValueError.
     """
     k = len(cur)
-    w = cur[owner] - centers
+    w = cur.take(owner, axis=0) - centers
     ww = w[:, 0] * w[:, 0] + w[:, 1] * w[:, 1]
     if len(ww):
         violation = float((np.sqrt(ww) - radii).max())
@@ -81,7 +84,7 @@ def clamp_fraction(cur, tgt, centers, radii, owner) -> np.ndarray:
             raise ValueError(f"current point violates a constraint disc by {violation:.3g}")
     d = tgt - cur
     a = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]
-    wt = tgt[owner] - centers
+    wt = tgt.take(owner, axis=0) - centers
     rr = radii * radii
     # rows whose target already satisfies every disc, or that do not move, take s = 1
     outside = np.bincount(owner[wt[:, 0] * wt[:, 0] + wt[:, 1] * wt[:, 1] > rr], minlength=k)
@@ -89,8 +92,8 @@ def clamp_fraction(cur, tgt, centers, radii, owner) -> np.ndarray:
     s = np.ones(k)
     if not clamped.any():
         return s
-    de = d[owner]
-    ae = a[owner]
+    de = d.take(owner, axis=0)
+    ae = a.take(owner)
     b = 2.0 * (w[:, 0] * de[:, 0] + w[:, 1] * de[:, 1])
     disc = b * b - 4.0 * ae * (ww - rr)
     # a non-positive discriminant can only happen when the current point sits
@@ -98,8 +101,8 @@ def clamp_fraction(cur, tgt, centers, radii, owner) -> np.ndarray:
     root = np.where(
         disc > 0.0, (-b + np.sqrt(np.maximum(disc, 0.0))) / np.where(ae > 0.0, 2.0 * ae, 1.0), 0.0
     )
-    starts = np.flatnonzero(np.diff(owner, prepend=-1))  # rows with discs, in order
-    smin = np.minimum.reduceat(root, starts)[clamped[owner[starts]]]
+    starts = np.concatenate(([True], owner[1:] != owner[:-1])).nonzero()[0]  # rows with discs, in order
+    smin = np.minimum.reduceat(root, starts)[clamped.take(owner.take(starts))]
     # ties resolved as Python's min(1, max(0, smin)) resolves them
     s[clamped] = _clip01(smin)
     return s
@@ -113,11 +116,13 @@ def clamp_point_xy(cur, tgt, centers, radii, owner) -> np.ndarray:
     s = clamp_fraction(cur, tgt, centers, radii, owner)
     q = tgt.copy()
     rows = s < 1.0
+    if not rows.any():
+        return q
     q[rows] = cur[rows] + s[rows, None] * (tgt[rows] - cur[rows])
     # nudge down against float overshoot so the result is inside every disc
     # not just within tolerance (keeps clamped pairs inside visibility range)
-    for _ in range(4 if rows.any() else 0):
-        w = q[owner] - centers
+    for _ in range(4):
+        w = q.take(owner, axis=0) - centers
         out = np.bincount(owner[np.sqrt(w[:, 0] * w[:, 0] + w[:, 1] * w[:, 1]) > radii], minlength=len(q))
         rows &= out > 0
         if not rows.any():
@@ -272,7 +277,7 @@ def _wall_contacts(ends, obstacles) -> np.ndarray:
         return blocked
     edges, polygon, _, (lo, hi) = _walls(tuple(obstacles))
     far = (np.maximum(ends[:, 0], ends[:, 1])[:, None] < lo) | (np.minimum(ends[:, 0], ends[:, 1])[:, None] > hi)
-    edge, row = (~(far[0] | far[1]))[polygon].nonzero()
+    edge, row = (~(far[0] | far[1])).take(polygon, axis=0).nonzero()
     if not len(row):
         return blocked
     pts = _pairs(ends, edges, edge, row)
@@ -280,7 +285,7 @@ def _wall_contacts(ends, obstacles) -> np.ndarray:
     near = (lo <= ends[:, None, 0]) & (ends[:, None, 0] <= hi)
     near = near[0] & near[1]
     if np.count_nonzero(near):
-        poly = polygon[edge]
+        poly = polygon.take(edge)
         in_box = near[poly, row]
         # the abscissa where each edge that spans a's y crosses that line
         (ax, _, x1, x2), (ay, _, y1, y2) = pts
@@ -304,11 +309,12 @@ def segments_blocked(p, q, obstacles) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def clamp_to_sight(p, q, owner, seg_a, seg_b, obstacles) -> np.ndarray:
+def clamp_to_sight(p, q, owner, ends, obstacles) -> np.ndarray:
     """Shorten each step p -> q as far as needed to keep it on the far side
-    of every obstacle edge from each segment seg_a[r]-seg_b[r] it owns, and
-    from its own point p. The shortened steps are written into q in place,
-    and q is returned.
+    of every obstacle edge from each segment it owns: segment r belongs to
+    the step of owner[r], and `ends` holds its ends [x | y][a | b], r as flat
+    indices into the (n, 2) array p; the planner lists each agent's own point
+    as the segment p-p. q is shortened in place and returned.
 
     Each (segment, obstacle edge) pair takes the line normal to their
     closest-point gap; its offset is the obstacle edge's support along that
@@ -321,16 +327,14 @@ def clamp_to_sight(p, q, owner, seg_a, seg_b, obstacles) -> np.ndarray:
     """
     if not obstacles:
         return q
-    owner = np.concatenate((owner, np.arange(len(p))))
-    # the segments' ends as one (2, 2, m) array: [x | y][seg_a | seg_b], row
-    ends = np.concatenate((seg_a, p, seg_b, p)).T.reshape(2, 2, -1)
+    ends = p.take(ends)
     d = q - p
-    reach = np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1])[owner] + SIGHT_MARGIN
+    reach = np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]).take(owner) + SIGHT_MARGIN
     edges, polygon, (lo, hi), _ = _walls(tuple(obstacles))
     near = ((np.minimum(ends[:, 0], ends[:, 1]) - reach)[:, None] <= hi) & (
         (np.maximum(ends[:, 0], ends[:, 1]) + reach)[:, None] >= lo
     )
-    edge, row = (near[0] & near[1])[polygon].nonzero()
+    edge, row = (near[0] & near[1]).take(polygon, axis=0).nonzero()
     if not len(row):
         return q
     pts = _pairs(ends, edges, edge, row)
@@ -357,7 +361,7 @@ def clamp_to_sight(p, q, owner, seg_a, seg_b, obstacles) -> np.ndarray:
     support = n[0] * x[2:] + n[1] * y[2:]
     c = np.maximum(support[0], support[1]) + SIGHT_MARGIN
     # n . p and n . (p - q) = -(n . d), for the mover of each pair
-    mover = owner[row]
+    mover = owner.take(row)
     along = np.concatenate((p.T, (p - q).T)).take(mover, axis=1).reshape(2, 2, -1) * n
     slack, back = along[0, 0] + along[0, 1] - c, along[1, 0] + along[1, 1]
     bound = np.divide(slack, back, out=np.ones_like(slack), where=back > 0.0)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -84,7 +84,7 @@ class Graph:
         src = np.concatenate((self.edges[:, 1], self.edges[:, 0]))
         dst = np.concatenate((self.edges[:, 0], self.edges[:, 1]))
         order = np.argsort(src, kind="stable")
-        indices, owner = dst[order], src[order]
+        indices, owner = dst.take(order), src.take(order)
         indptr = np.zeros(self.n + 1, dtype=np.intp)
         np.cumsum(np.bincount(src, minlength=self.n), out=indptr[1:])
         indices.setflags(write=False)
@@ -96,6 +96,24 @@ class Graph:
         """Edge keys i * n + j in ascending order, closed by the sentinel n * n,
         which lies above every valid key, so each lookup lands in range."""
         return np.concatenate((self.edges[:, 0] * self.n + self.edges[:, 1], [self.n * self.n]))
+
+    @cached_property
+    def _plan(self) -> tuple[np.ndarray, ...]:
+        """The planner's indices: the agents with neighbours and their (k, 1)
+        degrees, the key owner * n + nbr of each CSR entry, and the sight
+        clamp's segment owners (the CSR owners, then every agent for its own
+        point) with the segments' ends [x | y][a | b] as flat indices into
+        the (n, 2) positions, a the smaller agent."""
+        indptr, nbr, owner = self._csr
+        deg = indptr[1:] - indptr[:-1]
+        has, own = deg.nonzero()[0], np.arange(self.n)
+        a = 2 * np.concatenate((np.minimum(owner, nbr), own))
+        b = 2 * np.concatenate((np.maximum(owner, nbr), own))
+        ends = np.array(((a, b), (a + 1, b + 1)))
+        plan = (has, deg[has, None], owner * self.n + nbr, np.concatenate((owner, own)), ends)
+        for arr in plan:
+            arr.setflags(write=False)
+        return plan
 
     @cached_property
     def _diameter(self) -> int:
@@ -112,13 +130,13 @@ class Graph:
         p = np.asarray(pairs if isinstance(pairs, np.ndarray) else list(pairs), dtype=np.intp).reshape(-1, 2)
         lo, hi = p.min(axis=1), p.max(axis=1)
         key = np.where((lo >= 0) & (lo < hi) & (hi < self.n), lo * self.n + hi, -1)
-        return self._keys[np.searchsorted(self._keys, key)] == key
+        return self._keys.take(np.searchsorted(self._keys, key)) == key
 
     def _holds(self, other: "Graph") -> np.ndarray:
         """`has_edges(other.edges)` for a graph `other` on the same n: its
         keys are already canonical and sorted, so no pair needs normalising."""
         key = other._keys[:-1]
-        return self._keys[np.searchsorted(self._keys, key)] == key
+        return self._keys.take(np.searchsorted(self._keys, key)) == key
 
 
 @dataclass(frozen=True)
@@ -164,13 +182,20 @@ def visibility_graph(positions, vis_range: float, obstacles=(), dist: np.ndarray
     xy = coords(positions)
     if dist is None:
         dist = pairwise_distances(xy)
-    # argwhere lists the pairs row by row; those with i < j, in that order,
-    # are canonical, and the wall mask keeps a subsequence of them
-    e = np.argwhere(dist <= vis_range)
-    e = e[e[:, 0] < e[:, 1]]
+    # the pairs i < j row by row are canonical, and the wall mask keeps a subsequence of them
+    key, pairs = _upper_pairs(len(xy))
+    e = pairs.take((dist.take(key) <= vis_range).nonzero()[0], axis=0)
     if obstacles:
-        e = e[~segments_blocked(xy[e[:, 0]], xy[e[:, 1]], obstacles)]
+        clear = ~segments_blocked(xy.take(e[:, 0], axis=0), xy.take(e[:, 1], axis=0), obstacles)
+        e = e.take(clear.nonzero()[0], axis=0)
     return Graph._built(len(xy), e)
+
+
+@lru_cache(maxsize=1)  # a run asks for one n every round; only `take` reads the tables
+def _upper_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Keys i * n + j into a flat n x n matrix of the pairs i < j, row by row, and the pairs."""
+    i, j = np.triu_indices(n, 1)
+    return i * n + j, np.column_stack((i, j))
 
 
 def effective_graph(
@@ -198,14 +223,16 @@ def effective_graph(
     if dist is None:
         dist = pairwise_distances(xy)
     rows_i, rows_j = graph.edges[:, 0], graph.edges[:, 1]
-    d = dist[rows_i, rows_j]
+    key = graph._keys[:-1]
+    d = dist.take(key)
     # distances along the graph's edges only: a non-neighbour is never closer
     along = np.full((n, n), math.inf)
-    along[rows_i, rows_j] = along[rows_j, rows_i] = d
+    along.put(key, d)
+    along.put(rows_j * n + rows_i, d)
     d = d[:, None]
-    occupied = np.count_nonzero((along[rows_i] < d) & (along[rows_j] < d), axis=1)
+    occupied = np.count_nonzero((along.take(rows_i, axis=0) < d) & (along.take(rows_j, axis=0) < d), axis=1)
     # a subsequence of canonical edges is canonical
-    return Graph._built(n, graph.edges[occupied <= max_lune_occupants])
+    return Graph._built(n, graph.edges.take((occupied <= max_lune_occupants).nonzero()[0], axis=0))
 
 
 def _hops(graph: Graph, sources) -> int:
@@ -242,25 +269,25 @@ def is_connected(graph: Graph) -> bool:
     return graph.n <= 1 or _hops(graph, [0]) >= 0
 
 
-def graph_metrics(graph: Graph, effective: Graph, positions, dist: np.ndarray | None = None) -> GraphMetrics:
+def graph_metrics(graph: Graph, effective: Graph, positions, distances: tuple | None = None) -> GraphMetrics:
     """Summarise one snapshot; `effective` must be a subgraph of `graph`, and
-    `dist` is `pairwise_distances` of the positions, computed when not given.
-    The closest pair is the least of the `nearest_distances`, the farthest
-    the largest entry of `dist`."""
+    `distances` is (dist, nearest), the positions' `pairwise_distances` and
+    their `nearest_distances`, derived when not given. The closest pair is
+    the least of nearest, the farthest the largest entry of dist."""
     if effective.n != graph.n or not graph._holds(effective).all():
         raise ValueError("effective graph must be a subgraph of the visibility graph")
     xy = coords(positions)
     n = graph.n
     if n != len(xy):
         raise ValueError(f"graph has {graph.n} vertices but {len(xy)} positions given")
-    if dist is None:
-        dist = pairwise_distances(xy)
+    dist = pairwise_distances(xy) if distances is None else distances[0]
+    nearest = nearest_distances(dist) if distances is None else distances[1]
     diameter = graph._diameter
     return GraphMetrics(
         edge_count=len(graph.edges),
         effective_edge_count=len(effective.edges),
         connected=diameter >= 0,
         diameter_hops=diameter,
-        min_pair_distance=float(nearest_distances(dist).min(initial=math.inf)),
+        min_pair_distance=float(nearest.min(initial=math.inf)),
         max_pair_distance=float(dist.max(initial=0.0)),
     )

@@ -100,11 +100,12 @@ def _row_sums(rows: np.ndarray, owner: np.ndarray, k: int) -> np.ndarray:
 def _cap_steps(xy: np.ndarray, t: np.ndarray, limit: np.ndarray) -> np.ndarray:
     """Shorten in place every step xy -> t longer than its agent's `limit`
     to that length along its own ray, xy + off * (limit / norm); returns
-    the mask of the shortened steps."""
+    the indices of the shortened steps."""
     off = t - xy
     norm = np.sqrt(off[:, 0] * off[:, 0] + off[:, 1] * off[:, 1])
-    over = norm > limit
-    t[over] = xy[over] + off[over] * (limit[over] / norm[over])[:, None]
+    over = (norm > limit).nonzero()[0]
+    if len(over):
+        t[over] = xy.take(over, axis=0) + off.take(over, axis=0) * (limit.take(over) / norm.take(over))[:, None]
     return over
 
 
@@ -120,20 +121,19 @@ def desired_target(state: "SwarmState", effective: Graph, spec: BehaviorSpec) ->
     n = len(xy)
     raw = xy.copy()
     if spec.kind != "idle":
-        indptr, nbr, owner = effective._csr
+        _, nbr, owner = effective._csr
         if spec.kind == "formation":
-            rel = xy[nbr] - xy[owner]
+            rel = xy.take(nbr, axis=0) - xy.take(owner, axis=0)
             dist = np.sqrt(rel[:, 0] * rel[:, 0] + rel[:, 1] * rel[:, 1])
             ok = dist > 0.0  # a coincident neighbour has no direction to pull along
             scale = spec.spring_gain * (dist - spec.desired_spacing) / np.where(ok, dist, 1.0)
             # a skipped neighbour adds -0.0, which leaves every sum as it was
             pull = np.where(ok[:, None], scale[:, None] * rel, -0.0)
-            pulled = np.bincount(owner[ok], minlength=n) > 0
-            raw[pulled] = xy[pulled] + _row_sums(pull, owner, n)[pulled]
+            pulled = np.bincount(owner[ok], minlength=n).nonzero()[0]
+            raw[pulled] = xy.take(pulled, axis=0) + _row_sums(pull, owner, n).take(pulled, axis=0)
         else:  # gather, and every non-leader in leader_follow
-            deg = indptr[1:] - indptr[:-1]
-            has = deg > 0
-            raw[has] = _row_sums(xy[nbr], owner, n)[has] / deg[has, None]
+            has, deg = effective._plan[:2]
+            raw[has] = _row_sums(xy.take(nbr, axis=0), owner, n).take(has, axis=0) / deg
         if spec.kind == "leader_follow":
             k = state.waypoint_index
             lead = np.arange(n) == spec.leader_index
@@ -142,13 +142,13 @@ def desired_target(state: "SwarmState", effective: Graph, spec: BehaviorSpec) ->
     return raw
 
 
-def separation_cap(dist: np.ndarray, vis_range: float, min_separation: float) -> np.ndarray:
+def separation_cap(nearest: np.ndarray, vis_range: float, min_separation: float) -> np.ndarray:
     """(n,) largest displacement of each agent that cannot break the separation
-    floor, read from `dist`, the `pairwise_distances` of the positions.
+    floor, read from (and not written into) the agents' `nearest_distances`.
 
     Each visible pair may close by at most its slack (d - min_separation),
     and under simultaneous motion both endpoints spend half of it, hence the
-    /2, so the cap reads each agent's `nearest_distances`. Pairs beyond
+    /2, so the cap reads each agent's nearest distance. Pairs beyond
     vis_range are not inspected, so a nearest one beyond it counts as none;
     they stay safe as long as max_step <= (vis_range - min_separation) / 2,
     which the world config enforces. With nothing visible the cap is unbounded (inf); the behaviour
@@ -157,9 +157,7 @@ def separation_cap(dist: np.ndarray, vis_range: float, min_separation: float) ->
     """
     if min_separation < 0.0:
         raise ValueError(f"min_separation must be >= 0, got {min_separation!r}")
-    nearest = nearest_distances(dist)
-    nearest[nearest > vis_range] = math.inf
-    half = 0.5 * (nearest - min_separation)
+    half = 0.5 * (np.where(nearest > vis_range, math.inf, nearest) - min_separation)
     return np.where(half > 0.0, half, 0.0)
 
 
@@ -169,7 +167,7 @@ def apply_motion_law(
     effective: Graph,
     spec: BehaviorSpec,
     world: "WorldConfig",
-    dist: np.ndarray | None = None,
+    distances: tuple | None = None,
 ) -> np.ndarray:
     """Propose the next position of each agent from the current snapshot.
 
@@ -180,14 +178,14 @@ def apply_motion_law(
     planning from the same snapshot stays in the same disc and half-planes,
     so their edge survives both moves; the engine's verify is the backstop.
     Every agent is planned, and `agents` selects the rows returned: an index
-    array gives (k, 2) proposals, one index one (2,) proposal. `dist` is
-    `pairwise_distances` of the positions, built here once when not given.
+    array gives (k, 2) proposals, one index one (2,) proposal. `distances` is
+    (dist, nearest), as `graph_metrics` takes it, derived here when not given.
     """
     xy = state.positions
-    if dist is None:
-        dist = pairwise_distances(xy)
+    dist = pairwise_distances(xy) if distances is None else distances[0]
     _, nbr, owner = effective._csr
-    length = dist[owner, nbr]
+    _, _, key, mover, ends = effective._plan
+    length = dist.take(key)
     far = length > world.vis_range + FEASIBILITY_TOL
     if far.any():
         row = owner[np.argmax(far)]
@@ -197,16 +195,17 @@ def apply_motion_law(
         )
     t = desired_target(state, effective, spec)
     if world.min_separation > 0.0:
-        cap = separation_cap(dist, world.vis_range, world.min_separation)
-        held = _cap_steps(xy, t, cap) & (cap <= 0.0)  # a zero cap holds its agent exactly
-        t[held] = xy[held]
+        nearest = nearest_distances(dist) if distances is None else distances[1]
+        cap = separation_cap(nearest, world.vis_range, world.min_separation)
+        over = _cap_steps(xy, t, cap)
+        held = over[cap.take(over) <= 0.0]  # a zero cap holds its agent exactly
+        t[held] = xy.take(held, axis=0)
     # allowable disc of a pair: radius V/2 at its midpoint; any two points
     # inside it are at most V apart, so a pair that moves into its shared
     # disc keeps its visibility edge
-    centers = 0.5 * (xy[nbr] + xy[owner])
+    centers = 0.5 * (xy.take(nbr, axis=0) + xy.take(owner, axis=0))
     q = clamp_point_xy(xy, t, centers, 0.5 * world.vis_range, owner)
     if world.obstacles:
         # each edge from its index-ordered pair, so both ends share its half-planes
-        seg_a, seg_b = xy[np.minimum(owner, nbr)], xy[np.maximum(owner, nbr)]
-        q = clamp_to_sight(xy, q, owner, seg_a, seg_b, world.obstacles)
+        q = clamp_to_sight(xy, q, mover, ends, world.obstacles)
     return q[agents]

@@ -193,6 +193,36 @@ def edge_set(graph):
     return {(i, j) for i, j in graph.edges.tolist()}
 
 
+def naive_sighted_edges(points, vis_range, obstacles):
+    """The pairs within vis_range that no obstacle blocks, by the scalar
+    predicate: the visibility edges, walls included."""
+    return {
+        (i, j)
+        for i, j in naive_visibility_edges(points, vis_range)
+        if not any(scalar_blocks(poly, *points[i], *points[j]) for poly in obstacles)
+    }
+
+
+def naive_trimmed_edges(points, edges, max_lune_occupants=0):
+    """The pairs of `edges` whose lens holds at most max_lune_occupants
+    agents that are neighbours of both ends in `edges`; a zero-length edge
+    has no lens and is kept. Without walls this is `naive_effective_edges`."""
+    kept = set()
+    for i, j in edges:
+        d = dist(points[i], points[j])
+        occupants = [
+            k
+            for k in range(len(points))
+            if (min(i, k), max(i, k)) in edges
+            and (min(j, k), max(j, k)) in edges
+            and dist(points[k], points[i]) < d
+            and dist(points[k], points[j]) < d
+        ]
+        if d == 0.0 or len(occupants) <= max_lune_occupants:
+            kept.add((i, j))
+    return kept
+
+
 def reference_pairwise_distances(xy):
     """The distance matrix as an (n, n, 2) block of coordinate differences,
     squared and summed over its last axis: a sum of two terms, so the same

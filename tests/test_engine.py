@@ -1,6 +1,9 @@
+import contextlib
 import hashlib
 import logging
 import math
+import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -9,7 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from rngswarm import engine
+from rngswarm import engine, geom
 from rngswarm.engine import (
     ConnectivityError,
     InitSpec,
@@ -24,7 +27,14 @@ from rngswarm.engine import (
     step,
 )
 from rngswarm.geom import Polygon, segments_blocked
-from rngswarm.graphs import Graph, effective_graph, is_connected, pairwise_distances, visibility_graph
+from rngswarm.graphs import (
+    Graph,
+    effective_graph,
+    is_connected,
+    nearest_distances,
+    pairwise_distances,
+    visibility_graph,
+)
 from rngswarm.motion import BehaviorSpec, apply_motion_law, separation_cap
 from rngswarm.properties import sample_connected_positions
 from rngswarm.scenario import load_scenario
@@ -419,7 +429,8 @@ class TestFoldedVerify:
         # the returned geometry is that of the committed positions
         np.testing.assert_array_equal(props[reverted], state.positions[reverted])
         g = visibility_graph(props, world.vis_range, world.obstacles)
-        assert geo.dist.tobytes() == pairwise_distances(props).tobytes()
+        dist = pairwise_distances(props)
+        assert [a.tobytes() for a in geo.distances] == [dist.tobytes(), nearest_distances(dist).tobytes()]
         assert geo.g.edges.tobytes() == g.edges.tobytes()
         assert geo.eff.edges.tobytes() == effective_graph(g, props, world.rng_plus).edges.tobytes()
 
@@ -443,20 +454,25 @@ class TestFoldedVerify:
         assert report.reverted_agents == len(want)
         # the geometry handed to the next round is that of the committed state
         fresh = _geometry(new_state.positions, world)
-        assert geo.dist.tobytes() == fresh.dist.tobytes()
+        assert [a.tobytes() for a in geo.distances] == [a.tobytes() for a in fresh.distances]
         assert geo.g.edges.tobytes() == fresh.g.edges.tobytes()
         assert geo.eff.edges.tobytes() == fresh.eff.edges.tobytes()
 
 
 def assert_fresh(geo, positions, world):
     """`geo` equals a fresh `_geometry` of `positions` in its distances and in
-    every value derived from each graph's edges, byte for byte."""
+    every value derived from each graph's edges (its CSR, edge keys, planner
+    indices and hop diameter), byte for byte and dtype for dtype."""
     fresh = _geometry(positions, world)
-    assert geo.dist.tobytes() == fresh.dist.tobytes()
+    assert [a.tobytes() for a in geo.distances] == [a.tobytes() for a in fresh.distances]
+    assert not geo.distances[1].flags.writeable
     for got, want in ((geo.g, fresh.g), (geo.eff, fresh.eff)):
         assert got.n == want.n
         assert got.edges.tobytes() == want.edges.tobytes()
-        assert [a.tobytes() for a in got._csr] == [a.tobytes() for a in want._csr]
+        for cached in ("_csr", "_plan"):
+            mine, theirs = getattr(got, cached), getattr(want, cached)
+            assert [(a.dtype, a.shape) for a in mine] == [(a.dtype, a.shape) for a in theirs]
+            assert [a.tobytes() for a in mine] == [a.tobytes() for a in theirs]
         assert got._keys.tobytes() == want._keys.tobytes()
         assert got._diameter == want._diameter
 
@@ -663,7 +679,8 @@ class TestRun:
             caplog.records[0].getMessage()
         )
         # the cap holds both agents of the pair still when they plan from there
-        caps = separation_cap(pairwise_distances(states[1].positions), w.vis_range, w.min_separation)
+        nearest = nearest_distances(pairwise_distances(states[1].positions))
+        caps = separation_cap(nearest, w.vis_range, w.min_separation)
         assert caps[:2].tolist() == [0.0, 0.0]
 
     def test_one_ulp_below_the_floor_logs_nothing(self, caplog):
@@ -689,3 +706,123 @@ class TestRun:
         reports = run(w)
         assert all(r.metrics.connected for r in reports)
         assert all(r.metrics.min_pair_distance >= 0.1 - 1e-9 for r in reports)
+
+
+def scaled(world, f):
+    """`world` with every length times f: the start, V, the separation
+    floor, the behaviour's step, spacing, waypoints and tolerance, and the
+    walls. For f a power of two every product is exact."""
+    spec = world.behavior
+    behavior = replace(
+        spec,
+        max_step=spec.max_step * f,
+        desired_spacing=spec.desired_spacing * f,
+        waypoints=tuple((x * f, y * f) for x, y in spec.waypoints),
+        waypoint_tolerance=spec.waypoint_tolerance * f,
+    )
+    if world.init.positions is not None:
+        init = InitSpec(positions=tuple((x * f, y * f) for x, y in world.init.positions))
+    else:
+        init = InitSpec(box=tuple(v * f for v in world.init.box))
+    return replace(
+        world,
+        vis_range=world.vis_range * f,
+        min_separation=world.min_separation * f,
+        behavior=behavior,
+        init=init,
+        obstacles=tuple(Polygon(tuple((x * f, y * f) for x, y in p.vertices)) for p in world.obstacles),
+    )
+
+
+def walled_batch_world():
+    """World 1 of the acceptance batch: 16 agents in formation, one
+    lens occupant allowed, a separation floor and a wall in the box."""
+    side = max(1.2, 0.55 * math.sqrt(16))
+    x0, y0 = 0.55 * side, 0.4 * side
+    wall = Polygon(((x0, y0), (x0 + 0.12, y0), (x0 + 0.12, y0 + 0.12), (x0, y0 + 0.12)))
+    return make_world(
+        n=16,
+        behavior=BehaviorSpec.for_range("formation", 1.0),
+        init=InitSpec(box=(0.0, 0.0, side, side)),
+        rng_plus=1,
+        obstacles=(wall,),
+        seed=1001,
+        max_rounds=200,
+    )
+
+
+class TestScaleInvariance:
+    """Scaling every length of a world by a power of two scales its run
+    exactly: each position and each pair distance of the first 200 rounds
+    is 2^k times the unscaled run's, and every count is the same. So no
+    rewrite of the round may reorder its arithmetic, or add an absolute
+    length that the lengths of a world do not set.
+
+    The walls still hold two: the sight clamp's clearance `SIGHT_MARGIN`
+    and the contact tolerance `_EPS` (a cross product, so an area). Scaled
+    with the world, they keep a walled world exact too."""
+
+    @staticmethod
+    def _run(world):
+        states = []
+        world = replace(world, max_rounds=min(world.max_rounds, 200))
+        reports = run(world, lambda state, _: states.append(state.positions))
+        return np.array(states), reports
+
+    def _assert_scales(self, world, f, scaled_context=contextlib.nullcontext):
+        base, base_reports = self._run(world)
+        with scaled_context():
+            got, reports = self._run(scaled(world, f))
+        assert got.shape == base.shape
+        assert got.tobytes() == (base * f).tobytes()
+        for xy, want in zip(got, base):
+            assert pairwise_distances(xy).tobytes() == (pairwise_distances(want) * f).tobytes()
+        counts = ("edge_count", "effective_edge_count", "diameter_hops")
+        for r, b in zip(reports, base_reports, strict=True):
+            assert r.metrics.min_pair_distance == b.metrics.min_pair_distance * f
+            assert r.metrics.max_pair_distance == b.metrics.max_pair_distance * f
+            assert [getattr(r.metrics, c) for c in counts] == [getattr(b.metrics, c) for c in counts]
+            assert r.reverted_agents == b.reverted_agents
+
+    @pytest.mark.parametrize("f", [2.0**10, 2.0**-10])
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "adhoc_network",
+            "formation",
+            "leader_line",
+            "narrow_passage",
+            # the wall's sight clamp binds agent 1 in round 1, where the
+            # absolute SIGHT_MARGIN moves it by 1e-6 in world units
+            pytest.param("walled batch", marks=pytest.mark.xfail(strict=True, reason="absolute wall margins")),
+        ],
+    )
+    def test_positions_and_pair_distances_scale_exactly(self, name, f):
+        world = walled_batch_world() if name == "walled batch" else load_scenario(SCENARIO_DIR / f"{name}.yaml")
+        self._assert_scales(world, f)
+
+    @pytest.mark.parametrize("f", [2.0**10, 2.0**-10])
+    def test_a_walled_world_scales_exactly_with_its_margins(self, f):
+        def margins():
+            return mock.patch.multiple(geom, SIGHT_MARGIN=geom.SIGHT_MARGIN * f, _EPS=geom._EPS * f * f)
+
+        self._assert_scales(walled_batch_world(), f, margins)
+
+
+def test_a_large_lattice_step_stays_within_ten_distance_matrices():
+    # the trim compares E x n rows of edge lengths; folding its two compares
+    # into np.maximum(a, b) < d is exact but allocates a third E x n float
+    # array, which lifts this peak far above ten n x n float64 matrices
+    k = 32
+    rng = np.random.default_rng(7)
+    grid = 0.6 * np.array([(i, j) for i in range(k) for j in range(k)], dtype=float)
+    xy = grid + rng.uniform(-0.05, 0.05, size=grid.shape)
+    world = make_world([tuple(p) for p in xy], min_separation=0.1, max_rounds=1)
+    state = initial_state(world)
+    tracemalloc.start()
+    try:
+        step(state, world)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * world.n * world.n * 8, f"peak {peak / 1e6:.1f} MB"

@@ -409,9 +409,10 @@ def _grid_positions(max_n):
 
 
 class TestSharedDistances:
-    """Every layer that takes the distance matrix as `dist=` gives the same
-    bytes with it as without it; the nearest distances and the separation
-    cap take the matrix itself."""
+    """Every layer that takes the distance matrix as `dist=`, or the matrix
+    and its nearest distances as `distances=`, gives the same bytes with
+    them as without; the separation cap reads the nearest distances and
+    leaves them as they are."""
 
     @staticmethod
     def _assert_same_bytes(xy):
@@ -423,7 +424,9 @@ class TestSharedDistances:
             want = effective_graph(g, xy, limit)
             assert effective_graph(g, xy, limit, dist=dist).edges.tobytes() == want.edges.tobytes()
         eff = effective_graph(g, xy, 0)
-        with_dist, without = graph_metrics(g, eff, xy, dist=dist), graph_metrics(g, eff, xy)
+        nearest = nearest_distances(dist)
+        nearest.setflags(write=False)  # as the engine shares it; the cap must not write into it
+        with_dist, without = graph_metrics(g, eff, xy, distances=(dist, nearest)), graph_metrics(g, eff, xy)
         for field in ("min_pair_distance", "max_pair_distance"):
             got, want = getattr(with_dist, field), getattr(without, field)
             assert np.float64(got).tobytes() == np.float64(want).tobytes()
@@ -433,12 +436,10 @@ class TestSharedDistances:
         pairs = dist[iu, ju]
         want = np.float64((pairs.min(initial=math.inf), pairs.max(initial=0.0)))
         assert np.float64((without.min_pair_distance, without.max_pair_distance)).tobytes() == want.tobytes()
-        # the nearest distances and the separation cap read the matrix itself
-        nearest = nearest_distances(dist)
         assert nearest.tobytes() == naive_nearest_distances(dist).tobytes()
         assert np.float64(without.min_pair_distance).tobytes() == nearest.min(initial=math.inf).tobytes()
         for sep in (0.0, 0.1):
-            rows = separation_cap(dist, 1.0, sep)
+            rows = separation_cap(nearest, 1.0, sep)
             assert rows.shape == (n,)
             for i in range(n):
                 want = np.float64(reference_separation_cap(i, xy, 1.0, sep))

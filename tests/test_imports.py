@@ -1,7 +1,7 @@
 """Every name a package module imports is used in that module, every
 private function the package defines is used by the package, a state's
-geometry is built in one place, so is a graph's hop diameter, and every
-builder of the distance matrix is named.
+geometry is built in one place, so are a graph's hop diameter and its
+planner indices, and every builder of the distance matrix is named.
 
 AST scans, since no linter is a dependency. `__init__.py` is exempt from the
 import scan: its imports are the package's re-exports.
@@ -213,3 +213,69 @@ def test_matrix_scanner_finds_stray_calls():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_every_builder_of_the_matrix_is_named(path):
     assert stray_calls(path.read_text(), MATRIX_BUILDERS, MATRIX_OWNERS) == []
+
+
+# a graph's planner indices are derived by its cached `Graph._plan`: the
+# degrees (indptr[1:] - indptr[:-1]), the edge-length key (owner * n + nbr)
+# and the index-ordered ends of each edge (np.minimum / np.maximum of owner
+# and nbr); everything else reads them from there
+PLAN_OWNERS = {"_plan"}
+
+
+def _names(*nodes) -> set[str]:
+    return {n.id for node in nodes for n in ast.walk(node) if isinstance(n, ast.Name)}
+
+
+def _plan_derivation(node) -> str | None:
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub):
+        if all(isinstance(s, ast.Subscript) and _names(s.value) == {"indptr"} for s in (node.left, node.right)):
+            return "degree"
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult) and "owner" in _names(node.left):
+        return "edge key"
+    if isinstance(node, ast.Call):
+        name = node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None)
+        if name in {"minimum", "maximum"} and {"owner", "nbr"} <= _names(*node.args):
+            return "edge ends"
+    return None
+
+
+def plan_derivations(source: str, owners) -> list[tuple[str, str]]:
+    """(innermost enclosing function, what) for each derivation of a planner
+    index outside `owners`; module-level ones name "<module>"."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            what = _plan_derivation(child)
+            if what is not None and owner not in owners:
+                found.append((owner, what))
+            inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if inner else owner)
+
+    visit(ast.parse(source), "<module>")
+    return sorted(found)
+
+
+def test_plan_scanner_finds_stray_derivations():
+    source = (
+        "class Graph:\n    @cached_property\n    def _plan(self):\n"
+        "        indptr, nbr, owner = self._csr\n"
+        "        return indptr[1:] - indptr[:-1], owner * self.n + nbr, np.minimum(owner, nbr)\n"
+        "def plan(eff, xy, dist):\n    indptr, nbr, owner = eff._csr\n"
+        "    deg = indptr[1:] - indptr[:-1]\n    length = dist[owner, nbr]\n"
+        "    def ends():\n        return xy[np.maximum(nbr, owner)]\n"
+        "    return dist.take(owner * len(xy) + nbr)\n"
+        "hops = (indptr[1:] == indptr[:-1]).any()\n"
+        "key = owner * n + nbr\n"
+    )
+    assert plan_derivations(source, PLAN_OWNERS) == [
+        ("<module>", "edge key"),
+        ("ends", "edge ends"),
+        ("plan", "degree"),
+        ("plan", "edge key"),
+    ]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_the_planner_indices_are_derived_in_one_place(path):
+    assert plan_derivations(path.read_text(), PLAN_OWNERS) == []

@@ -12,12 +12,15 @@ from hypothesis import strategies as st
 import rngswarm.motion
 from rngswarm.engine import InitSpec, SwarmState, WorldConfig, _advance_waypoints, run
 from rngswarm.geom import SIGHT_MARGIN, Polygon
-from rngswarm.graphs import Graph, effective_graph, pairwise_distances, visibility_graph
+from rngswarm.graphs import Graph, effective_graph, nearest_distances, pairwise_distances, visibility_graph
 from rngswarm.motion import BehaviorSpec, _row_sums, apply_motion_law, desired_target, separation_cap
 from rngswarm.properties import sample_connected_positions
 
 from helpers import (
     dist,
+    edge_set,
+    naive_sighted_edges,
+    naive_trimmed_edges,
     pillar_snapshots,
     reference_motion_law,
     reference_row_sums,
@@ -307,7 +310,8 @@ class TestDesiredTarget:
 
 
 def cap_of(xy, vis_range, min_separation):
-    return separation_cap(pairwise_distances(np.asarray(xy, dtype=float)), vis_range, min_separation)
+    nearest = nearest_distances(pairwise_distances(np.asarray(xy, dtype=float)))
+    return separation_cap(nearest, vis_range, min_separation)
 
 
 class TestSeparationCap:
@@ -421,7 +425,7 @@ class TestApplyMotionLaw:
             eff = effective_graph(g, xy, rng_plus)
             state = make_state(xy)
             proposals = apply_motion_law(np.arange(n), state, eff, spec, world)
-            caps = separation_cap(pairwise_distances(xy), 1.0, 0.1)
+            caps = separation_cap(nearest_distances(pairwise_distances(xy)), 1.0, 0.1)
             for i, q in enumerate(proposals):
                 step = math.sqrt((q[0] - xy[i, 0]) ** 2 + (q[1] - xy[i, 1]) ** 2)
                 assert step <= spec.max_step + 1e-9
@@ -513,6 +517,54 @@ class TestSightByConstruction:
             assert not any(scalar_blocks(poly, *a, *b) for poly in world.obstacles)
 
 
+# the smallest snapshots, and degenerate ones
+SMALL_SNAPSHOTS = {
+    "no agent": [],
+    "one agent": [(0.0, 0.0)],
+    "a pair": [(0.0, 0.0), (0.6, 0.0)],
+    "a pair out of range": [(0.0, 0.0), (1.5, 0.0)],
+    "an isolated agent": [(0.0, 0.0), (0.5, 0.05), (3.0, 0.0)],
+    "a coincident pair": [(0.0, 0.0), (0.4, 0.0), (0.4, 0.0), (0.2, 0.45)],
+}
+# a wall between the first two agents of each snapshot, and one beside them
+SMALL_WALLS = (
+    Polygon(((0.15, -0.05), (0.25, -0.05), (0.25, 0.05), (0.15, 0.05))),
+    Polygon(((0.0, -0.3), (0.6, -0.3), (0.6, -0.2), (0.0, -0.2))),
+)
+
+
+class TestSmallAndDegenerateSnapshots:
+    """The visibility graph, the trim and the planner at n = 0, 1 and 2,
+    with an isolated agent, a coincident pair and an empty effective graph,
+    with and without walls, against the scalar oracles."""
+
+    @pytest.mark.parametrize("walls", [(), SMALL_WALLS], ids=["open", "walled"])
+    @pytest.mark.parametrize("name", list(SMALL_SNAPSHOTS))
+    def test_graphs_and_plans_match_the_oracles(self, name, walls):
+        pts = SMALL_SNAPSHOTS[name]
+        xy = np.asarray(pts, dtype=float).reshape(-1, 2)
+        g = visibility_graph(xy, 1.0, walls)
+        assert edge_set(g) == naive_sighted_edges(pts, 1.0, walls)
+        for limit in (0, 1):
+            assert edge_set(effective_graph(g, xy, limit)) == naive_trimmed_edges(pts, edge_set(g), limit)
+        state = make_state(xy)
+        # the trimmed graph, and an empty effective graph
+        for eff in (effective_graph(g, xy, 0), Graph(len(xy))):
+            for kind in ("gather", "formation", "leader_follow"):
+                spec = BehaviorSpec.for_range(kind, 1.0, waypoints=((0.3, 0.6),))
+                world = WorldConfig(
+                    n=max(len(xy), 1),
+                    vis_range=1.0,
+                    behavior=spec,
+                    init=InitSpec(box=(-1.0, -1.0, 1.0, 1.0)),  # the snapshot is given, not sampled
+                    min_separation=0.1,
+                    obstacles=walls,
+                )
+                got = apply_motion_law(np.arange(len(xy)), state, eff, spec, world)
+                want = [reference_motion_law(i, state, eff, spec, world) for i in range(len(xy))]
+                assert got.tobytes() == np.array(want).reshape(-1, 2).tobytes()
+
+
 class TestArrayKernel:
     """The all-agent kernel is the per-agent law of `helpers`, byte for byte."""
 
@@ -551,7 +603,9 @@ class TestArrayKernel:
         with mock.patch.object(rngswarm.motion, "pairwise_distances", wraps=pairwise_distances) as built:
             got = apply_motion_law(agents, state, eff, world.behavior, world)
         assert built.call_count == 1
-        want = apply_motion_law(agents, state, eff, world.behavior, world, dist=pairwise_distances(state.positions))
+        dist = pairwise_distances(state.positions)
+        distances = (dist, nearest_distances(dist))
+        want = apply_motion_law(agents, state, eff, world.behavior, world, distances=distances)
         assert got.tobytes() == want.tobytes()
 
     @settings(max_examples=200)
@@ -611,5 +665,5 @@ class TestArrayKernel:
     def test_separation_cap_rows_match_scalar_calls(self, rng):
         for _ in range(20):
             xy = rng.uniform(0.0, 1.5, size=(9, 2))
-            caps = separation_cap(pairwise_distances(xy), 1.0, 0.0)
+            caps = separation_cap(nearest_distances(pairwise_distances(xy)), 1.0, 0.0)
             assert caps.tolist() == [reference_separation_cap(i, xy, 1.0, 0.0) for i in range(9)]
