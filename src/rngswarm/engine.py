@@ -30,7 +30,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .geom import Polygon, segments_blocked
+from .geom import FEASIBILITY_TOL, Polygon, segments_blocked
 from .graphs import (
     Graph,
     GraphMetrics,
@@ -338,7 +338,7 @@ def run(
         reports.append(report)
         dmin = report.metrics.min_pair_distance
         coincident += dmin == 0.0
-        if dmin < world.min_separation - 1e-9:  # a pair packed to the floor may sit an ulp below it
+        if dmin < world.min_separation - FEASIBILITY_TOL:  # a pair packed to the floor may sit an ulp below it
             below, closest = below + 1, min(closest, dmin)
         if observer is not None:
             observer(state, report)

@@ -1,8 +1,9 @@
 """Randomised property suites behind the `check` subcommand.
 
 Each suite draws its own generator from the given seed, so a (cases, seed)
-pair is fully reproducible. The acceptance tests reuse these helpers with
-larger case counts.
+pair is fully reproducible. The three trim suites share one draw loop,
+`_trim_draws`. The acceptance tests reuse these helpers with larger case
+counts.
 """
 
 from __future__ import annotations
@@ -13,12 +14,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import InitSpec, SwarmState, WorldConfig, _sample_start, step
-from .geom import clamp_fraction, clamp_point_xy
+from .geom import FEASIBILITY_TOL, clamp_fraction, clamp_point_xy
 from .graphs import effective_graph, is_connected, nearest_distances, pairwise_distances, visibility_graph
 from .motion import BEHAVIOR_KINDS, BehaviorSpec
 
 CLAMP_ORACLE_TOL = 1e-7
-SEPARATION_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -41,29 +41,27 @@ def sample_connected_positions(rng: np.random.Generator, n: int, min_sep: float 
     return _sample_start(rng, (0.0, 0.0, side, side), n, 1.0, min_sep, ())
 
 
+def _trim_draws(cases: int, seed: int, high: int):
+    """The trim suites' cases: n uniform in [3, high), connected positions
+    and their unit-range visibility graph, from one generator per suite."""
+    rng = np.random.default_rng(seed)
+    for _ in range(cases):
+        n = int(rng.integers(3, high))
+        xy = sample_connected_positions(rng, n)
+        yield n, xy, visibility_graph(xy, 1.0)
+
+
 def check_connectivity_preservation(cases: int, seed: int) -> SuiteResult:
     """Trimming a connected visibility graph never disconnects it."""
-    rng = np.random.default_rng(seed)
-    failures = 0
-    for _ in range(cases):
-        n = int(rng.integers(3, 61))
-        xy = sample_connected_positions(rng, n)
-        g = visibility_graph(xy, 1.0)
-        eff = effective_graph(g, xy, 0)
-        if not is_connected(eff):
-            failures += 1
+    failures = sum(not is_connected(effective_graph(g, xy, 0)) for _, xy, g in _trim_draws(cases, seed, 61))
     return SuiteResult("connectivity-preservation", cases, failures)
 
 
 def check_edge_bound(cases: int, seed: int) -> SuiteResult:
     """The trimmed graph is a subgraph with at most 3n - 6 edges (n >= 3)."""
-    rng = np.random.default_rng(seed)
     failures = 0
     detail = ""
-    for _ in range(cases):
-        n = int(rng.integers(3, 61))
-        xy = sample_connected_positions(rng, n)
-        g = visibility_graph(xy, 1.0)
+    for n, xy, g in _trim_draws(cases, seed, 61):
         eff = effective_graph(g, xy, 0)
         if not g.has_edges(eff.edges).all() or len(eff.edges) > 3 * n - 6:
             failures += 1
@@ -73,12 +71,8 @@ def check_edge_bound(cases: int, seed: int) -> SuiteResult:
 
 def check_plus_nesting(cases: int, seed: int) -> SuiteResult:
     """Raising the lens occupancy limit only ever adds edges."""
-    rng = np.random.default_rng(seed)
     failures = 0
-    for _ in range(cases):
-        n = int(rng.integers(3, 41))
-        xy = sample_connected_positions(rng, n)
-        g = visibility_graph(xy, 1.0)
+    for _, xy, g in _trim_draws(cases, seed, 41):
         levels = [effective_graph(g, xy, m) for m in (0, 1, 2)] + [g]
         if not all(outer.has_edges(inner.edges).all() for inner, outer in zip(levels, levels[1:])):
             failures += 1
@@ -112,7 +106,7 @@ def check_separation_floor(cases: int, seed: int) -> SuiteResult:
         )
         new_state, _ = step(SwarmState(round=0, positions=xy), world)
         dmin = float(nearest_distances(pairwise_distances(new_state.positions)).min(initial=math.inf))
-        if dmin < sep - SEPARATION_TOL:
+        if dmin < sep - FEASIBILITY_TOL:
             failures += 1
             detail = f"case {case}: min pair {dmin}"
     return SuiteResult("separation-floor", cases, failures, detail)
@@ -177,7 +171,7 @@ def check_clamp_oracle(cases: int, seed: int) -> SuiteResult:
     s, q = clamp_fraction(*rows), clamp_point_xy(*rows)
     _, _, centers, radii, owner = rows
     w = q[owner] - centers
-    outside = np.bincount(owner[np.sqrt((w * w).sum(axis=1)) > radii + 1e-9], minlength=cases)
+    outside = np.bincount(owner[np.sqrt((w * w).sum(axis=1)) > radii + FEASIBILITY_TOL], minlength=cases)
     failures = 0
     detail = ""
     for case, instance in enumerate(instances):

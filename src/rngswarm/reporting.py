@@ -81,30 +81,21 @@ def write_svg_frame(state: SwarmState, world: WorldConfig, path) -> None:
             f'<path d="M {x - c:.2f} {y:.2f} H {x + c:.2f} M {x:.2f} {y - c:.2f} V {y + c:.2f}" '
             f'stroke="#b8860b" stroke-width="{thin:.2f}" fill="none"/>'
         )
-    for i, j in g.edges[~effective.has_edges(g.edges)].tolist():  # the trimmed edges
-        parts.append(
-            f'<line x1="{sx(xy[i, 0]):.2f}" y1="{sy(xy[i, 1]):.2f}" '
-            f'x2="{sx(xy[j, 0]):.2f}" y2="{sy(xy[j, 1]):.2f}" '
-            f'stroke="#c5c9ce" stroke-width="{thin:.2f}" stroke-dasharray="{3 * thin:.2f} {3 * thin:.2f}"/>'
-        )
-    for i, j in effective.edges.tolist():
-        parts.append(
-            f'<line x1="{sx(xy[i, 0]):.2f}" y1="{sy(xy[i, 1]):.2f}" '
-            f'x2="{sx(xy[j, 0]):.2f}" y2="{sy(xy[j, 1]):.2f}" '
-            f'stroke="#1f4e8c" stroke-width="{thick:.2f}"/>'
-        )
+    dashed = f'stroke="#c5c9ce" stroke-width="{thin:.2f}" stroke-dasharray="{3 * thin:.2f} {3 * thin:.2f}"'
+    solid = f'stroke="#1f4e8c" stroke-width="{thick:.2f}"'
+    for edges, style in ((g.edges[~effective.has_edges(g.edges)], dashed), (effective.edges, solid)):
+        for i, j in edges.tolist():
+            parts.append(
+                f'<line x1="{sx(xy[i, 0]):.2f}" y1="{sy(xy[i, 1]):.2f}" '
+                f'x2="{sx(xy[j, 0]):.2f}" y2="{sy(xy[j, 1]):.2f}" {style}/>'
+            )
     leader = world.behavior.leader_index if world.behavior.kind == "leader_follow" else None
     for i in range(len(xy)):
-        if i == leader:
-            parts.append(
-                f'<circle cx="{sx(xy[i, 0]):.2f}" cy="{sy(xy[i, 1]):.2f}" r="{1.5 * r_agent:.2f}" '
-                f'fill="#c0392b" stroke="#7d2418" stroke-width="{thin:.2f}"/>'
-            )
-        else:
-            parts.append(
-                f'<circle cx="{sx(xy[i, 0]):.2f}" cy="{sy(xy[i, 1]):.2f}" r="{r_agent:.2f}" '
-                f'fill="#e8913a" stroke="#8c5419" stroke-width="{thin:.2f}"/>'
-            )
+        r, fill, stroke = (1.5 * r_agent, "#c0392b", "#7d2418") if i == leader else (r_agent, "#e8913a", "#8c5419")
+        parts.append(
+            f'<circle cx="{sx(xy[i, 0]):.2f}" cy="{sy(xy[i, 1]):.2f}" r="{r:.2f}" '
+            f'fill="{fill}" stroke="{stroke}" stroke-width="{thin:.2f}"/>'
+        )
     parts.append(
         f'<text x="{0.02 * width:.2f}" y="{0.05 * height:.2f}" font-family="monospace" '
         f'font-size="{max(10.0, 0.025 * width):.1f}" fill="#444">round {state.round}</text>'

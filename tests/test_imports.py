@@ -1,7 +1,9 @@
 """Every name a package module imports is used in that module, every
 private function the package defines is used by the package, a state's
 geometry is built in one place, so are a graph's hop diameter and its
-planner indices, and every builder of the distance matrix is named.
+planner indices, every builder of the distance matrix is named, and
+nothing imports scipy or sorts unstably, directly or through `np.unique` or
+`np.isin`.
 
 AST scans, since no linter is a dependency. `__init__.py` is exempt from the
 import scan: its imports are the package's re-exports.
@@ -279,3 +281,48 @@ def test_plan_scanner_finds_stray_derivations():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_the_planner_indices_are_derived_in_one_place(path):
     assert plan_derivations(path.read_text(), PLAN_OWNERS) == []
+
+
+# numpy's default sort pages in about 0.5 MB of code on first use, and
+# importing scipy adds about 33 MB, against the 10 % bound on the benchmark's
+# peak RSS: the package sorts stably only, and counts with `bincount` where
+# `np.unique` or `np.isin` would sort
+def peak_rss_breaks(source: str) -> list[tuple[int, str]]:
+    """(line, what) for each scipy import, each `np.unique` or `np.isin`, and
+    each `sort` or `argsort` call without kind="stable"."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, a.name) for a in node.names if a.name.split(".")[0] == "scipy"]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "scipy":
+            found.append((node.lineno, node.module))
+        elif isinstance(node, ast.Attribute) and node.attr in {"unique", "isin"}:
+            found.append((node.lineno, node.attr))
+        elif isinstance(node, ast.Call):
+            name = node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None)
+            stable = any(k.arg == "kind" and getattr(k.value, "value", None) == "stable" for k in node.keywords)
+            if name in {"sort", "argsort"} and not stable:
+                found.append((node.lineno, f"unstable {name}"))
+    return sorted(found)
+
+
+def test_peak_rss_scanner_finds_every_break():
+    source = (
+        "import numpy as np\nimport scipy.spatial\nfrom scipy import sparse\n"
+        "a = np.unique(x)\nb = np.isin(x, y)\n"
+        "c = np.argsort(x, kind='stable')\nd = np.argsort(x)\ne = x.sort(kind='quicksort')\n"
+        "f = sorted(x)\ng = np.sort(x, kind='stable')\n"
+    )
+    assert peak_rss_breaks(source) == [
+        (2, "scipy.spatial"),
+        (3, "scipy"),
+        (4, "unique"),
+        (5, "isin"),
+        (7, "unstable argsort"),
+        (8, "unstable sort"),
+    ]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_import_or_call_that_raises_peak_rss(path):
+    assert peak_rss_breaks(path.read_text()) == []
