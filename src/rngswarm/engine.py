@@ -30,7 +30,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .geom import FEASIBILITY_TOL, Polygon, segments_blocked
+from .geom import FEASIBILITY_TOL, Polygon, _number, _points, segments_blocked
 from .graphs import (
     Graph,
     GraphMetrics,
@@ -65,15 +65,13 @@ class InitSpec:
         if (self.positions is None) == (self.box is None):
             raise ValueError("init must give exactly one of positions or box")
         if self.positions is not None:
-            pts = tuple((float(x), float(y)) for x, y in self.positions)
-            for x, y in pts:
-                if not (math.isfinite(x) and math.isfinite(y)):
-                    raise ValueError(f"positions must be finite, got ({x!r}, {y!r})")
-            object.__setattr__(self, "positions", pts)
+            object.__setattr__(self, "positions", _points(self.positions, "positions", "positions"))
         else:
-            xmin, ymin, xmax, ymax = (float(v) for v in self.box)
-            if not all(map(math.isfinite, (xmin, ymin, xmax, ymax))):
-                raise ValueError("box bounds must be finite")
+            if not (isinstance(self.box, (list, tuple)) and len(self.box) == 4):
+                raise ValueError(f"box must be [xmin, ymin, xmax, ymax], got {self.box!r}")
+            xmin, ymin, xmax, ymax = (
+                _number(v, f"box[{k}]", "must be finite", math.isfinite) for k, v in enumerate(self.box)
+            )
             if not (xmin < xmax and ymin < ymax):
                 raise ValueError(f"box must satisfy xmin < xmax and ymin < ymax, got {self.box}")
             object.__setattr__(self, "box", (xmin, ymin, xmax, ymax))
@@ -98,13 +96,10 @@ class WorldConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int) or value < low:
                 raise ValueError(f"{name} must be >= {low} and an integer, got {value!r}")
-        if not (math.isfinite(self.vis_range) and self.vis_range > 0.0):
-            raise ValueError(f"vis_range must be positive and finite, got {self.vis_range!r}")
-        sep = self.vis_range / 10.0 if self.min_separation is None else float(self.min_separation)
-        if not (0.0 <= sep < self.vis_range):
-            raise ValueError(
-                f"min_separation must satisfy 0 <= sep < V, got sep={sep!r} with V={self.vis_range!r}"
-            )
+        v = _number(self.vis_range, "vis_range", "must be positive and finite", lambda x: 0.0 < x < math.inf)
+        sep = v / 10.0 if self.min_separation is None else self.min_separation
+        sep = _number(sep, "min_separation", f"must satisfy 0 <= sep < V={v!r}", lambda x: 0.0 <= x < v)
+        object.__setattr__(self, "vis_range", v)
         object.__setattr__(self, "min_separation", sep)
         object.__setattr__(self, "obstacles", tuple(self.obstacles))
         spec = self.behavior

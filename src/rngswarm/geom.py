@@ -9,7 +9,9 @@ intersection tests are deliberately conservative: exact touching counts as
 contact. One closed-segment test, `_contacts`, serves the polygon
 simplicity check and the wall kernels, one builder, `_pairs`, lists the
 candidate (obstacle edge, segment) pairs of both wall kernels, and both
-clamps take their per-row minimum with `np.minimum.at`.
+clamps take their per-row minimum with `np.minimum.at`. The value rules the
+config classes share, a number in its range (`_number`) and a list of finite
+[x, y] pairs (`_points`), live here too, beside `Polygon`.
 
 Portable arithmetic: nothing that decides a position may go through BLAS
 (`@`, `np.dot`, `np.matmul`, `np.einsum`) or `pow` (`**`). Their results
@@ -55,6 +57,45 @@ _EPS = 1e-12
 # a normal taken from a gap of about 1e-9 is off by about 1e-7 rad, which
 # the far end of an edge levers up.
 SIGHT_MARGIN = 1e-6
+
+
+# ---------------------------------------------------------------------------
+# value rules of the config classes: one check per value, for Python and
+# scenario files alike
+# ---------------------------------------------------------------------------
+
+
+def _number(value, name: str, rule: str, ok) -> float:
+    """`value` as a float: an int or a float, never a bool, for which `ok`
+    holds. Otherwise a ValueError: "`name` must be a number" for another
+    type, "`name` `rule`" for a number that fails `ok`."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:  # an int past the largest float fails every test
+        number = math.nan
+    if not ok(number):
+        raise ValueError(f"{name} {rule}, got {value!r}")
+    return number
+
+
+def _points(value, name: str, what: str) -> tuple[tuple[float, float], ...]:
+    """`value`, a list or tuple of [x, y] pairs of finite numbers (never
+    bools), as a tuple of float pairs; otherwise a ValueError that names the
+    bad pair as name[k]."""
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{name} must be a list of [x, y] pairs, got {value!r}")
+    points = []
+    for k, pair in enumerate(value):
+        try:
+            if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
+                raise ValueError
+            x, y = pair
+            points.append((_number(x, "x", "", math.isfinite), _number(y, "y", "", math.isfinite)))
+        except ValueError:
+            raise ValueError(f"{what} must be finite [x, y] pairs, got {pair!r} at {name}[{k}]") from None
+    return tuple(points)
 
 
 # ---------------------------------------------------------------------------
@@ -185,13 +226,10 @@ class Polygon:
     vertices: tuple[tuple[float, float], ...]
 
     def __post_init__(self) -> None:
-        xy = [(float(x), float(y)) for x, y in self.vertices]
+        xy = list(_points(self.vertices, "vertices", "polygon vertices"))
         n = len(xy)
         if n < 3:
             raise ValueError(f"polygon needs at least 3 vertices, got {n}")
-        for k, (x, y) in enumerate(xy):
-            if not (math.isfinite(x) and math.isfinite(y)):
-                raise ValueError(f"polygon vertices must be finite, got ({x!r}, {y!r}) at index {k}")
         for k in range(n):
             if xy[k] == xy[(k + 1) % n]:
                 raise ValueError(f"polygon has coincident consecutive vertices at index {k}")
@@ -207,7 +245,7 @@ class Polygon:
         k, l = k[(l + 1) % n != k], l[(l + 1) % n != k]
         crossing = _contacts(np.stack((v[k].T, w[k].T, v[l].T, w[l].T), axis=1))
         if crossing.any():
-            first = int(np.argmax(crossing))
+            first = np.argmax(crossing)
             raise ValueError(f"polygon edges {k[first]} and {l[first]} intersect (not simple)")
         # the edges as [x | y][start | end], edge, and the box as [lower | upper][x | y]
         ends, box = np.stack((v.T, w.T), axis=1), np.array((v.min(axis=0), v.max(axis=0)))
@@ -224,9 +262,12 @@ class Polygon:
         return self.blocks_segment_xy(x, y, x, y)
 
     def blocks_segment_xy(self, x1, y1, x2, y2) -> np.ndarray:
-        """Whether each segment touches, crosses, or sits inside this polygon."""
+        """Whether each segment touches, crosses, or sits inside this
+        polygon; a non-finite coordinate is a ValueError."""
         x1, y1, x2, y2 = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (x1, y1, x2, y2)))
         ends = np.array(((x1.ravel(), x2.ravel()), (y1.ravel(), y2.ravel())))
+        if not np.isfinite(ends).all():
+            raise ValueError("segment coordinates must be finite")
         return _wall_contacts(ends, (self,)).reshape(x1.shape)
 
 
@@ -312,7 +353,8 @@ def _wall_contacts(ends, obstacles) -> np.ndarray:
 def segments_blocked(p, q, obstacles) -> np.ndarray:
     """Whether some obstacle blocks each segment p[k] -> q[k] of the (m, 2)
     arrays p and q; a zero-length segment is blocked where its point touches
-    an obstacle."""
+    an obstacle. The coordinates must be finite, as a SwarmState's are: the
+    mask does not check them, and answers a NaN or an infinity arbitrarily."""
     return _wall_contacts(np.concatenate((p, q)).T.reshape(2, 2, -1), obstacles)
 
 
@@ -335,7 +377,8 @@ def clamp_to_sight(p, q, owner, ends, obstacles) -> np.ndarray:
     slack (a segment within the margin) holds the agent. A pair whose
     obstacle lies beyond the mover's step plus the margin cannot bind and is
     skipped. One pass covers the pairs of every obstacle, with the pairs on
-    the inner axis.
+    the inner axis. p and q must be finite, as a SwarmState's positions and
+    the planner's steps are; they are not checked here.
     """
     if not obstacles:
         return q

@@ -18,13 +18,21 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .geom import FEASIBILITY_TOL, clamp_point_xy, clamp_to_sight
+from .geom import FEASIBILITY_TOL, _number, _points, clamp_point_xy, clamp_to_sight
 from .graphs import Graph, nearest_distances, pairwise_distances
 
 if TYPE_CHECKING:  # pragma: no cover
     from .engine import SwarmState, WorldConfig
 
 BEHAVIOR_KINDS = ("gather", "formation", "leader_follow", "idle")
+
+# (field, rule, test) for each number of a BehaviorSpec
+_NUMBER_RULES = (
+    ("max_step", "must be positive", lambda x: 0.0 < x < math.inf),
+    ("desired_spacing", "must be >= 0", lambda x: 0.0 <= x < math.inf),
+    ("spring_gain", "must lie in (0, 1]", lambda x: 0.0 < x <= 1.0),
+    ("waypoint_tolerance", "must be >= 0", lambda x: 0.0 <= x < math.inf),
+)
 
 
 @dataclass(frozen=True)
@@ -42,22 +50,12 @@ class BehaviorSpec:
     def __post_init__(self) -> None:
         if self.kind not in BEHAVIOR_KINDS:
             raise ValueError(f"kind must be one of {BEHAVIOR_KINDS}, got unknown behavior kind {self.kind!r}")
-        if not (math.isfinite(self.max_step) and self.max_step > 0.0):
-            raise ValueError(f"max_step must be positive, got {self.max_step!r}")
-        if not (math.isfinite(self.desired_spacing) and self.desired_spacing >= 0.0):
-            raise ValueError(f"desired_spacing must be >= 0, got {self.desired_spacing!r}")
-        if not (0.0 < self.spring_gain <= 1.0):
-            raise ValueError(f"spring_gain must lie in (0, 1], got {self.spring_gain!r}")
+        for name, rule, ok in _NUMBER_RULES:
+            object.__setattr__(self, name, _number(getattr(self, name), name, rule, ok))
         index = self.leader_index
         if isinstance(index, bool) or not isinstance(index, int) or index < 0:
             raise ValueError(f"leader_index must be >= 0 and an integer, got {index!r}")
-        if not (math.isfinite(self.waypoint_tolerance) and self.waypoint_tolerance >= 0.0):
-            raise ValueError(f"waypoint_tolerance must be >= 0, got {self.waypoint_tolerance!r}")
-        wps = tuple((float(x), float(y)) for x, y in self.waypoints)
-        for x, y in wps:
-            if not (math.isfinite(x) and math.isfinite(y)):
-                raise ValueError(f"waypoints: waypoint coordinates must be finite, got ({x!r}, {y!r})")
-        object.__setattr__(self, "waypoints", wps)
+        object.__setattr__(self, "waypoints", _points(self.waypoints, "waypoints", "waypoint coordinates"))
 
     @classmethod
     def for_range(
@@ -74,16 +72,15 @@ class BehaviorSpec:
     ) -> "BehaviorSpec":
         """Defaults scale with the visibility range: spacing is a tenth of it,
         waypoint tolerance a twentieth, and the step budget a fifth."""
-        if not (math.isfinite(vis_range) and vis_range > 0.0):
-            # checked here too, so a bad range is not reported as a bad default
-            raise ValueError(f"vis_range must be positive and finite, got {vis_range!r}")
+        # checked here too, so a bad range is not reported as a bad default
+        vis_range = _number(vis_range, "vis_range", "must be positive and finite", lambda x: 0.0 < x < math.inf)
         return cls(
             kind=kind,
             max_step=0.2 * vis_range if max_step is None else max_step,
             desired_spacing=0.1 * vis_range if desired_spacing is None else desired_spacing,
             spring_gain=spring_gain,
             leader_index=leader_index,
-            waypoints=tuple(tuple(w) for w in waypoints),
+            waypoints=waypoints,
             waypoint_tolerance=0.05 * vis_range if waypoint_tolerance is None else waypoint_tolerance,
         )
 

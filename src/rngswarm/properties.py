@@ -15,7 +15,7 @@ import numpy as np
 
 from .engine import InitSpec, SwarmState, WorldConfig, _sample_start, step
 from .geom import FEASIBILITY_TOL, clamp_fraction, clamp_point_xy
-from .graphs import effective_graph, is_connected, nearest_distances, pairwise_distances, visibility_graph
+from .graphs import effective_graph, is_connected, visibility_graph
 from .motion import BEHAVIOR_KINDS, BehaviorSpec
 
 CLAMP_ORACLE_TOL = 1e-7
@@ -104,8 +104,8 @@ def check_separation_floor(cases: int, seed: int) -> SuiteResult:
             max_rounds=1,
             seed=int(rng.integers(0, 2**31)),
         )
-        new_state, _ = step(SwarmState(round=0, positions=xy), world)
-        dmin = float(nearest_distances(pairwise_distances(new_state.positions)).min(initial=math.inf))
+        _, report = step(SwarmState(round=0, positions=xy), world)
+        dmin = report.metrics.min_pair_distance
         if dmin < sep - FEASIBILITY_TOL:
             failures += 1
             detail = f"case {case}: min pair {dmin}"

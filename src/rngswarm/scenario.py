@@ -3,10 +3,13 @@
 Top-level keys: n, V, m, sep, seed, max_rounds, behavior, obstacles, init.
 The behavior block takes kind, spacing, gain, leader_index, waypoints,
 waypoint_tolerance, max_step. init takes exactly one of positions or box.
-Loading checks the shape of the file (known keys, value types) and leaves
-every range and cross-field rule to the dataclasses; their errors are
-re-raised with field names replaced by YAML keys, so a message always names
-the offending key.
+Each rule has one home. The loader checks only the file's shape: a mapping,
+the known and required keys, and obstacles as a list. Every value rule (an
+integer, a number in its range, a list of finite [x, y] pairs, a four-entry
+box, and the cross-field rules) belongs to the config classes, which apply
+it to Python callers and files alike; their errors are re-raised with field
+names replaced by YAML keys (waypoints[0] becomes 'behavior.waypoints[0]'),
+so a message always names the offending key.
 """
 
 from __future__ import annotations
@@ -31,69 +34,50 @@ def _require(mapping: dict, key: str, context: str):
     return mapping[key]
 
 
-def _as_int(value, key: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ScenarioError(f"'{key}' must be an integer, got {value!r}")
-    return value
-
-
-def _as_number(value, key: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ScenarioError(f"'{key}' must be a number, got {value!r}")
-    return float(value)
-
-
-def _as_pairs(value, key: str) -> tuple[tuple[float, float], ...]:
-    if not isinstance(value, (list, tuple)):
-        raise ScenarioError(f"'{key}' must be a list of [x, y] pairs")
-    out = []
-    for idx, item in enumerate(value):
-        if not isinstance(item, (list, tuple)) or len(item) != 2:
-            raise ScenarioError(f"'{key}[{idx}]' must be an [x, y] pair, got {item!r}")
-        out.append((_as_number(item[0], f"{key}[{idx}][0]"), _as_number(item[1], f"{key}[{idx}][1]")))
-    return tuple(out)
-
-
-# YAML key -> (dataclass field, type check) for the scalar settings
+# YAML key -> dataclass field of the scalar settings
 _TOP_FIELDS = {
-    "n": ("n", _as_int),
-    "V": ("vis_range", _as_number),
-    "m": ("rng_plus", _as_int),
-    "sep": ("min_separation", _as_number),
-    "seed": ("seed", _as_int),
-    "max_rounds": ("max_rounds", _as_int),
+    "n": "n",
+    "V": "vis_range",
+    "m": "rng_plus",
+    "sep": "min_separation",
+    "seed": "seed",
+    "max_rounds": "max_rounds",
 }
 _BEHAVIOR_FIELDS = {
-    "spacing": ("desired_spacing", _as_number),
-    "gain": ("spring_gain", _as_number),
-    "leader_index": ("leader_index", _as_int),
-    "waypoints": ("waypoints", _as_pairs),
-    "waypoint_tolerance": ("waypoint_tolerance", _as_number),
-    "max_step": ("max_step", _as_number),
+    "spacing": "desired_spacing",
+    "gain": "spring_gain",
+    "leader_index": "leader_index",
+    "waypoints": "waypoints",
+    "waypoint_tolerance": "waypoint_tolerance",
+    "max_step": "max_step",
 }
 _TOP_KEYS = set(_TOP_FIELDS) | {"behavior", "obstacles", "init"}
 _INIT_KEYS = {"positions", "box"}
 
 # dataclass field -> YAML key, for error messages
 _YAML_KEYS = {
-    **{field: key for key, (field, _) in _TOP_FIELDS.items()},
-    **{field: f"behavior.{key}" for key, (field, _) in _BEHAVIOR_FIELDS.items()},
+    **{field: key for key, field in _TOP_FIELDS.items()},
+    **{field: f"behavior.{key}" for key, field in _BEHAVIOR_FIELDS.items()},
     "kind": "behavior.kind",
     "init": "init",
     "positions": "init.positions",
     "init.positions": "init.positions",
     "box": "init.box",
 }
-# a dataclass message leads with the offending field; unquoted snake_case
-# words later in it name the other fields of a cross-field rule (quoted ones
-# are values, such as a behaviour kind)
-_FIELD_NAME = re.compile(r"^[\w.]+|(?<!')\b[a-z]+(?:_[a-z]+)+\b(?!')")
+# a dataclass message leads with the offending field; later in it, indexed
+# names (waypoints[0]) name an entry of a list field, and unquoted snake_case
+# words the other fields of a cross-field rule (quoted ones are values, such
+# as a behaviour kind)
+_FIELD_NAME = re.compile(r"^[\w.]+(?:\[\d+\])?|(?<!')\b[a-z]+(?:_[a-z]+)*\[\d+\]|(?<!')\b[a-z]+(?:_[a-z]+)+\b(?!')")
+
+
+def _yaml_key(match: re.Match) -> str:
+    field, bracket, index = match[0].partition("[")
+    return f"'{_YAML_KEYS[field]}{bracket}{index}'" if field in _YAML_KEYS else match[0]
 
 
 def _yaml_message(message: str) -> str:
-    return _FIELD_NAME.sub(
-        lambda m: f"'{_YAML_KEYS[m[0]]}'" if m[0] in _YAML_KEYS else m[0], message
-    )
+    return _FIELD_NAME.sub(_yaml_key, message)
 
 
 def _check_keys(mapping: dict, allowed, context: str) -> None:
@@ -110,8 +94,8 @@ def _mapping(raw: dict, key: str, allowed) -> dict:
     return value
 
 
-def _fields(raw: dict, table: dict, context: str) -> dict:
-    return {field: check(raw[key], f"{context}{key}") for key, (field, check) in table.items() if key in raw}
+def _fields(raw: dict, table: dict) -> dict:
+    return {field: raw[key] for key, field in table.items() if key in raw}
 
 
 def load_scenario(path) -> WorldConfig:
@@ -128,38 +112,25 @@ def load_scenario(path) -> WorldConfig:
     _check_keys(raw, _TOP_KEYS, "")
     for key in ("n", "V"):
         _require(raw, key, "")
-    top = _fields(raw, _TOP_FIELDS, "")
+    top = _fields(raw, _TOP_FIELDS)
 
     braw = _mapping(raw, "behavior", _BEHAVIOR_FIELDS.keys() | {"kind"})
     kind = _require(braw, "kind", "behavior.")
-    behavior = _fields(braw, _BEHAVIOR_FIELDS, "behavior.")
 
-    obstacles = []
-    oraw = raw.get("obstacles", [])
-    if oraw is None:
-        oraw = []
-    if not isinstance(oraw, (list, tuple)):
+    oraw = raw.get("obstacles")
+    if not isinstance(oraw, (list, type(None))):
         raise ScenarioError("'obstacles' must be a list of vertex lists")
-    for idx, verts in enumerate(oraw):
-        pairs = _as_pairs(verts, f"obstacles[{idx}]")
+    obstacles = []
+    for idx, verts in enumerate(oraw or []):
         try:
-            obstacles.append(Polygon(pairs))
+            obstacles.append(Polygon(verts))
         except ValueError as exc:
             raise ScenarioError(f"'obstacles[{idx}]': {exc}") from exc
 
-    iraw = _mapping(raw, "init", _INIT_KEYS)
-    init = {}
-    if "positions" in iraw:
-        init["positions"] = _as_pairs(iraw["positions"], "init.positions")
-    if "box" in iraw:
-        box = iraw["box"]
-        if not isinstance(box, (list, tuple)) or len(box) != 4:
-            raise ScenarioError("'init.box' must be [xmin, ymin, xmax, ymax]")
-        init["box"] = tuple(_as_number(v, f"init.box[{k}]") for k, v in enumerate(box))
-
+    init = _mapping(raw, "init", _INIT_KEYS)
     try:
         return WorldConfig(
-            behavior=BehaviorSpec.for_range(kind, top["vis_range"], **behavior),
+            behavior=BehaviorSpec.for_range(kind, top["vis_range"], **_fields(braw, _BEHAVIOR_FIELDS)),
             init=InitSpec(**init),
             obstacles=tuple(obstacles),
             **top,
@@ -174,7 +145,7 @@ def _plain(value):
 
 
 def _keyed(obj, table: dict) -> dict:
-    return {key: _plain(getattr(obj, field)) for key, (field, _) in table.items()}
+    return {key: _plain(getattr(obj, field)) for key, field in table.items()}
 
 
 def save_scenario(world: WorldConfig, path) -> None:

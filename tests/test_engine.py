@@ -41,6 +41,7 @@ from rngswarm.scenario import load_scenario
 
 from helpers import (
     edge_set,
+    pillar_snapshots,
     reference_edge_safe,
     reference_verify,
     scalar_blocks,
@@ -545,8 +546,9 @@ class TestStep:
             assert report.metrics.connected
 
     def test_no_reverts_without_obstacles(self, rng):
-        # snapshot-planned moves already respect every pairwise constraint;
-        # the verify pass only bites when an obstacle cuts a line of sight
+        # snapshot-planned moves keep every effective edge in range, and in
+        # sight among walls, by construction; the verify pass is a backstop
+        # that no planned move should trip (walls: the test below)
         spec = BehaviorSpec.for_range("gather", 1.0)
         for _ in range(30):
             n = int(rng.integers(3, 11))
@@ -554,6 +556,23 @@ class TestStep:
             w = make_world([tuple(p) for p in xy], spec, min_separation=0.1)
             _, report = step(initial_state(w), w)
             assert report.reverted_agents == 0
+
+    @pytest.mark.parametrize("snapshots", [walled_snapshots, pillar_snapshots], ids=lambda f: f.__name__)
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), m=st.integers(0, 2))
+    def test_the_commit_reverts_no_planned_move_among_walls(self, snapshots, data, m):
+        # the engine's own arithmetic, not the scalar oracles of
+        # TestSightByConstruction: the proposals of every agent, planned on
+        # the snapshot's geometry at m = 0-2, pass the commit untouched. A
+        # revert here is a planner defect, not a case to draw around.
+        state, _, world = data.draw(snapshots())
+        world = replace(world, rng_plus=m)
+        geo = _geometry(state.positions, world)
+        proposals = apply_motion_law(np.arange(world.n), state, geo.eff, world.behavior, world, geo.distances)
+        planned = proposals.copy()
+        _, reverted = _commit(state.positions, proposals, geo, world)
+        assert np.flatnonzero(reverted).tolist() == []
+        assert proposals.tobytes() == planned.tobytes()
 
     def test_separation_floor_holds(self, rng):
         spec = BehaviorSpec.for_range("gather", 1.0)

@@ -249,6 +249,20 @@ class TestPolygon:
         assert SQUARE.blocks_segment_xy(x, y, x, y)
         assert segments_blocked(np.array([[x, y]]), np.array([[x, y]]), (SQUARE,)).tolist() == [True]
 
+    def test_predicates_refuse_non_finite_coordinates(self):
+        # the wall kernels answer a NaN by accident: from (nan, 4) this
+        # triangle read as blocking the segment to (3, 0.5), whose end is on
+        # its edge, and as not blocking the one to (2, 0.5)
+        tri = Polygon(((3, 0), (4, 1), (3, 2)))
+        for x2 in (3.0, 2.0):
+            with pytest.raises(ValueError, match="^segment coordinates must be finite$"):
+                tri.blocks_segment_xy(math.nan, 4.0, x2, 0.5)
+        with pytest.raises(ValueError, match="finite"):
+            tri.blocks_segment_xy([3.5, 3.5], [1.0, 1.0], [2.0, 2.0], [1.0, math.inf])
+        for x, y in ((math.nan, 1.0), (3.5, -math.inf)):
+            with pytest.raises(ValueError, match="finite"):
+                tri.contains_xy(x, y)
+
     def test_concave_polygon_containment(self):
         # L-shape: the notch around (1.5, 1.5) is outside
         ell = Polygon(((0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)))

@@ -1,9 +1,9 @@
 """Every name a package module imports is used in that module, every
 private function the package defines is used by the package, a state's
 geometry is built in one place, so are a graph's hop diameter and its
-planner indices, every builder of the distance matrix is named, and
-nothing imports scipy or sorts unstably, directly or through `np.unique` or
-`np.isin`.
+planner indices, every builder of the distance matrix is named, nothing
+imports scipy or sorts unstably, directly or through `np.unique` or
+`np.isin`, and every value rule of a config lives in its class.
 
 AST scans, since no linter is a dependency. `__init__.py` is exempt from the
 import scan: its imports are the package's re-exports.
@@ -122,9 +122,9 @@ DIAMETER_BUILDERS = {"_hops"}
 DIAMETER_OWNERS = {"_diameter", "is_connected"}
 
 # the distance matrix is built by the engine's geometry and its start check,
-# by the `dist=None` fallbacks of the planner and of the three graph layers
-# that perfbench's sweep calls from positions alone, and by the property
-# suite's floor check; every other layer takes the matrix itself
+# and by the `dist=None` fallbacks of the planner and of the three graph
+# layers that perfbench's sweep calls from positions alone; every other layer
+# takes the matrix itself
 MATRIX_BUILDERS = {"pairwise_distances"}
 MATRIX_OWNERS = {
     "_geometry",
@@ -133,7 +133,6 @@ MATRIX_OWNERS = {
     "visibility_graph",
     "effective_graph",
     "graph_metrics",
-    "check_separation_floor",
 }
 
 
@@ -326,3 +325,67 @@ def test_peak_rss_scanner_finds_every_break():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_import_or_call_that_raises_peak_rss(path):
     assert peak_rss_breaks(path.read_text()) == []
+
+
+# a value rule lives in its config class: the scenario loader checks only the
+# file's keys, and the classes' constructors convert numbers and points only
+# through `geom._number` and `geom._points`
+VALUE_TYPES = {"int", "float", "bool"}
+CONVERTERS = {"__post_init__", "for_range"}
+
+
+def value_rules_out_of_place(source: str, loader: bool) -> list[tuple[int, str]]:
+    """(line, what) for each `isinstance` test against int, float or bool in
+    a loader module, and each bare `float(` or `int(` call in a
+    `__post_init__` or `for_range` of any module."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and isinstance(child.func, ast.Name):
+                name, args = child.func.id, child.args
+                if loader and name == "isinstance" and len(args) == 2:
+                    kinds = args[1].elts if isinstance(args[1], ast.Tuple) else [args[1]]
+                    hit = sorted(VALUE_TYPES & {k.id for k in kinds if isinstance(k, ast.Name)})
+                    found.extend((child.lineno, f"isinstance {t}") for t in hit)
+                if owner in CONVERTERS and name in {"float", "int"}:
+                    found.append((child.lineno, f"{name}( in {owner}"))
+            inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if inner else owner)
+
+    visit(ast.parse(source), "<module>")
+    return sorted(found)
+
+
+def test_value_rule_scanner_finds_every_case():
+    loader = (
+        "def _as_int(value):\n    if isinstance(value, bool) or not isinstance(value, int):\n        raise E\n"
+        "def _as_number(value):\n    return isinstance(value, (int, float, str))\n"
+        "def _mapping(value):\n    return isinstance(value, dict) and isinstance(value, (list, tuple))\n"
+    )
+    assert value_rules_out_of_place(loader, loader=True) == [
+        (2, "isinstance bool"),
+        (2, "isinstance int"),
+        (5, "isinstance float"),
+        (5, "isinstance int"),
+    ]
+    classes = (
+        "class Spec:\n    def __post_init__(self):\n"
+        "        object.__setattr__(self, 'gain', float(self.gain))\n"
+        "        pts = tuple((float(x), float(y)) for x, y in self.points)\n"
+        "        self.a = _number(self.a, 'a', 'must be positive', ok)\n"
+        "    @classmethod\n    def for_range(cls, v):\n        return cls(int(v))\n"
+        "    def describe(self):\n        return float(self.gain)\n"
+        "def isinstance_elsewhere(x):\n    return isinstance(x, int)\n"
+    )
+    assert value_rules_out_of_place(classes, loader=False) == [
+        (3, "float( in __post_init__"),
+        (4, "float( in __post_init__"),
+        (4, "float( in __post_init__"),
+        (8, "int( in for_range"),
+    ]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_every_value_rule_lives_in_its_class(path):
+    assert value_rules_out_of_place(path.read_text(), loader=path.name == "scenario.py") == []

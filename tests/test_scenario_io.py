@@ -1,3 +1,4 @@
+import re
 from pathlib import Path
 
 import numpy as np
@@ -104,10 +105,10 @@ class TestLoadScenario:
     def test_n_must_be_integer(self, tmp_path):
         doc = base_doc()
         doc["n"] = 3.5
-        with pytest.raises(ScenarioError, match="'n' must be an integer"):
+        with pytest.raises(ScenarioError, match="^'n' must be >= 1 and an integer, got 3.5$"):
             load_doc(tmp_path, doc)
         doc["n"] = True  # YAML booleans are not counts
-        with pytest.raises(ScenarioError, match="'n' must be an integer"):
+        with pytest.raises(ScenarioError, match="^'n' must be >= 1 and an integer, got True$"):
             load_doc(tmp_path, doc)
 
     def test_bad_range(self, tmp_path):
@@ -237,6 +238,135 @@ class TestLoadScenario:
         assert w.behavior.kind == "leader_follow"
         assert len(w.obstacles) == 2
         assert len(w.behavior.waypoints) == 5
+
+
+# A scenario document with every key written out, and the Python constructors
+# called with its values as they stand: both paths must apply the same rule
+# to each value, so a file and a script accept and refuse the same worlds.
+GOOD_DOC = {
+    "n": 3,
+    "V": 1.0,
+    "m": 1,
+    "sep": 0.1,
+    "seed": 7,
+    "max_rounds": 50,
+    "behavior": {
+        "kind": "leader_follow",
+        "spacing": 0.2,
+        "gain": 0.5,
+        "leader_index": 1,
+        "waypoints": [[2.0, 0.5]],
+        "waypoint_tolerance": 0.05,
+        "max_step": 0.2,
+    },
+    "obstacles": [[[5.0, 0.0], [6.0, 0.0], [6.0, 1.0]]],
+    "init": {"positions": [[0.0, 0.0], [0.5, 0.0], [1.0, 0.0]]},
+}
+
+
+def with_value(key, value):
+    """GOOD_DOC with `value` at `key` ("V", "behavior.gain", "init", ...)."""
+    doc = yaml.safe_load(yaml.safe_dump(GOOD_DOC))
+    *outer, last = key.split(".")
+    (doc[outer[0]] if outer else doc)[last] = value
+    return doc
+
+
+def construct(doc):
+    b = doc["behavior"]
+    return WorldConfig(
+        n=doc["n"],
+        vis_range=doc["V"],
+        behavior=BehaviorSpec(
+            kind=b["kind"],
+            max_step=b["max_step"],
+            desired_spacing=b["spacing"],
+            spring_gain=b["gain"],
+            leader_index=b["leader_index"],
+            waypoints=b["waypoints"],
+            waypoint_tolerance=b["waypoint_tolerance"],
+        ),
+        init=InitSpec(**doc["init"]),
+        rng_plus=doc["m"],
+        min_separation=doc["sep"],
+        obstacles=tuple(Polygon(v) for v in doc["obstacles"]),
+        max_rounds=doc["max_rounds"],
+        seed=doc["seed"],
+    )
+
+
+NAN = float("nan")
+POSITIONS = GOOD_DOC["init"]["positions"]
+WALL = GOOD_DOC["obstacles"][0]
+# (key to set, bad value, the YAML key the file's message must name)
+BAD_VALUES = [
+    *[(key, True, key) for key in ("n", "V", "m", "sep", "seed", "max_rounds")],
+    *[(f"behavior.{key}", True, f"behavior.{key}") for key in ("spacing", "gain", "leader_index", "waypoint_tolerance", "max_step")],
+    ("behavior.max_step", False, "behavior.max_step"),
+    *[(key, "1", key) for key in ("n", "V", "seed")],
+    ("sep", "0.05", "sep"),
+    ("V", 10**400, "V"),  # past the largest float
+    *[(f"behavior.{key}", "0.1", f"behavior.{key}") for key in ("spacing", "gain", "waypoint_tolerance", "max_step")],
+    ("behavior.waypoints", "2, 0.5", "behavior.waypoints"),
+    # a string pair, string and bool coordinates, a short pair and a NaN pair
+    *[
+        (key, value, name)
+        for bad in ("0, 0", ["0", "0"], [True, 0.0], [0.0], [NAN, 0.0])
+        for key, value, name in (
+            ("init", {"positions": [bad, *POSITIONS[1:]]}, "init.positions[0]"),
+            ("behavior.waypoints", [bad], "behavior.waypoints[0]"),
+            ("obstacles", [[WALL[0], bad, WALL[2]]], "obstacles[0]"),
+        )
+    ],
+    ("init", {"box": [0.0, 0.0, 1.0]}, "init.box"),
+    ("init", {"box": [0.0, 0.0, "1", 1.0]}, "init.box[2]"),
+    ("init", {"box": [0.0, 0.0, True, 1.0]}, "init.box[2]"),
+    ("init", {"box": [0.0, 0.0, NAN, 1.0]}, "init.box[2]"),
+]
+# values of another spelling that both paths accept, as the same world
+GOOD_VALUES = [
+    ("V", 1),
+    ("sep", 0),
+    ("behavior.gain", 1),
+    ("behavior.waypoints", [[2, 1]]),
+    ("behavior.waypoints", []),
+    ("init", {"positions": [[0, 0], [1, 0], [1, 1]]}),
+    ("init", {"box": [0, 0, 2, 1]}),
+    ("obstacles", [[[5, 0], [6, 0], [6, 1]]]),
+    ("obstacles", []),
+]
+
+
+class TestOneValueRule:
+    @pytest.mark.parametrize("key, value, name", BAD_VALUES, ids=[f"{k}={v!r}" for k, v, _ in BAD_VALUES])
+    def test_a_bad_value_is_refused_by_both_paths(self, tmp_path, key, value, name):
+        doc = with_value(key, value)
+        with pytest.raises(ValueError) as python:
+            construct(doc)
+        assert type(python.value) is ValueError
+        with pytest.raises(ScenarioError, match=re.escape(f"'{name}'")):
+            load_doc(tmp_path, doc)
+
+    def test_bools_and_strings_are_not_numbers(self):
+        with pytest.raises(ValueError, match="^max_step must be a number, got True$"):
+            BehaviorSpec(kind="idle", max_step=True, spring_gain=True)
+        with pytest.raises(ValueError, match="^spring_gain must be a number, got True$"):
+            BehaviorSpec(kind="idle", max_step=0.1, spring_gain=True)
+        with pytest.raises(ValueError, match="^max_step must be a number, got '0.1'$"):
+            BehaviorSpec(kind="idle", max_step="0.1")
+        spec = BehaviorSpec(kind="idle", max_step=0.1)
+        for bad in (True, "1"):
+            with pytest.raises(ValueError, match=f"^vis_range must be a number, got {bad!r}$"):
+                WorldConfig(n=1, vis_range=bad, behavior=spec, init=InitSpec(box=(0, 0, 1, 1)))
+
+    @pytest.mark.parametrize("key, value", [(None, None), *GOOD_VALUES])
+    def test_an_accepted_world_round_trips(self, tmp_path, key, value):
+        doc = GOOD_DOC if key is None else with_value(key, value)
+        world = load_doc(tmp_path, doc)
+        assert world == construct(doc)
+        out = tmp_path / "saved.yaml"
+        save_scenario(world, out)
+        assert load_scenario(out) == world
 
 
 def full_featured_world():
