@@ -30,7 +30,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .geom import FEASIBILITY_TOL, Polygon, _number, _points, segments_blocked
+from .geom import FEASIBILITY_TOL, Polygon, _integer, _number, _points, segments_blocked
 from .graphs import (
     Graph,
     GraphMetrics,
@@ -92,16 +92,18 @@ class WorldConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "obstacles", tuple(self.obstacles))
+        parts = [("behavior", self.behavior, BehaviorSpec), ("init", self.init, InitSpec)]
+        for name, value, kind in parts + [(f"obstacles[{k}]", p, Polygon) for k, p in enumerate(self.obstacles)]:
+            if not isinstance(value, kind):
+                raise ValueError(f"{name} must be of type {kind.__name__}, got {value!r}")
         for name, low in (("n", 1), ("rng_plus", 0), ("max_rounds", 0), ("seed", 0)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int) or value < low:
-                raise ValueError(f"{name} must be >= {low} and an integer, got {value!r}")
+            _integer(getattr(self, name), name, low)
         v = _number(self.vis_range, "vis_range", "must be positive and finite", lambda x: 0.0 < x < math.inf)
         sep = v / 10.0 if self.min_separation is None else self.min_separation
         sep = _number(sep, "min_separation", f"must satisfy 0 <= sep < V={v!r}", lambda x: 0.0 <= x < v)
         object.__setattr__(self, "vis_range", v)
         object.__setattr__(self, "min_separation", sep)
-        object.__setattr__(self, "obstacles", tuple(self.obstacles))
         spec = self.behavior
         if spec.kind == "leader_follow" and not (0 <= spec.leader_index < self.n):
             raise ValueError(f"leader_index must lie in [0, n) for n={self.n}, got {spec.leader_index}")

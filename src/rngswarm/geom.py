@@ -10,8 +10,9 @@ contact. One closed-segment test, `_contacts`, serves the polygon
 simplicity check and the wall kernels, one builder, `_pairs`, lists the
 candidate (obstacle edge, segment) pairs of both wall kernels, and both
 clamps take their per-row minimum with `np.minimum.at`. The value rules the
-config classes share, a number in its range (`_number`) and a list of finite
-[x, y] pairs (`_points`), live here too, beside `Polygon`.
+config classes share, a number in its range (`_number`), an integer of at
+least a bound (`_integer`) and a list of finite [x, y] pairs (`_points`),
+live here too, beside `Polygon`.
 
 Portable arithmetic: nothing that decides a position may go through BLAS
 (`@`, `np.dot`, `np.matmul`, `np.einsum`) or `pow` (`**`). Their results
@@ -34,10 +35,13 @@ obstacle in one table; the distance matrix is built from the x and y
 columns. Rows are gathered by integer `take` (a copy, so no byte moves) and
 written by index, cheaper a call than fancy or boolean indexing, with index
 arrays each graph derives once: its CSR, edge keys and planner indices
-(`Graph._plan`). Such a rewrite keeps the bytes: every element still goes
-through the same IEEE operations in the same order, only the loop around
-them changes. A `np.where` is kept only where its mapping of -0.0 or NaN
-matters; elsewhere `minimum`, `maximum` or a masked write is cheaper.
+(`Graph._plan`). Those indices name agents, not offsets into memory: only
+this module gathers coordinates by their layout, as `clamp_to_sight` reads
+its segment ends from agent indices. Such a rewrite keeps the bytes: every
+element still goes through the same IEEE operations in the same order, only
+the loop around them changes. A `np.where` is kept only where its mapping of
+-0.0 or NaN matters; elsewhere `minimum`, `maximum` or a masked write is
+cheaper.
 """
 
 from __future__ import annotations
@@ -78,6 +82,12 @@ def _number(value, name: str, rule: str, ok) -> float:
     if not ok(number):
         raise ValueError(f"{name} {rule}, got {value!r}")
     return number
+
+
+def _integer(value, name: str, low: int) -> None:
+    """A ValueError unless `value` is an int, never a bool, of at least `low`."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < low:
+        raise ValueError(f"{name} must be >= {low} and an integer, got {value!r}")
 
 
 def _points(value, name: str, what: str) -> tuple[tuple[float, float], ...]:
@@ -366,9 +376,9 @@ def segments_blocked(p, q, obstacles) -> np.ndarray:
 def clamp_to_sight(p, q, owner, ends, obstacles) -> np.ndarray:
     """Shorten each step p -> q as far as needed to keep it on the far side
     of every obstacle edge from each segment it owns: segment r belongs to
-    the step of owner[r], and `ends` holds its ends [x | y][a | b], r as flat
-    indices into the (n, 2) array p; the planner lists each agent's own point
-    as the segment p-p. q is shortened in place and returned.
+    the step of owner[r], and runs between the agents ends[0, r] and
+    ends[1, r] of the (n, 2) array p; the planner lists each agent's own
+    point as the segment (i, i). q is shortened in place and returned.
 
     Each (segment, obstacle edge) pair takes the line normal to their
     closest-point gap; its offset is the obstacle edge's support along that
@@ -382,7 +392,7 @@ def clamp_to_sight(p, q, owner, ends, obstacles) -> np.ndarray:
     """
     if not obstacles:
         return q
-    ends = p.take(ends)
+    ends = p.T.take(ends, axis=1)
     d = q - p
     reach = np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]).take(owner) + SIGHT_MARGIN
     edges, polygon, box, _ = _walls(tuple(obstacles))

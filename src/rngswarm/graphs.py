@@ -20,15 +20,12 @@ from .geom import segments_blocked
 
 def coords(positions) -> np.ndarray:
     """(n, 2) float64 array from an ndarray or a sequence of (x, y) pairs."""
-    if isinstance(positions, np.ndarray):
-        a = np.asarray(positions, dtype=float)
-        if a.ndim != 2 or a.shape[1] != 2:
-            raise ValueError(f"positions array must have shape (n, 2), got {a.shape}")
-        return a
-    seq = list(positions)
-    if not seq:
-        return np.zeros((0, 2), dtype=float)
-    return np.asarray(seq, dtype=float).reshape(len(seq), 2)
+    # an empty sequence is no points
+    seq = positions if isinstance(positions, np.ndarray) else list(positions) or np.zeros((0, 2))
+    a = np.asarray(seq, dtype=float)
+    if a.ndim != 2 or a.shape[1] != 2:
+        raise ValueError(f"positions array must have shape (n, 2), got {a.shape}")
+    return a
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,14 +99,12 @@ class Graph:
         """The planner's indices: the agents with neighbours and their (k, 1)
         degrees, the key owner * n + nbr of each CSR entry, and the sight
         clamp's segment owners (the CSR owners, then every agent for its own
-        point) with the segments' ends [x | y][a | b] as flat indices into
-        the (n, 2) positions, a the smaller agent."""
+        point) with the segments' ends as (2, k) agent indices [a | b], a the
+        smaller agent and an own point (i, i)."""
         indptr, nbr, owner = self._csr
         deg = indptr[1:] - indptr[:-1]
         has, own = deg.nonzero()[0], np.arange(self.n)
-        a = 2 * np.concatenate((np.minimum(owner, nbr), own))
-        b = 2 * np.concatenate((np.maximum(owner, nbr), own))
-        ends = np.array(((a, b), (a + 1, b + 1)))
+        ends = np.concatenate(((np.minimum(owner, nbr), np.maximum(owner, nbr)), (own, own)), axis=1)
         plan = (has, deg[has, None], owner * self.n + nbr, np.concatenate((owner, own)), ends)
         for arr in plan:
             arr.setflags(write=False)

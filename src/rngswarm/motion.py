@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .geom import FEASIBILITY_TOL, _number, _points, clamp_point_xy, clamp_to_sight
+from .geom import FEASIBILITY_TOL, _integer, _number, _points, clamp_point_xy, clamp_to_sight
 from .graphs import Graph, nearest_distances, pairwise_distances
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -52,9 +52,7 @@ class BehaviorSpec:
             raise ValueError(f"kind must be one of {BEHAVIOR_KINDS}, got unknown behavior kind {self.kind!r}")
         for name, rule, ok in _NUMBER_RULES:
             object.__setattr__(self, name, _number(getattr(self, name), name, rule, ok))
-        index = self.leader_index
-        if isinstance(index, bool) or not isinstance(index, int) or index < 0:
-            raise ValueError(f"leader_index must be >= 0 and an integer, got {index!r}")
+        _integer(self.leader_index, "leader_index", 0)
         object.__setattr__(self, "waypoints", _points(self.waypoints, "waypoints", "waypoint coordinates"))
 
     @classmethod
@@ -202,7 +200,5 @@ def apply_motion_law(
     # disc keeps its visibility edge
     centers = 0.5 * (xy.take(nbr, axis=0) + xy.take(owner, axis=0))
     q = clamp_point_xy(xy, t, centers, 0.5 * world.vis_range, owner)
-    if world.obstacles:
-        # each edge from its index-ordered pair, so both ends share its half-planes
-        q = clamp_to_sight(xy, q, mover, ends, world.obstacles)
-    return q[agents]
+    # each edge from its index-ordered pair, so both ends share its half-planes
+    return clamp_to_sight(xy, q, mover, ends, world.obstacles)[agents]

@@ -6,6 +6,8 @@ from dataclasses import fields
 from pathlib import Path
 from typing import Sequence
 
+import numpy as np
+
 from .engine import RoundReport, SwarmState, WorldConfig, _geometry
 from .graphs import GraphMetrics
 
@@ -42,17 +44,10 @@ def write_svg_frame(state: SwarmState, world: WorldConfig, path) -> None:
     xy = state.positions
     vis = world.vis_range
     _, g, effective = _geometry(xy, world)
-    xs = [float(v) for v in xy[:, 0]]
-    ys = [float(v) for v in xy[:, 1]]
-    for poly in world.obstacles:
-        xs.extend(x for x, _ in poly.vertices)
-        ys.extend(y for _, y in poly.vertices)
-    for wx, wy in world.behavior.waypoints:
-        xs.append(wx)
-        ys.append(wy)
+    waypoints = np.reshape(world.behavior.waypoints, (-1, 2))
+    shown = np.concatenate((xy, *(poly.vertices for poly in world.obstacles), waypoints))
     pad = 0.6 * vis
-    xmin, xmax = min(xs) - pad, max(xs) + pad
-    ymin, ymax = min(ys) - pad, max(ys) + pad
+    (xmin, ymin), (xmax, ymax) = shown.min(axis=0) - pad, shown.max(axis=0) + pad
     width = 760.0
     scale = width / (xmax - xmin)
     height = (ymax - ymin) * scale

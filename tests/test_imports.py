@@ -328,23 +328,23 @@ def test_no_import_or_call_that_raises_peak_rss(path):
 
 
 # a value rule lives in its config class: the scenario loader checks only the
-# file's keys, and the classes' constructors convert numbers and points only
-# through `geom._number` and `geom._points`
+# file's keys, and the classes' constructors check numbers, integers and points
+# only through `geom._number`, `geom._integer` and `geom._points`
 VALUE_TYPES = {"int", "float", "bool"}
 CONVERTERS = {"__post_init__", "for_range"}
 
 
 def value_rules_out_of_place(source: str, loader: bool) -> list[tuple[int, str]]:
     """(line, what) for each `isinstance` test against int, float or bool in
-    a loader module, and each bare `float(` or `int(` call in a
-    `__post_init__` or `for_range` of any module."""
+    a loader module or in a `__post_init__` or `for_range` of any module, and
+    each bare `float(` or `int(` call in a `__post_init__` or `for_range`."""
     found = []
 
     def visit(node, owner):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.Call) and isinstance(child.func, ast.Name):
                 name, args = child.func.id, child.args
-                if loader and name == "isinstance" and len(args) == 2:
+                if (loader or owner in CONVERTERS) and name == "isinstance" and len(args) == 2:
                     kinds = args[1].elts if isinstance(args[1], ast.Tuple) else [args[1]]
                     hit = sorted(VALUE_TYPES & {k.id for k in kinds if isinstance(k, ast.Name)})
                     found.extend((child.lineno, f"isinstance {t}") for t in hit)
@@ -377,12 +377,20 @@ def test_value_rule_scanner_finds_every_case():
         "    @classmethod\n    def for_range(cls, v):\n        return cls(int(v))\n"
         "    def describe(self):\n        return float(self.gain)\n"
         "def isinstance_elsewhere(x):\n    return isinstance(x, int)\n"
+        "class World:\n    def __post_init__(self):\n"
+        "        if isinstance(self.n, bool) or not isinstance(self.n, int):\n            raise E\n"
+        "        if not isinstance(self.behavior, Spec) or isinstance(self.init, (list, tuple)):\n"
+        "            raise E\n"
+        "    @classmethod\n    def for_range(cls, v):\n        return cls(v if isinstance(v, float) else 1.0)\n"
     )
     assert value_rules_out_of_place(classes, loader=False) == [
         (3, "float( in __post_init__"),
         (4, "float( in __post_init__"),
         (4, "float( in __post_init__"),
         (8, "int( in for_range"),
+        (15, "isinstance bool"),
+        (15, "isinstance int"),
+        (21, "isinstance float"),
     ]
 
 

@@ -359,6 +359,21 @@ class TestOneValueRule:
             with pytest.raises(ValueError, match=f"^vis_range must be a number, got {bad!r}$"):
                 WorldConfig(n=1, vis_range=bad, behavior=spec, init=InitSpec(box=(0, 0, 1, 1)))
 
+    @pytest.mark.parametrize(
+        "field, value, name",
+        [
+            ("obstacles", ([(5, 0), (6, 0), (6, 1)],), "obstacles[0]"),  # a vertex list, not a Polygon
+            ("behavior", "gather", "behavior"),
+            ("init", (0.0, 0.0, 1.0, 1.0), "init"),
+        ],
+    )
+    def test_a_sub_object_of_another_type_is_refused(self, field, value, name):
+        spec = BehaviorSpec(kind="idle", max_step=0.1)
+        args = {"n": 3, "vis_range": 1.0, "behavior": spec, "init": InitSpec(box=(0, 0, 1, 1)), field: value}
+        with pytest.raises(ValueError, match=f"^{re.escape(name)} must be of type ") as error:
+            WorldConfig(**args)
+        assert type(error.value) is ValueError
+
     @pytest.mark.parametrize("key, value", [(None, None), *GOOD_VALUES])
     def test_an_accepted_world_round_trips(self, tmp_path, key, value):
         doc = GOOD_DOC if key is None else with_value(key, value)
