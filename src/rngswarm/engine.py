@@ -34,6 +34,7 @@ from .geom import FEASIBILITY_TOL, Polygon, _integer, _number, _points, segments
 from .graphs import (
     Graph,
     GraphMetrics,
+    coords,
     effective_graph,
     graph_metrics,
     is_connected,
@@ -142,9 +143,7 @@ class SwarmState:
     waypoint_index: int = 0
 
     def __post_init__(self) -> None:
-        arr = np.array(self.positions, dtype=float)
-        if arr.ndim != 2 or arr.shape[1] != 2:
-            raise ValueError(f"positions must have shape (n, 2), got {arr.shape}")
+        arr = coords(self.positions).copy()  # a state owns its read-only positions
         if not np.isfinite(arr).all():
             raise ValueError("positions must be finite")
         arr.setflags(write=False)
@@ -299,6 +298,8 @@ def _step_core(
 
 def step(state: SwarmState, world: WorldConfig) -> tuple[SwarmState, RoundReport]:
     """Advance one synchronous round and return the committed state + report."""
+    if len(state.positions) != world.n:
+        raise ValueError(f"state has {len(state.positions)} agents but the world has n={world.n}")
     new_state, report, _ = _step_core(state, world, _geometry(state.positions, world))
     return new_state, report
 
@@ -340,7 +341,7 @@ def run(
         if observer is not None:
             observer(state, report)
         moved = state.positions - prev
-        largest = float(np.sqrt((moved * moved).sum(axis=1)).max())
+        largest = float(np.sqrt(moved[:, 0] * moved[:, 0] + moved[:, 1] * moved[:, 1]).max())
         quiescent = quiescent + 1 if largest < threshold else 0
         if quiescent >= _QUIESCENT_ROUNDS:
             if spec.kind != "leader_follow" or state.waypoint_index >= len(spec.waypoints):

@@ -12,7 +12,8 @@ candidate (obstacle edge, segment) pairs of both wall kernels, and both
 clamps take their per-row minimum with `np.minimum.at`. The value rules the
 config classes share, a number in its range (`_number`), an integer of at
 least a bound (`_integer`) and a list of finite [x, y] pairs (`_points`),
-live here too, beside `Polygon`.
+live here too, beside `Polygon`; the public graph and motion functions
+check their numbers with the same rules.
 
 Portable arithmetic: nothing that decides a position may go through BLAS
 (`@`, `np.dot`, `np.matmul`, `np.einsum`) or `pow` (`**`). Their results

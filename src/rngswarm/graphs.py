@@ -15,17 +15,31 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .geom import segments_blocked
+from .geom import _integer, _number, segments_blocked
+
+
+def _pairs(value, name: str, dtype) -> np.ndarray:
+    """(k, 2) `dtype` array from an ndarray (not copied when it already has
+    that dtype) or an iterable of pairs; a ValueError naming `name` for any
+    other shape. The one reader of positions, edges and pair lists."""
+    # an empty sequence is no pairs
+    a = np.asarray(value if isinstance(value, np.ndarray) else list(value) or np.zeros((0, 2)), dtype=dtype)
+    if a.ndim != 2 or a.shape[1] != 2:
+        raise ValueError(f"{name} must be an array of shape (k, 2) or a list of pairs, got shape {a.shape}")
+    return a
 
 
 def coords(positions) -> np.ndarray:
     """(n, 2) float64 array from an ndarray or a sequence of (x, y) pairs."""
-    # an empty sequence is no points
-    seq = positions if isinstance(positions, np.ndarray) else list(positions) or np.zeros((0, 2))
-    a = np.asarray(seq, dtype=float)
-    if a.ndim != 2 or a.shape[1] != 2:
-        raise ValueError(f"positions array must have shape (n, 2), got {a.shape}")
-    return a
+    return _pairs(positions, "positions", float)
+
+
+def _vertex_coords(graph: Graph, positions) -> np.ndarray:
+    """`coords(positions)`, which must give one row per vertex of `graph`."""
+    xy = coords(positions)
+    if len(xy) != graph.n:
+        raise ValueError(f"graph has {graph.n} vertices but {len(xy)} positions given")
+    return xy
 
 
 @dataclass(frozen=True, eq=False)
@@ -41,11 +55,8 @@ class Graph:
     edges: np.ndarray = ()
 
     def __post_init__(self) -> None:
-        e = np.array(self.edges if isinstance(self.edges, np.ndarray) else list(self.edges), dtype=np.intp)
-        if e.size == 0:
-            e = e.reshape(0, 2)
-        if e.ndim != 2 or e.shape[1] != 2:
-            raise ValueError(f"edges must be (i, j) pairs, got an array of shape {e.shape}")
+        _integer(self.n, "n", 0)
+        e = _pairs(self.edges, "edges", np.intp)
         e = np.column_stack((e.min(axis=1), e.max(axis=1)))
         bad = (e[:, 0] == e[:, 1]) | (e[:, 0] < 0) | (e[:, 1] >= self.n)
         if bad.any():
@@ -122,7 +133,7 @@ class Graph:
 
     def has_edges(self, pairs) -> np.ndarray:
         """Boolean mask: is each (i, j) pair, in either order, an edge?"""
-        p = np.asarray(pairs if isinstance(pairs, np.ndarray) else list(pairs), dtype=np.intp).reshape(-1, 2)
+        p = _pairs(pairs, "pairs", np.intp)
         lo, hi = p.min(axis=1), p.max(axis=1)
         key = np.where((lo >= 0) & (lo < hi) & (hi < self.n), lo * self.n + hi, -1)
         return self._keys.take(np.searchsorted(self._keys, key)) == key
@@ -172,8 +183,7 @@ def visibility_graph(positions, vis_range: float, obstacles=(), dist: np.ndarray
     """Edge between every pair of agents at distance <= vis_range (inclusive)
     whose segment no obstacle blocks; `dist` is `pairwise_distances` of the
     positions, computed when not given."""
-    if not (math.isfinite(vis_range) and vis_range > 0.0):
-        raise ValueError(f"vis_range must be a positive finite number, got {vis_range!r}")
+    vis_range = _number(vis_range, "vis_range", "must be positive and finite", lambda x: 0.0 < x < math.inf)
     xy = coords(positions)
     if dist is None:
         dist = pairwise_distances(xy)
@@ -209,12 +219,9 @@ def effective_graph(
     always kept. `dist` is `pairwise_distances` of the positions, computed
     when not given.
     """
-    if max_lune_occupants < 0:
-        raise ValueError(f"max_lune_occupants must be >= 0, got {max_lune_occupants}")
-    xy = coords(positions)
+    _integer(max_lune_occupants, "max_lune_occupants", 0)
+    xy = _vertex_coords(graph, positions)
     n = graph.n
-    if n != len(xy):
-        raise ValueError(f"graph has {graph.n} vertices but {len(xy)} positions given")
     if dist is None:
         dist = pairwise_distances(xy)
     rows_i, rows_j = graph.edges[:, 0], graph.edges[:, 1]
@@ -271,10 +278,7 @@ def graph_metrics(graph: Graph, effective: Graph, positions, distances: tuple | 
     the least of nearest, the farthest the largest entry of dist."""
     if effective.n != graph.n or not graph._holds(effective).all():
         raise ValueError("effective graph must be a subgraph of the visibility graph")
-    xy = coords(positions)
-    n = graph.n
-    if n != len(xy):
-        raise ValueError(f"graph has {graph.n} vertices but {len(xy)} positions given")
+    xy = _vertex_coords(graph, positions)
     dist = pairwise_distances(xy) if distances is None else distances[0]
     nearest = nearest_distances(dist) if distances is None else distances[1]
     diameter = graph._diameter

@@ -150,9 +150,9 @@ def separation_cap(nearest: np.ndarray, vis_range: float, min_separation: float)
     target is already pre-capped at max_step. An agent at or below the floor
     gets 0 and is held still; `run` counts the rounds that end below it.
     """
-    if min_separation < 0.0:
-        raise ValueError(f"min_separation must be >= 0, got {min_separation!r}")
-    half = 0.5 * (np.where(nearest > vis_range, math.inf, nearest) - min_separation)
+    rule = f"must satisfy 0 <= sep < V={vis_range!r}"  # WorldConfig's rule
+    sep = _number(min_separation, "min_separation", rule, lambda x: 0.0 <= x < vis_range)
+    half = 0.5 * (np.where(nearest > vis_range, math.inf, nearest) - sep)
     return np.where(half > 0.0, half, 0.0)
 
 

@@ -61,7 +61,7 @@ def test_every_wrapped_layer_is_present_and_called_once_per_round(monkeypatch):
     # obstacle edge, and calls neither predicate. While the span wraps just
     # those two, it is the one layer left uncalled, and its metrics
     # `geom.polygon_ms` and `geom.polygon_tests` read 0 (void, not a gain;
-    # ROADMAP item 5 re-points it). Wrapping anything else, it must be called.
+    # ROADMAP item 1 re-points it). Wrapping anything else, it must be called.
     polygon_span = {(owner, attr) for owner, attr, metric in tracer.WRAPPED if metric == "geom.polygon"}
     if polygon_span == {(rs.geom.Polygon, "contains_xy"), (rs.geom.Polygon, "blocks_segment_xy")}:
         assert uncalled == ["geom.polygon"]

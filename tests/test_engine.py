@@ -584,6 +584,13 @@ class TestStep:
                 state, report = step(state, w)
                 assert report.metrics.min_pair_distance >= 0.1 - 1e-9
 
+    def test_rejects_a_state_of_another_size(self):
+        w = make_world(n=4, init=InitSpec(box=(0.0, 0.0, 1.0, 1.0)), seed=2)
+        for k in (3, 5):
+            state = SwarmState(round=0, positions=np.zeros((k, 2)))
+            with pytest.raises(ValueError, match=f"state has {k} agents but the world has n=4"):
+                step(state, w)
+
     def test_deterministic(self):
         w = make_world(n=9, init=InitSpec(box=(0.0, 0.0, 1.5, 1.5)), seed=2)
         s1, r1 = step(initial_state(w), w)

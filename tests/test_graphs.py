@@ -117,6 +117,13 @@ class TestGraph:
     def test_rejects_non_pairs(self):
         with pytest.raises(ValueError, match="pairs"):
             Graph(4, np.zeros((2, 3), dtype=int))
+        with pytest.raises(ValueError, match="pairs"):
+            Graph(4).has_edges(np.zeros((2, 3), dtype=int))
+
+    def test_rejects_a_bad_vertex_count(self):
+        for bad in (2.5, -1):
+            with pytest.raises(ValueError, match="n must be"):
+                Graph(bad)
 
     def test_has_edges_mask_in_both_orders(self):
         g = Graph(5, frozenset({(0, 2), (1, 4), (3, 4)}))
@@ -170,8 +177,10 @@ class TestVisibilityGraph:
         assert g.n == 1 and g.edges.shape == (0, 2)
 
     def test_bad_range(self):
-        with pytest.raises(ValueError, match="vis_range"):
-            visibility_graph(UNIT_SQUARE, 0.0)
+        # WorldConfig's range rule and its words: a positive finite number, never a bool or a string
+        for bad in (0.0, math.nan, True, "1"):
+            with pytest.raises(ValueError, match="vis_range must be (positive and finite|a number), got"):
+                visibility_graph(UNIT_SQUARE, bad)
 
     @given(positions_strategy(), st.floats(min_value=0.1, max_value=4.0))
     def test_matches_naive_enumeration(self, pts, vis_range):
@@ -248,9 +257,11 @@ class TestEffectiveGraph:
         assert eff.has_edges([(0, 1)])[0]
 
     def test_rejects_negative_limit(self):
+        # the limit is an integer >= 0: a NaN limit would keep no edge at all
         g = visibility_graph(UNIT_SQUARE, 1.5)
-        with pytest.raises(ValueError, match="max_lune_occupants"):
-            effective_graph(g, UNIT_SQUARE, -1)
+        for bad in (-1, math.nan, 0.5, True):
+            with pytest.raises(ValueError, match="max_lune_occupants"):
+                effective_graph(g, UNIT_SQUARE, bad)
 
     def test_rejects_position_count_mismatch(self):
         g = visibility_graph(UNIT_SQUARE, 1.5)

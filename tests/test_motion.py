@@ -337,8 +337,10 @@ class TestSeparationCap:
         assert cap_of(xy, vis_range=1.0, min_separation=0.0)[0] == 0.25
 
     def test_negative_floor_rejected(self):
-        with pytest.raises(ValueError, match="min_separation"):
-            cap_of([(0.0, 0.0), (1.0, 0.0)], vis_range=2.0, min_separation=-0.1)
+        # the world's rule 0 <= sep < V: any other floor would hold every agent
+        for bad in (-0.1, math.nan, math.inf, 2.0):
+            with pytest.raises(ValueError, match="min_separation"):
+                cap_of([(0.0, 0.0), (1.0, 0.0)], vis_range=2.0, min_separation=bad)
 
 
 class TestApplyMotionLaw:
