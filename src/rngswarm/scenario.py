@@ -10,6 +10,12 @@ box, and the cross-field rules) belongs to the config classes, which apply
 it to Python callers and files alike; their errors are re-raised with field
 names replaced by YAML keys (waypoints[0] becomes 'behavior.waypoints[0]'),
 so a message always names the offending key.
+
+Files are parsed by `_LOADER`: PyYAML's C parser (libyaml) when PyYAML was
+built with it, else its pure-Python one. Only the parser differs; both feed
+the same safe constructor and resolver, so a file gives the same values
+either way. A syntax error under libyaml names the line and column but
+quotes no source.
 """
 
 from __future__ import annotations
@@ -22,6 +28,9 @@ import yaml
 from .engine import InitSpec, WorldConfig
 from .geom import Polygon
 from .motion import BehaviorSpec
+
+
+_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
 class ScenarioError(ValueError):
@@ -102,7 +111,7 @@ def load_scenario(path) -> WorldConfig:
     """Parse and validate a scenario file into a WorldConfig."""
     path = Path(path)
     try:
-        raw = yaml.safe_load(path.read_text())
+        raw = yaml.load(path.read_text(), Loader=_LOADER)
     except OSError as exc:
         raise ScenarioError(f"cannot read scenario file {path}: {exc}") from exc
     except yaml.YAMLError as exc:

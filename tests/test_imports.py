@@ -3,7 +3,9 @@ private function the package defines is used by the package, a state's
 geometry is built in one place, so are a graph's hop diameter and its
 planner indices, every builder of the distance matrix is named, nothing
 imports scipy or sorts unstably, directly or through `np.unique` or
-`np.isin`, and every value rule of a config lives in its class.
+`np.isin`, every value rule of a config lives in its class, and only the
+scenario loader parses YAML, through its one safe loader `_LOADER`, with no
+unsafe loader named anywhere.
 
 AST scans, since no linter is a dependency. `__init__.py` is exempt from the
 import scan: its imports are the package's re-exports.
@@ -397,3 +399,84 @@ def test_value_rule_scanner_finds_every_case():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_every_value_rule_lives_in_its_class(path):
     assert value_rules_out_of_place(path.read_text(), loader=path.name == "scenario.py") == []
+
+
+# YAML is parsed in one place, `scenario.load_scenario`, as
+# `yaml.load(text, Loader=_LOADER)`: `_LOADER` is libyaml's safe loader or
+# PyYAML's pure-Python one, so every path parses alike and none can build
+# Python objects from a tag
+YAML_PARSERS = {"load", "load_all", "safe_load", "safe_load_all", "parse", "compose", "compose_all", "scan"}
+UNSAFE_YAML = {
+    "FullLoader",
+    "UnsafeLoader",
+    "CLoader",
+    "CFullLoader",
+    "CUnsafeLoader",
+    "full_load",
+    "full_load_all",
+    "unsafe_load",
+    "unsafe_load_all",
+}
+
+
+def yaml_breaks(source: str, loader: bool) -> list[tuple[int, str]]:
+    """(line, what) for each YAML parse outside a `loader` module, each one
+    in it but not `yaml.load(..., Loader=_LOADER)`, and each unsafe loader
+    or `yaml.Loader` named anywhere."""
+    tree = ast.parse(source)
+    modules = {a.asname or a.name for n in ast.walk(tree) if isinstance(n, ast.Import) for a in n.names if a.name == "yaml"}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "yaml":
+            found += [(node.lineno, f"yaml.{a.name}") for a in node.names if a.name in UNSAFE_YAML | {"Loader"}]
+            found += [(node.lineno, f"imports yaml.{a.name}") for a in node.names if a.name in YAML_PARSERS]
+        elif isinstance(node, ast.Name) and node.id in UNSAFE_YAML:
+            found.append((node.lineno, node.id))
+        elif isinstance(node, ast.Attribute):
+            of_yaml = isinstance(node.value, ast.Name) and node.value.id in modules
+            if node.attr in UNSAFE_YAML or (of_yaml and node.attr == "Loader"):
+                found.append((node.lineno, f"yaml.{node.attr}" if of_yaml else node.attr))
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+            continue
+        func = node.func
+        if not (isinstance(func.value, ast.Name) and func.value.id in modules and func.attr in YAML_PARSERS):
+            continue
+        if not loader:
+            found.append((node.lineno, f"yaml.{func.attr} outside the loader"))
+            continue
+        through = [k for k in node.keywords if k.arg == "Loader" and getattr(k.value, "id", None) == "_LOADER"]
+        if func.attr != "load" or not through:
+            found.append((node.lineno, f"yaml.{func.attr} not through _LOADER"))
+    return sorted(found)
+
+
+def test_yaml_scanner_finds_every_break():
+    loader = (
+        "import yaml\nfrom yaml import CLoader, safe_load\n"
+        "_LOADER = getattr(yaml, 'CSafeLoader', yaml.SafeLoader)\n"
+        "a = yaml.load(text, Loader=_LOADER)\nb = yaml.safe_load(text)\n"
+        "c = yaml.load(text, Loader=yaml.Loader)\nd = yaml.full_load(text)\n"
+        "e = yaml.load_all(text, Loader=_LOADER)\nf = yaml.safe_dump(doc)\n"
+        "g = yaml.load(text, Loader=UnsafeLoader)\n"
+    )
+    assert yaml_breaks(loader, loader=True) == [
+        (2, "imports yaml.safe_load"),
+        (2, "yaml.CLoader"),
+        (5, "yaml.safe_load not through _LOADER"),
+        (6, "yaml.Loader"),
+        (6, "yaml.load not through _LOADER"),
+        (7, "yaml.full_load"),
+        (8, "yaml.load_all not through _LOADER"),
+        (10, "UnsafeLoader"),
+        (10, "yaml.load not through _LOADER"),
+    ]
+    other = "import yaml as y\ndoc = y.load(text, Loader=_LOADER)\nout = y.safe_dump(doc)\nL = y.CFullLoader\n"
+    assert yaml_breaks(other, loader=False) == [
+        (2, "yaml.load outside the loader"),
+        (4, "yaml.CFullLoader"),
+    ]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_yaml_is_parsed_in_one_place(path):
+    assert yaml_breaks(path.read_text(), loader=path.name == "scenario.py") == []

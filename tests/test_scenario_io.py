@@ -74,7 +74,7 @@ class TestLoadScenario:
     def test_unparseable_yaml(self, tmp_path):
         p = tmp_path / "scn.yaml"
         p.write_text("behavior: {kind: [unterminated\n")
-        with pytest.raises(ScenarioError):
+        with pytest.raises(ScenarioError, match=rf"(?s)^{re.escape(str(p))}: .*line \d+"):
             load_scenario(p)
 
     def test_top_level_must_be_mapping(self, tmp_path):
@@ -238,6 +238,73 @@ class TestLoadScenario:
         assert w.behavior.kind == "leader_follow"
         assert len(w.obstacles) == 2
         assert len(w.behavior.waypoints) == 5
+
+
+# `scenario._LOADER` is libyaml's parser when PyYAML has it; the pure-Python
+# `SafeLoader` must read every file to the same values of the same types, and
+# refuse the same files, so both are run here whichever one is the default.
+LOADERS = [yaml.SafeLoader, scenario._LOADER]
+LOADER_IDS = ["SafeLoader", "_LOADER"]
+
+# YAML 1.1 scalars whose type a parser could get wrong: `1e-3` has no dot, so
+# the resolver keeps it a string
+SCALARS = [
+    "-0.0",
+    "1e-3",
+    "1.0e-3",
+    ".5",
+    "0x10",
+    "1_000",
+    "yes",
+    "~",
+    ".inf",
+    "-.inf",
+    "[1, -0.0, [2.5, .5], {a: 1e-3}, []]",
+    "{n: 3, V: 1_000, box: [0x10, yes, ~]}",
+]
+
+
+def typed(value):
+    """`value` with each scalar as (type name, repr), so -0.0 and 0.0, 1 and
+    1.0, and True and 1 compare unequal."""
+    if isinstance(value, dict):
+        return [(typed(k), typed(v)) for k, v in value.items()]
+    if isinstance(value, list):
+        return [typed(v) for v in value]
+    return (type(value).__name__, repr(value))
+
+
+class TestLoaders:
+    @pytest.mark.parametrize("text", SCALARS)
+    def test_scalars_parse_alike(self, text):
+        safe, fast = (yaml.load(f"x: {text}\n", Loader=loader)["x"] for loader in LOADERS)
+        assert typed(fast) == typed(safe)
+
+    @pytest.mark.parametrize("name", sorted(p.name for p in SCENARIO_DIR.glob("*.yaml")))
+    def test_bundled_files_parse_alike(self, name, monkeypatch):
+        text = (SCENARIO_DIR / name).read_text()
+        safe, fast = (yaml.load(text, Loader=loader) for loader in LOADERS)
+        assert typed(fast) == typed(safe)
+        default = load_scenario(SCENARIO_DIR / name)
+        monkeypatch.setattr(scenario, "_LOADER", yaml.SafeLoader)
+        assert load_scenario(SCENARIO_DIR / name) == default
+
+    @pytest.mark.parametrize("loader", LOADERS, ids=LOADER_IDS)
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "n: 3\nbehavior: {kind: [gather\n",
+            "n: 3\nbehavior:\n\tkind: gather\n",
+            "n: 3\nV: !!python/object/apply:os.system [true]\n",
+        ],
+        ids=["unterminated flow list", "tab indent", "python tag"],
+    )
+    def test_bad_files_refused(self, tmp_path, monkeypatch, loader, text):
+        monkeypatch.setattr(scenario, "_LOADER", loader)
+        p = tmp_path / "scn.yaml"
+        p.write_text(text)
+        with pytest.raises(ScenarioError, match=rf"(?s)^{re.escape(str(p))}: .*line \d+"):
+            load_scenario(p)
 
 
 # A scenario document with every key written out, and the Python constructors
