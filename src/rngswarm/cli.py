@@ -108,7 +108,7 @@ def _cmd_graph(args: argparse.Namespace) -> int:
         elif isinstance(value, float):
             value = format(value, ".9g")
         print(f"{name}: {value}")
-    print(f"max_effective_degree: {eff._plan[1].max(initial=0)}")
+    print(f"max_effective_degree: {max(map(len, map(eff.neighbors, range(eff.n))), default=0)}")
     if args.svg:
         write_svg_frame(state, world, args.svg)
         print(f"frame: {args.svg}")

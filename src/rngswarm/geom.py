@@ -9,7 +9,10 @@ intersection tests are deliberately conservative: exact touching counts as
 contact. One closed-segment test, `_contacts`, serves the polygon
 simplicity check and the wall kernels, one builder, `_pairs`, lists the
 candidate (obstacle edge, segment) pairs of both wall kernels, and both
-clamps take their per-row minimum with `np.minimum.at`. The value rules the
+clamps take their per-row minimum with `np.minimum.at`. A `Polygon` holds
+only its vertices: `_walls` alone builds the wall tables, the edges and the
+boxes, from them. The wall mask has one entry point, `segments_blocked`;
+the `Polygon` predicates call it with their polygon alone. The value rules the
 config classes share, a number in its range (`_number`), an integer of at
 least a bound (`_integer`) and a list of finite [x, y] pairs (`_points`),
 live here too, beside `Polygon`; the public graph and motion functions
@@ -169,20 +172,18 @@ def clamp_point_xy(cur, tgt, centers, radii, owner) -> np.ndarray:
     s = clamp_fraction(cur, tgt, centers, radii, owner)
     q = tgt.copy()
     rows = s < 1.0
-    if not rows.any():
-        return q
-    q[rows] = cur[rows] + s[rows, None] * (tgt[rows] - cur[rows])
-    # nudge down against float overshoot so the result is inside every disc
-    # not just within tolerance (keeps clamped pairs inside visibility range)
-    for _ in range(4):
+    # one clamp, then up to four nudges down against float overshoot so the
+    # result is inside every disc, not just within tolerance (keeps clamped
+    # pairs inside visibility range)
+    for _ in range(5):
+        if not rows.any():
+            break
+        q[rows] = cur[rows] + s[rows, None] * (tgt[rows] - cur[rows])
         w = q.take(owner, axis=0) - centers
         out = np.bincount(owner[np.sqrt(w[:, 0] * w[:, 0] + w[:, 1] * w[:, 1]) > radii], minlength=len(q))
         rows &= out > 0
-        if not rows.any():
-            break
         nudged = s[rows] - 1e-12
         s[rows] = np.where(nudged > 0.0, nudged, 0.0)
-        q[rows] = cur[rows] + s[rows, None] * (tgt[rows] - cur[rows])
     return q
 
 
@@ -258,13 +259,7 @@ class Polygon:
         if crossing.any():
             first = np.argmax(crossing)
             raise ValueError(f"polygon edges {k[first]} and {l[first]} intersect (not simple)")
-        # the edges as [x | y][start | end], edge, and the box as [lower | upper][x | y]
-        ends, box = np.stack((v.T, w.T), axis=1), np.array((v.min(axis=0), v.max(axis=0)))
-        ends.setflags(write=False)
-        box.setflags(write=False)
         object.__setattr__(self, "vertices", tuple(xy))
-        object.__setattr__(self, "_ends", ends)
-        object.__setattr__(self, "_box", box)
 
     def contains_xy(self, x, y) -> np.ndarray:
         """Whether this polygon holds each point, boundary included: the
@@ -275,11 +270,11 @@ class Polygon:
     def blocks_segment_xy(self, x1, y1, x2, y2) -> np.ndarray:
         """Whether each segment touches, crosses, or sits inside this
         polygon; a non-finite coordinate is a ValueError."""
-        x1, y1, x2, y2 = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (x1, y1, x2, y2)))
-        ends = np.array(((x1.ravel(), x2.ravel()), (y1.ravel(), y2.ravel())))
-        if not np.isfinite(ends).all():
+        coords = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (x1, y1, x2, y2)))
+        pq = np.stack([v.ravel() for v in coords], axis=1)
+        if not np.isfinite(pq).all():
             raise ValueError("segment coordinates must be finite")
-        return _wall_contacts(ends, (self,)).reshape(x1.shape)
+        return segments_blocked(pq[:, :2], pq[:, 2:], (self,)).reshape(coords[0].shape)
 
 
 _last_walls: tuple = (None, None)
@@ -288,7 +283,8 @@ _last_walls: tuple = (None, None)
 def _walls(obstacles: tuple[Polygon, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The edges of all obstacles side by side, (2, 2, edges) [x | y][start |
     end], the obstacle of each edge, and the obstacles' boxes, plain and
-    widened by _EPS, each (2, 2, obstacles, 1) [lower | upper][x | y].
+    widened by _EPS, each (2, 2, obstacles, 1) [lower | upper][x | y], all
+    built from the obstacles' vertices.
 
     A run passes its world's tuple every round, so the tables of the last
     tuple are kept, read-only, with the tuple itself (which keeps its id
@@ -297,9 +293,10 @@ def _walls(obstacles: tuple[Polygon, ...]) -> tuple[np.ndarray, np.ndarray, np.n
     global _last_walls
     last = _last_walls
     if last[0] is not obstacles:
-        edges = np.concatenate([poly._ends for poly in obstacles], axis=2)
-        polygon = np.repeat(np.arange(len(obstacles)), [len(poly.vertices) for poly in obstacles])
-        box = np.array([poly._box for poly in obstacles]).transpose(1, 2, 0)[..., None]
+        vertices = [np.array(poly.vertices) for poly in obstacles]
+        edges = np.concatenate([np.stack((a.T, np.roll(a, -1, axis=0).T), axis=1) for a in vertices], axis=2)
+        polygon = np.repeat(np.arange(len(obstacles)), [len(a) for a in vertices])
+        box = np.array([(a.min(axis=0), a.max(axis=0)) for a in vertices]).transpose(1, 2, 0)[..., None]
         widened = np.array((box[0] - _EPS, box[1] + _EPS))
         for a in (edges, polygon, box, widened):
             a.setflags(write=False)
@@ -326,17 +323,21 @@ def _pairs(ends, edges, polygon, box, reach=None):
     return edge, row, np.concatenate((ends.take(row, axis=2), edges.take(edge, axis=2)), axis=1)
 
 
-def _wall_contacts(ends, obstacles) -> np.ndarray:
-    """Whether some obstacle touches, crosses or holds each segment a -> b,
-    given as one (2, 2, m) array [x | y][a | b], segment.
+def segments_blocked(p, q, obstacles) -> np.ndarray:
+    """Whether some obstacle touches, crosses or holds each segment p[k] ->
+    q[k] of the (m, 2) arrays p and q; a zero-length segment is blocked
+    where its point touches an obstacle. The coordinates must be finite, as
+    a SwarmState's are: the mask does not check them, and answers a NaN or
+    an infinity arbitrarily.
 
     One pass over the (edge, segment) pairs of every obstacle, with the
     pairs on the inner axis. A pair is tested only where the segment's box
     meets the edge's polygon's box widened by _EPS. A segment that meets no
     edge is blocked only when a polygon holds it whole, which is when an odd
-    count of that polygon's edges cross the ray from a toward +x (a on an
-    edge already meets that edge); the ray cast runs only where a lies in
-    the polygon's widened box."""
+    count of that polygon's edges cross the ray from p[k] toward +x (p[k] on
+    an edge already meets that edge); the ray cast runs only where p[k] lies
+    in the polygon's widened box."""
+    ends = np.concatenate((p, q)).T.reshape(2, 2, -1)  # [x | y][a | b], segment
     m = ends.shape[2]
     blocked = np.zeros(m, dtype=bool)
     if not obstacles:
@@ -359,14 +360,6 @@ def _wall_contacts(ends, obstacles) -> np.ndarray:
         # per (polygon, segment) cell: an odd count of crossings
         blocked[(np.bincount((poly * m + row)[in_box & crosses]) % 2).nonzero()[0] % m] = True
     return blocked
-
-
-def segments_blocked(p, q, obstacles) -> np.ndarray:
-    """Whether some obstacle blocks each segment p[k] -> q[k] of the (m, 2)
-    arrays p and q; a zero-length segment is blocked where its point touches
-    an obstacle. The coordinates must be finite, as a SwarmState's are: the
-    mask does not check them, and answers a NaN or an infinity arbitrarily."""
-    return _wall_contacts(np.concatenate((p, q)).T.reshape(2, 2, -1), obstacles)
 
 
 # ---------------------------------------------------------------------------
@@ -413,10 +406,8 @@ def clamp_to_sight(p, q, owner, ends, obstacles) -> np.ndarray:
     np.subtract(closest[:, 2:], pts[:, 2:], out=gap[:2, 2:])
     sq = gap[:2] * gap[:2]
     np.add(sq[0], sq[1], out=gap[2])
-    # the first of equal gaps, as argmin picks it
-    g = gap[:, 0]
-    for k in (1, 2, 3):
-        g = np.where(gap[2, k] < g[2], gap[:, k], g)
+    # the shortest gap, the first of equal ones
+    g = gap[:, gap[2].argmin(axis=0), np.arange(len(row))]
     length = np.sqrt(g[2])
     length[length == 0.0] = 1.0  # a zero gap leaves a zero normal, and so a negative slack
     n = g[:2] / length

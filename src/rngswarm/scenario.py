@@ -14,8 +14,10 @@ so a message always names the offending key.
 Files are parsed by `_LOADER`: PyYAML's C parser (libyaml) when PyYAML was
 built with it, else its pure-Python one. Only the parser differs; both feed
 the same safe constructor and resolver, so a file gives the same values
-either way. A syntax error under libyaml names the line and column but
-quotes no source.
+either way. The file goes to PyYAML as bytes, so PyYAML decodes it (UTF-8,
+or UTF-16 with a byte order mark) and every mark in its errors names the
+file. A syntax error under libyaml names the line and column but quotes no
+source.
 """
 
 from __future__ import annotations
@@ -111,7 +113,8 @@ def load_scenario(path) -> WorldConfig:
     """Parse and validate a scenario file into a WorldConfig."""
     path = Path(path)
     try:
-        raw = yaml.load(path.read_text(), Loader=_LOADER)
+        with path.open("rb") as stream:
+            raw = yaml.load(stream, Loader=_LOADER)
     except OSError as exc:
         raise ScenarioError(f"cannot read scenario file {path}: {exc}") from exc
     except yaml.YAMLError as exc:

@@ -108,6 +108,14 @@ class TestRunCommand:
         assert main(["run", "--scenario", str(scn), "--out", str(tmp_path / "o")]) == 1
         assert "scenario error" in capsys.readouterr().err
 
+    def test_scenario_file_that_is_not_utf8(self, tmp_path, capsys):
+        scn = tmp_path / "scn.yaml"
+        scn.write_bytes(b"n: 3\nV: 1.0\n# \xff\xfe\n")
+        assert main(["run", "--scenario", str(scn), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"scenario error: {scn}: ") and "position" in err
+        assert err.count("scenario error") == 1 and "Traceback" not in err
+
     def test_negative_seed_in_scenario(self, tmp_path, capsys):
         doc = box_doc()
         doc["seed"] = -3

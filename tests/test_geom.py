@@ -200,6 +200,10 @@ class TestPolygon:
         p = Polygon(((0, 0), (1, 0), (0, 1)))
         assert p.vertices[1] == (1.0, 0.0)
 
+    def test_a_polygon_is_its_vertices(self):
+        # the wall kernels build their edge and box tables from the vertices
+        assert list(vars(Polygon(SQUARE.vertices))) == ["vertices"]
+
     def test_clockwise_input_is_reversed(self):
         ccw = Polygon(((0, 0), (1, 0), (0, 1)))
         cw = Polygon(((0, 1), (1, 0), (0, 0)))

@@ -402,7 +402,7 @@ def test_every_value_rule_lives_in_its_class(path):
 
 
 # YAML is parsed in one place, `scenario.load_scenario`, as
-# `yaml.load(text, Loader=_LOADER)`: `_LOADER` is libyaml's safe loader or
+# `yaml.load(stream, Loader=_LOADER)`: `_LOADER` is libyaml's safe loader or
 # PyYAML's pure-Python one, so every path parses alike and none can build
 # Python objects from a tag
 YAML_PARSERS = {"load", "load_all", "safe_load", "safe_load_all", "parse", "compose", "compose_all", "scan"}

@@ -306,6 +306,36 @@ class TestLoaders:
         with pytest.raises(ScenarioError, match=rf"(?s)^{re.escape(str(p))}: .*line \d+"):
             load_scenario(p)
 
+    # The file goes to PyYAML as bytes, so PyYAML decodes it: bytes that are
+    # not UTF-8 are a YAML error at a byte position, every mark names the
+    # file, and a UTF-16 file with a byte order mark loads.
+    @pytest.mark.parametrize("loader", LOADERS, ids=LOADER_IDS)
+    def test_bytes_that_are_not_utf8_are_refused(self, tmp_path, monkeypatch, loader):
+        monkeypatch.setattr(scenario, "_LOADER", loader)
+        p = tmp_path / "scn.yaml"
+        p.write_bytes(b"n: 3\nV: 1.0\n# \xff\xfe\n")
+        with pytest.raises(ScenarioError, match=rf"(?s)^{re.escape(str(p))}: .*position \d+"):
+            load_scenario(p)
+
+    @pytest.mark.parametrize("loader", LOADERS, ids=LOADER_IDS)
+    def test_syntax_error_marks_name_the_file(self, tmp_path, monkeypatch, loader):
+        monkeypatch.setattr(scenario, "_LOADER", loader)
+        p = tmp_path / "scn.yaml"
+        p.write_text("n: 3\nbehavior: {kind: [gather\n")
+        with pytest.raises(ScenarioError) as info:
+            load_scenario(p)
+        marks = re.findall(r'in "([^"]*)", line \d+, column \d+', str(info.value))
+        assert marks and set(marks) == {str(p)}
+
+    @pytest.mark.parametrize("loader", LOADERS, ids=LOADER_IDS)
+    @pytest.mark.parametrize("name", sorted(p.name for p in SCENARIO_DIR.glob("*.yaml")))
+    def test_a_utf16_copy_loads_alike(self, tmp_path, monkeypatch, loader, name):
+        monkeypatch.setattr(scenario, "_LOADER", loader)
+        p = tmp_path / name
+        p.write_bytes((SCENARIO_DIR / name).read_text(encoding="utf-8").encode("utf-16"))
+        assert p.read_bytes()[:2] in (b"\xff\xfe", b"\xfe\xff")
+        assert load_scenario(p) == load_scenario(SCENARIO_DIR / name)
+
 
 # A scenario document with every key written out, and the Python constructors
 # called with its values as they stand: both paths must apply the same rule
